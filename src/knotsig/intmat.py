@@ -82,6 +82,26 @@ def det(mat):
     return sign * m[n - 1][n - 1]
 
 
+def char_poly(mat):
+    """Coefficients c_0..c_n of det(lambda*I - M) for a square integer
+    matrix M, lowest degree first, by Faddeev-LeVerrier over Z.
+
+    N_1 = I, c_(n-k) = -tr(M N_k)/k, N_(k+1) = M N_k + c_(n-k) I. The
+    coefficients are integers, so every division by k is exact."""
+    n = len(mat)
+    coeffs = [0] * n + [1]
+    nk = identity(n)
+    for k in range(1, n + 1):
+        mn = mat_mul(mat, nk)
+        c, r = divmod(-sum(mn[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division must be exact over Z"
+        coeffs[n - k] = c
+        for i in range(n):
+            mn[i][i] += c
+        nk = mn
+    return coeffs
+
+
 def frac_inverse(mat):
     """Exact inverse of a square integer (or Fraction) matrix, as Fractions."""
     n = len(mat)

@@ -8,7 +8,7 @@ intermediates use fractions.Fraction.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 
 def pnorm(p):
@@ -33,16 +33,6 @@ def padd(p, q):
     return pnorm(out)
 
 
-def psub(p, q):
-    return padd(p, [-c for c in q])
-
-
-def pscale(p, c):
-    if c == 0:
-        return []
-    return [c * a for a in p]
-
-
 def pmul(p, q):
     if not p or not q:
         return []
@@ -52,13 +42,6 @@ def pmul(p, q):
             for j, b in enumerate(q):
                 out[i + j] += a * b
     return pnorm(out)
-
-
-def ppow(p, e):
-    out = [1]
-    for _ in range(e):
-        out = pmul(out, p)
-    return out
 
 
 def peval(p, x):
@@ -167,6 +150,22 @@ def psubst_scale(p, c):
     return pnorm([a * c**i for i, a in enumerate(p)])
 
 
+def pinterpolate(xs, ys):
+    """The integer polynomial of degree < len(xs) through the points
+    (xs[i], ys[i]), by Newton's divided differences. Every division must be
+    exact, as it is for an integer polynomial at consecutive integers."""
+    dd = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - level])
+            assert r == 0, "divided differences must be exact over Z"
+            dd[i] = q
+    out = []
+    for x, d in zip(reversed(xs), reversed(dd)):
+        out = padd(pmul(out, [-x, 1]), [d])
+    return out
+
+
 # Sturm sequences and real root isolation ---------------------------------
 
 def sturm_chain(p):
@@ -267,27 +266,31 @@ def cyclotomic(d):
     return tuple(p)
 
 
-def palindromic_compact(p):
-    """For a palindromic integer polynomial p of even degree 2m, return W
-    with p(t) = t^m * W(t + 1/t)."""
+def palindromic_compact(p, m=None):
+    """For an integer polynomial p palindromic about degree m, return W
+    with p(t) = t^m * W(t + 1/t), deg W <= m.
+
+    m defaults to deg(p)/2. A larger m admits a p whose top (and so also
+    bottom) coefficients are zero, e.g. [0, 1, 0] about m = 1 gives W = 1.
+    """
     p = pnorm(p)
-    m2 = pdeg(p)
-    if m2 < 0:
-        return []
-    if m2 % 2 != 0 or p != p[::-1]:
-        raise ValueError("polynomial is not palindromic of even degree")
-    m = m2 // 2
-    f = list(p)
+    if m is None:
+        if p and len(p) % 2 == 0:
+            raise ValueError("polynomial is not palindromic of even degree")
+        m = len(p) // 2
+    if len(p) > 2 * m + 1:
+        raise ValueError(f"polynomial has degree above 2*{m}")
+    f = p + [0] * (2 * m + 1 - len(p))
+    if f != f[::-1]:
+        raise ValueError(f"polynomial is not palindromic about degree {m}")
+    # peel t^m (t + 1/t)^j = sum_i comb(j, i) t^(m - j + 2i) off the top
     w = [0] * (m + 1)
     for j in range(m, -1, -1):
-        w[j] = f[-1] if f else 0
-        f = psub(f, pscale(ppow([1, 0, 1], j), w[j]))
-        if j > 0:
-            # remaining part is divisible by t; shift down one degree
-            if f and f[0] != 0:
-                raise AssertionError("compact form reduction failed")
-            f = f[1:]
-    assert not pnorm(f)
+        c = w[j] = f[m + j]
+        if c:
+            for i in range(j + 1):
+                f[m - j + 2 * i] -= c * comb(j, i)
+    assert not any(f), "compact form reduction must leave no remainder"
     return pnorm(w)
 
 

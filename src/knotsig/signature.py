@@ -1,12 +1,17 @@
 """Exact Tristram-Levine signature functions and their circle averages.
 
 For a Seifert matrix A and z on the unit circle, sigma_z is the signature
-of the Hermitian matrix (1-z)A + (1-conj(z))A^t. Writing z = x + iy this
-matrix is (1-x)(A+A^t) - iy(A-A^t), and its characteristic polynomial has
-coefficients that are integer polynomials in x alone (they are invariant
-under y -> -y, and y^2 = 1 - x^2). That one symbolic characteristic
-polynomial, computed once per matrix, turns every signature query into
-exact sign determinations of integer polynomials at an algebraic x:
+of the Hermitian matrix H(z) = (1-z)A + (1-conj(z))A^t. Writing z = x + iy
+this matrix is (1-x)(A+A^t) - iy(A-A^t), and its characteristic polynomial
+has coefficients that are integer polynomials in x alone. They are found
+in integer arithmetic only: z*H(z) = (z-z^2)A + (z-1)A^t is an integer
+matrix at integer z, its characteristic polynomial comes from
+Faddeev-LeVerrier over Z at the nodes z = -n..n, each coefficient is
+recovered in z by exact Newton interpolation, and palindromy in z turns it
+into a polynomial in x = (z + 1/z)/2. Exact divisions and palindromy are
+asserted along the way. That one symbolic characteristic polynomial,
+computed once per matrix, turns every signature query into exact sign
+determinations of integer polynomials at an algebraic x:
 
   * counts of positive/negative eigenvalues come from Descartes' rule,
     which is exact for real-rooted polynomials;
@@ -16,9 +21,11 @@ exact sign determinations of integer polynomials at an algebraic x:
 
 sigma_z is a step function, constant on the arcs between the unit-circle
 roots of the Alexander polynomial. Those breakpoints are isolated exactly
-by Sturm bisection of the compactified polynomial in x = cos(theta), so
-root-of-unity averages of sigma reduce to counting grid points per arc and
-the circle integral reduces to certified arc measures.
+by Sturm bisection of the compactified polynomial in x = cos(theta); the
+ones at roots of unity are recognised from the cyclotomic factors Phi_d of
+the Alexander polynomial, searched only over the d with phi(d) <= its
+degree. Root-of-unity averages of sigma then reduce to counting grid
+points per arc and the circle integral reduces to certified arc measures.
 """
 
 from dataclasses import dataclass
@@ -26,12 +33,13 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .polyz import (cyclotomic, isolate_roots, pdeg, pdivides, pnorm,
-                    palindromic_compact, peval, psubst_scale, pprimitive,
-                    cos_minimal_poly, squarefree_part)
+from .intmat import char_poly
+from .polyz import (cyclotomic, isolate_roots, pdeg, pdivides,
+                    palindromic_compact, peval, pinterpolate, psubst_scale,
+                    pprimitive, cos_minimal_poly, squarefree_part)
 from .realalg import (MAX_REFINE, PrecisionExhausted, RealAlgebraic,
                       cos_turn_bounds, cos_turn_rational, sign_at_cos_turn,
-                      simplest_between, _sgn)
+                      simplest_between, _euler_phi, _sgn)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -68,85 +76,36 @@ class UnitRootAngle:
 
 # characteristic polynomial of (1-x)S - i y T over Z[x], y^2 = 1 - x^2 ----
 
-def _pr_mul(a, b):
-    """Multiply (P1 + iyQ1)(P2 + iyQ2) in Q[x][y]/(y^2 - (1 - x^2))."""
-    p1, q1 = a
-    p2, q2 = b
-    p = _qsub(_qmul(p1, p2), _qmul([1, 0, -1], _qmul(q1, q2)))
-    q = _qadd(_qmul(p1, q2), _qmul(q1, p2))
-    return (p, q)
-
-
-def _qmul(p, q):
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return pnorm(out)
-
-
-def _qadd(p, q):
-    out = [Fraction(0)] * max(len(p), len(q))
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return pnorm(out)
-
-
-def _qsub(p, q):
-    return _qadd(p, [-c for c in q])
-
-
 @lru_cache(maxsize=None)
 def _char_poly_in_x(a: SeifertMatrix):
     """Coefficients c_0..c_n of det(lambda*I - M(x)) as integer polynomials
-    in x, where M(x) = (1-x)(A+A^t) - iy(A-A^t), via Faddeev-LeVerrier."""
+    in x, where M(x) = (1-x)(A+A^t) - iy(A-A^t) = H(z) for z = x + iy.
+
+    H(z) = (1-z)A + (1-1/z)A^t, so B_z = z*H(z) = (z-z^2)A + (z-1)A^t is an
+    integer matrix at every integer z, and c_(n-k)(B_z) = z^k c_(n-k)(H(z)).
+    Q_k(z) = c_(n-k)(B_z) is therefore an integer polynomial of degree
+    <= 2k: it is recovered from the integer characteristic polynomials of
+    B_z at the 2n+1 nodes z = -n..n by exact Newton interpolation. H(1/z)
+    is the transpose of H(z), so Q_k is palindromic about degree k and
+    Q_k(z) = z^k W_k(z + 1/z); the coefficient is c_(n-k)(x) = W_k(2x).
+    Exact Faddeev-LeVerrier and divided-difference divisions, the degree
+    bound and palindromy are asserted: together they certify the result.
+    """
     n = a.n
     if n == 0:
         return ((1,),)
-    s = a.symmetrization()
-    t = a.antisymmetrization()
-    one_minus_x = [Fraction(1), Fraction(-1)]
-    m = [[(_qmul(one_minus_x, [Fraction(s[i][j])]), [Fraction(-t[i][j])] if t[i][j] else [])
-          for j in range(n)] for i in range(n)]
-    zero = ([], [])
-    ident = [[([Fraction(1)], []) if i == j else zero for j in range(n)] for i in range(n)]
-
-    def mat_mul(x, y):
-        out = [[zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = ([], [])
-                for k in range(n):
-                    prod = _pr_mul(x[i][k], y[k][j])
-                    acc = (_qadd(acc[0], prod[0]), _qadd(acc[1], prod[1]))
-                out[i][j] = acc
-        return out
-
-    coeffs = [None] * (n + 1)
-    coeffs[n] = [Fraction(1)]
-    nmat = ident
-    for k in range(1, n + 1):
-        mk = mat_mul(m, nmat)
-        tr = ([], [])
-        for i in range(n):
-            tr = (_qadd(tr[0], mk[i][i][0]), _qadd(tr[1], mk[i][i][1]))
-        ck = ([-c / k for c in tr[0]], [-c / k for c in tr[1]])
-        assert not pnorm(ck[1]), "trace must be even in y"
-        coeffs[n - k] = ck[0]
-        nmat = [[(mk[i][j][0] if i != j else _qadd(mk[i][j][0], ck[0]),
-                  mk[i][j][1]) for j in range(n)] for i in range(n)]
-    out = []
-    for c in coeffs:
-        ints = []
-        for v in pnorm(c):
-            assert v.denominator == 1, "characteristic coefficients are integral"
-            ints.append(int(v))
-        out.append(tuple(ints))
+    ent = a.entries
+    nodes = list(range(-n, n + 1))
+    polys = [char_poly([[(z - z * z) * ent[i][j] + (z - 1) * ent[j][i]
+                         for j in range(n)] for i in range(n)])
+             for z in nodes]
+    out = [None] * (n + 1)
+    for k in range(n + 1):
+        q = pinterpolate(nodes, [cp[n - k] for cp in polys])
+        f = q + [0] * (2 * k + 1 - len(q))
+        assert len(f) == 2 * k + 1 and f == f[::-1], \
+            "c_(n-k)(B_z) must be palindromic about degree k"
+        out[n - k] = tuple(psubst_scale(palindromic_compact(q, k), 2))
     return tuple(out)
 
 
@@ -290,17 +249,10 @@ def _alexander_x_polynomial(delta):
 
 def _root_of_unity_orders(delta):
     """All d with the d-th cyclotomic polynomial dividing delta."""
-    dd = pdeg(list(delta.coeffs))
-    out = []
-    d = 3
-    while True:
-        phi = pdeg(list(cyclotomic(d)))
-        if d > 4 * dd * dd + 6:
-            break
-        if phi <= dd and pdivides(list(cyclotomic(d)), list(delta.coeffs)):
-            out.append(d)
-        d += 1
-    return out
+    coeffs = list(delta.coeffs)
+    dd = pdeg(coeffs)
+    return [d for d in range(3, 4 * dd * dd + 7)
+            if _euler_phi(d) <= dd and pdivides(list(cyclotomic(d)), coeffs)]
 
 
 def breakpoints(a: SeifertMatrix):
@@ -490,11 +442,13 @@ def signature_function(a: SeifertMatrix) -> SignatureFunction:
     if not bps:
         sample = tl_signature_at(a, UnitRootAngle(1, 2)) if a.n else 0
         return SignatureFunction(a, (), (sample,), ())
-    # refine turn enclosures until pairwise disjoint, then sample the arcs
+    # refine turn enclosures until pairwise disjoint and below turn 1, so
+    # every arc, the one through z = 1 too, has a gap to sample from
     width = Fraction(1, 64)
     while True:
         encl = [bp.turn_bounds(width) for bp in bps]
-        if all(encl[i][1] < encl[i + 1][0] for i in range(len(encl) - 1)):
+        if encl[-1][1] < 1 and all(encl[i][1] < encl[i + 1][0]
+                                   for i in range(len(encl) - 1)):
             break
         width /= 16
     arc_values = []

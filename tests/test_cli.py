@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 from knotsig.cli import main
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -102,6 +104,19 @@ class TestSigfn:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.startswith("arc")]) == 2  # both hemispheres
         assert not any(l.startswith("point") for l in lines)
+
+    @pytest.mark.parametrize("entries", [
+        # Alexander polynomial -2t^4 + 5t^2 - 2, with zero coefficients
+        [[-3, 0, -3, 5], [1, 2, -2, 0], [-5, -2, 1, 3], [6, 1, 2, -6]],
+        # a breakpoint within 1/64 turn of z = 1
+        [[104, 1], [0, 1]],
+    ])
+    def test_valid_matrix_exits_zero(self, capsys, tmp_path, entries):
+        knot = tmp_path / "knot.json"
+        knot.write_text(json.dumps({"seifert": entries}))
+        code, out = run_cli(capsys, "sigfn", "--knot", str(knot))
+        assert code == 0
+        assert out.startswith("kind,arc_index,x_lo,x_hi,hemisphere,value\n")
 
 
 class TestCovers:
@@ -204,10 +219,14 @@ class TestDeterminism:
         ["resolve", "--delta", "1,-1,1", "--p", "2", "--depth", "2"],
     ])
     def test_byte_identical_runs(self, argv):
+        # the child finds knotsig whether or not PYTHONPATH names src
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+
         def run():
             return subprocess.run(
                 [sys.executable, "-m", "knotsig.cli"] + argv + ["--threads", "2"],
-                capture_output=True, check=True).stdout
+                capture_output=True, check=True, env=env).stdout
         assert run() == run()
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):

@@ -5,14 +5,17 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
                      tl_signature_at, validate_seifert)
-from knotsig.polyz import isolate_roots, peval, sturm_chain, sturm_count
+from knotsig.polyz import (cos_minimal_poly, isolate_roots, padd,
+                           palindromic_compact, peval, pmul, pnorm,
+                           sturm_chain, sturm_count)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
-                             sign_at_cos_turn, RealAlgebraic)
+                             sign_at_cos_turn, RealAlgebraic, _euler_phi)
 
 from conftest import random_interesting_seifert
 
@@ -215,6 +218,54 @@ class TestHighPrecisionOracles:
                 direct = [peval(list(c), x) for c in coeffs]
                 oracle = char_poly_at_x_by_interpolation(a, x)
                 assert direct == oracle, (a.entries, x)
+        # conjugated genus 6 and 8: 13 and 17 interpolation nodes, the
+        # largest degrees in z the integer route has to recover
+        for genus in (6, 8):
+            a = random_interesting_seifert(rng, genus)
+            coeffs = _char_poly_in_x(a)
+            for x in (Fraction(1, 3), Fraction(-3, 4)):
+                direct = [peval(list(c), x) for c in coeffs]
+                oracle = char_poly_at_x_by_interpolation(a, x)
+                assert direct == oracle, (a.entries, x)
+
+
+class TestPalindromicCompact:
+    @given(st.lists(st.integers(-4, 4), max_size=7), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_round_trip(self, w, extra):
+        # p(t) = t^m W(t + 1/t) = sum_j w_j t^(m-j) (t^2 + 1)^j; zero
+        # coefficients in W, and extra > 0 (zero top coefficients of p
+        # about degree m), are the cases the reduction must survive
+        m = max(len(w) - 1, 0) + extra
+        p = []
+        binom = [1]
+        for j, c in enumerate(w):
+            p = padd(p, [0] * (m - j) + [c * b for b in binom])
+            binom = pmul(binom, [1, 0, 1])
+        assert palindromic_compact(p, m) == pnorm(w)
+        if len(pnorm(w)) == m + 1:
+            assert palindromic_compact(p) == pnorm(w)
+
+    def test_zero_coefficients(self):
+        # Phi_12 = t^4 - t^2 + 1 = t^2 ((t + 1/t)^2 - 3); cos(2 pi/12)
+        # is a root of 4x^2 - 3
+        assert palindromic_compact([1, 0, -1, 0, 1]) == [-3, 0, 1]
+        assert cos_minimal_poly(12) == (-3, 0, 4)
+        # -2t^4 + 5t^2 - 2, the Alexander polynomial in TestCompactForm
+        assert palindromic_compact([-2, 0, 5, 0, -2]) == [9, 0, -2]
+        assert palindromic_compact([0, 1, 0], 1) == [1]
+        assert palindromic_compact([]) == []
+        # these cyclotomic polynomials all have zero coefficients
+        for d in (8, 9, 12, 16, 18, 20, 24, 25, 27, 36):
+            psi = list(cos_minimal_poly(d))
+            assert len(psi) - 1 == _euler_phi(d) // 2
+            assert sign_at_cos_turn(psi, Fraction(1, d)) == 0
+
+    def test_rejects_non_palindromic(self):
+        for p, m in (([1, 2], None), ([1, 2, 3], None), ([1, 0, 1], 0),
+                     ([0, 1, 1], 1)):
+            with pytest.raises(ValueError):
+                palindromic_compact(p, m)
 
 
 class TestSignAtCosTurn:

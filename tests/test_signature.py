@@ -9,7 +9,8 @@ from knotsig import (UnitRootAngle, alexander_polynomial,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
 from knotsig.realalg import cos_turn_bounds, simplest_between
-from knotsig.signature import _char_poly_in_x
+from knotsig.polyz import cyclotomic, pdivides
+from knotsig.signature import _char_poly_in_x, _root_of_unity_orders
 
 from conftest import random_seifert
 from oracles import tl_signature_by_congruence
@@ -295,6 +296,83 @@ class TestCornerGeometry:
             assert eta_cyclic(a, k) == direct
         lo, hi = l2_eta_abelian(a, Fraction(1, 10 ** 9))
         assert hi - lo <= Fraction(1, 10 ** 9)
+
+    @pytest.mark.parametrize("d", [104, 500])
+    def test_breakpoint_within_a_64th_turn_of_one(self, d):
+        # Alexander polynomial Dt^2 - (2D-1)t + D: x = 1 - 1/(2D), turn
+        # ~ 1/(2 pi sqrt(D)) < 1/64, so the first enclosure width leaves no
+        # gap between the last breakpoint and turn 1
+        a = validate_seifert([[d, 1], [0, 1]])
+        sf = signature_function(a)
+        assert sf.arc_values == (2, 0) and sf.point_values == (1, 1)
+        assert sf.breakpoints[-1].turn_bounds(Fraction(1, 10 ** 6))[0] > Fraction(63, 64)
+        for k in (7, 64, 100, 353):
+            direct = sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1))
+            assert eta_cyclic(a, k) == direct
+        eps = Fraction(1, 10 ** 9)
+        lo, hi = l2_eta_abelian(a, eps)
+        assert hi - lo <= eps
+
+
+class TestCompactForm:
+    """Alexander polynomials with zero coefficients, whose compact form in
+    t + 1/t the breakpoint search must get right."""
+
+    # Alexander polynomial Phi_12: breakpoints at the primitive 12th roots
+    PHI12 = [[-1, -1, -3, 3], [-2, -2, -2, 1], [-3, -2, 1, -1], [3, 1, -2, 0]]
+
+    @pytest.mark.parametrize("entries, delta", [
+        # -2t^4 + 5t^2 - 2: no unit-circle roots
+        ([[-3, 0, -3, 5], [1, 2, -2, 0], [-5, -2, 1, 3], [6, 1, 2, -6]],
+         "-2t^4+5t^2-2"),
+        (PHI12, "t^4-t^2+1"),
+    ])
+    def test_step_function_against_congruence_oracle(self, entries, delta):
+        a = validate_seifert(entries)
+        assert str(alexander_polynomial(a)) == delta
+        sf = signature_function(a)
+        for k, x in ((2, Fraction(-1)), (3, Fraction(-1, 2)), (4, Fraction(0)),
+                     (6, Fraction(1, 2))):
+            expected = tl_signature_by_congruence(a, x)
+            for j in (1, k - 1):
+                assert tl_signature_at(a, angle(j, k)) == expected
+                assert sf.value_at(angle(j, k)) == expected
+        for j in range(24):
+            assert sf.value_at(angle(j, 24)) == tl_signature_at(a, angle(j, 24))
+
+    def test_phi12_breakpoints(self):
+        sf = signature_function(validate_seifert(self.PHI12))
+        assert [bp.exact_turn for bp in sf.breakpoints] == \
+            [Fraction(j, 12) for j in (1, 5, 7, 11)]
+        assert sf.arc_values == (-2, 0, -2, 0)
+
+
+class TestRootOfUnityOrders:
+    """The search skips every d with phi(d) > deg Delta; the reference is
+    the full definition: every d <= 4 deg^2 + 6 with Phi_d | Delta."""
+
+    CINQ = TestRicherFixtures.CINQ
+    # T(2,7): Delta = Phi_14
+    T27 = validate_seifert([[-1 if j == i else 1 if j == i + 1 else 0
+                             for j in range(6)] for i in range(6)])
+
+    @staticmethod
+    def brute_force_orders(a):
+        delta = list(alexander_polynomial(a).coeffs)
+        deg = len(delta) - 1
+        return [d for d in range(1, 4 * deg * deg + 7)
+                if pdivides(list(cyclotomic(d)), delta)]
+
+    def test_against_full_definition(self, trefoil):
+        for a, orders in ((self.CINQ, [10]), (self.T27, [14]),
+                          (block_sum(trefoil, self.CINQ), [6, 10])):
+            assert _root_of_unity_orders(alexander_polynomial(a)) == orders
+            assert self.brute_force_orders(a) == orders
+
+    def test_torus_2_7_turns(self):
+        sf = signature_function(self.T27)
+        assert [bp.exact_turn for bp in sf.breakpoints] == \
+            [Fraction(j, 14) for j in (1, 3, 5, 9, 11, 13)]
 
 
 class TestAdditivity:
