@@ -14,7 +14,7 @@ from math import gcd
 from typing import Optional
 
 from . import intmat
-from .polyz import peval, pnorm
+from .polyz import peval, pinterpolate
 
 
 class NotSquare(ValueError):
@@ -176,8 +176,9 @@ def alexander_polynomial(a):
     """det(tA - A^t), canonically normalized so its value at t=1 is +1.
 
     The determinant of the linear pencil is recovered by exact evaluation
-    at n+1 integer points followed by Lagrange interpolation; cross-checked
-    elsewhere against cofactor expansion.
+    at n+1 consecutive integer points followed by Newton interpolation with
+    exact integer divided differences; cross-checked elsewhere against
+    cofactor expansion.
     """
     n = a.n
     if n == 0:
@@ -191,38 +192,11 @@ def alexander_polynomial(a):
         ys.append(intmat.det(m))
         if len(xs) == n + 1:
             break
-    coeffs = _lagrange_int(xs, ys)
+    coeffs = pinterpolate(xs, ys)
     poly = IntLaurentPoly.make(coeffs, 0).canonical()
     assert poly(1) == 1, "det(A - A^t) = 1 forces value 1 at t=1"
     assert poly.is_palindromic(), "pencil determinant must be palindromic"
     return poly
-
-
-def _lagrange_int(xs, ys):
-    """Interpolating polynomial through integer points, coefficients verified
-    integral."""
-    n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k] -= c * xs[j]
-                new[k + 1] += c
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = Fraction(ys[i]) / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += c * scale
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return pnorm(out)
 
 
 def symplectic_basis(skew):

@@ -102,6 +102,8 @@ def _char_poly_in_x(a: SeifertMatrix):
     out = [None] * (n + 1)
     for k in range(n + 1):
         q = pinterpolate(nodes, [cp[n - k] for cp in polys])
+        # checked here as well as in palindromic_compact so that a failed
+        # certificate is an internal error (exit 3), not invalid input (exit 2)
         f = q + [0] * (2 * k + 1 - len(q))
         assert len(f) == 2 * k + 1 and f == f[::-1], \
             "c_(n-k)(B_z) must be palindromic about degree k"

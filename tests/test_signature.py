@@ -368,10 +368,7 @@ class TestRootOfUnityOrders:
                           (block_sum(trefoil, self.CINQ), [6, 10])):
             assert _root_of_unity_orders(alexander_polynomial(a)) == orders
             assert self.brute_force_orders(a) == orders
-
-    def test_torus_2_7_turns(self):
-        sf = signature_function(self.T27)
-        assert [bp.exact_turn for bp in sf.breakpoints] == \
+        assert [bp.exact_turn for bp in signature_function(self.T27).breakpoints] == \
             [Fraction(j, 14) for j in (1, 3, 5, 9, 11, 13)]
 
 
