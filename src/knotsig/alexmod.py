@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import product
-from math import gcd
+from math import gcd, isqrt
 from typing import Optional
 
 from . import intmat
@@ -342,7 +342,7 @@ def find_linking_metabolizers(form: LinkingForm, cap: Optional[int] = None):
         raise CapExceeded(order, cap)
     if order == 1:
         return [()]
-    sq = _isqrt(order)
+    sq = isqrt(order)
     if sq * sq != order:
         return []
 
@@ -392,15 +392,6 @@ def find_linking_metabolizers(form: LinkingForm, cap: Optional[int] = None):
     seen_subgroups.add(base)
     search([], base)
     return sorted(found.values())
-
-
-def _isqrt(n):
-    x = int(n ** 0.5)
-    while x * x > n:
-        x -= 1
-    while (x + 1) * (x + 1) <= n:
-        x += 1
-    return x
 
 
 @dataclass(frozen=True)

@@ -2,126 +2,131 @@
 
 Real numbers appear in two flavors here: roots of integer polynomials held
 as isolating intervals (RealAlgebraic), and cosines of rational multiples
-of 2*pi held through certified rational enclosures. All enclosures are
-produced by rational Taylor sums with explicit remainder bounds, so every
-returned bound is mathematically guaranteed. No floating point is used.
+of 2*pi held through certified dyadic enclosures. Those enclosures come
+from a fixed-point integer kernel at the scale 2**p, p = bits + GUARD:
+Machin's formula for pi and the Taylor series of the cosine are summed in
+scaled integers with directed rounding, every term rounded down in the
+lower sum and up in the upper sum, and one unit in the last place covers
+the alternating remainder. So every returned bound is mathematically
+guaranteed. No floating point is used.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from .polyz import cyclotomic, pdivides, peval, pgcd, pdeg, pnorm
+from .polyz import (_sgn, cyclotomic, padd, pdivides, peval, pgcd, pdeg,
+                    pmul, pnorm)
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
 MAX_REFINE = 2000
+
+#: Guard bits of the integer kernel: an enclosure asked for at `bits` is
+#: computed at the scale 2**(bits + GUARD), where the rounding of every
+#: series term and of pi stays far below the 2**(2 - bits) width contract.
+GUARD = 16
 
 
 class PrecisionExhausted(RuntimeError):
     """Interval refinement exceeded the configured depth."""
 
 
-def _sgn(x):
-    return (x > 0) - (x < 0)
+def _arctan_inv_scaled(x, q):
+    """Integers lo <= arctan(1/x) * 2**q <= hi for an integer x >= 2.
 
-
-def dyadic_floor(x, bits):
-    scale = 1 << bits
-    num = (x.numerator * scale) // x.denominator
-    return Fraction(num, scale)
-
-
-def dyadic_ceil(x, bits):
-    scale = 1 << bits
-    num = -((-x.numerator * scale) // x.denominator)
-    return Fraction(num, scale)
-
-
-def _arctan_inv_bounds(x, terms):
-    """Bracketing partial sums of arctan(1/x), x >= 2 integer (alternating)."""
-    s = Fraction(0)
-    lo = hi = None
+    The powers 2**q / x**(2i+1) are carried floored and ceiled (nested
+    floors by integers are exact floors), each term is divided by 2i+1
+    rounding down in the lower sum and up in the upper sum, and the series
+    stops once the floored power is 0, so the alternating remainder is
+    below one unit.
+    """
     xsq = x * x
-    power = Fraction(1, x)
-    for i in range(terms):
-        term = power / (2 * i + 1)
-        s = s + term if i % 2 == 0 else s - term
-        if i % 2 == 0:
-            hi = s
+    pw_lo = (1 << q) // x
+    pw_hi = -((-1 << q) // x)
+    lo = hi = 0
+    k = 1
+    while pw_lo:
+        t_lo, t_hi = pw_lo // k, -(-pw_hi // k)
+        if k & 2:
+            lo, hi = lo - t_hi, hi - t_lo
         else:
-            lo = s
-        power /= xsq
-    if lo is None or hi is None:
-        raise ValueError("need at least two terms")
-    return lo, hi
+            lo, hi = lo + t_lo, hi + t_hi
+        pw_lo //= xsq
+        pw_hi = -(-pw_hi // xsq)
+        k += 2
+    return lo - 1, hi + 1
 
 
 @lru_cache(maxsize=None)
+def _pi_scaled(p):
+    """Integers lo <= pi * 2**p <= hi with hi - lo <= 2, by Machin's formula
+    pi = 16 arctan(1/5) - 4 arctan(1/239) summed at p + g bits, where the
+    2**g > 64p spare bits absorb the per-term rounding."""
+    g = p.bit_length() + 6
+    a_lo, a_hi = _arctan_inv_scaled(5, p + g)
+    b_lo, b_hi = _arctan_inv_scaled(239, p + g)
+    lo = (16 * a_lo - 4 * b_hi) >> g
+    hi = -((4 * b_lo - 16 * a_hi) >> g)
+    assert hi - lo <= 2
+    return lo, hi
+
+
 def pi_bounds(bits):
     """Rational lo < pi < hi with hi - lo <= 2**(1-bits) (Machin formula)."""
-    terms = max(4, bits // 4 + 4)
-    a_lo, a_hi = _arctan_inv_bounds(5, terms)
-    b_lo, b_hi = _arctan_inv_bounds(239, max(4, bits // 15 + 4))
-    lo = 16 * a_lo - 4 * b_hi
-    hi = 16 * a_hi - 4 * b_lo
-    lo = dyadic_floor(lo, bits + 4)
-    hi = dyadic_ceil(hi, bits + 4)
-    assert hi - lo <= Fraction(1, 1 << (bits - 1))
-    return lo, hi
+    lo, hi = _pi_scaled(bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
 
 
-def _cos_series_bounds(u, bits):
-    """Certified bounds on cos(u) for rational |u| <= 4, via Taylor at 0."""
-    target = Fraction(1, 1 << bits)
-    s = Fraction(0)
-    term = Fraction(1)
-    usq = u * u
+def _cos_scaled(a, b, p):
+    """Integers lo <= cos(2*pi*a/b) * 2**p <= hi for 0 <= a/b <= 1/2.
+
+    u = 2*pi*a/b lies in [0, pi], where every Taylor term u**(2i)/(2i)!
+    grows with u. So the terms are carried in two chains: one floored from
+    a lower bound of u**2, one ceiled from an upper bound. The lower sum
+    adds the floored even terms and subtracts the ceiled odd ones, the
+    upper sum the other way round. The series stops at the first term of
+    at most one unit; the terms decrease from there on (u**2 < 12), so the
+    alternating remainder is below it.
+    """
+    one = 1 << p
+    pi_lo, pi_hi = _pi_scaled(p)
+    u_lo = 2 * a * pi_lo // b
+    u_hi = -(-2 * a * pi_hi // b)
+    sq_lo = u_lo * u_lo >> p
+    sq_hi = -(-u_hi * u_hi >> p)
+    t_lo = t_hi = lo = hi = one
     i = 0
     while True:
-        s = s + term if i % 2 == 0 else s - term
         i += 1
-        term = term * usq / ((2 * i - 1) * (2 * i))
-        if term <= target / 4:
+        k = (2 * i - 1) * (2 * i)
+        t_lo = (t_lo * sq_lo >> p) // k
+        t_hi = -((-t_hi * sq_hi >> p) // k)
+        if t_hi <= 1:
             break
-    # |remainder| is at most the first omitted term bound
-    lo = dyadic_floor(s - term, bits + 2)
-    hi = dyadic_ceil(s + term, bits + 2)
-    return lo, hi
+        if i & 1:
+            lo, hi = lo - t_hi, hi - t_lo
+        else:
+            lo, hi = lo + t_lo, hi + t_hi
+    return max(lo - 1, -one), min(hi + 1, one)
 
 
-class _CosCache:
-    def __init__(self):
-        self.store = {}
-
-    def bounds(self, turn, bits):
-        """Certified (lo, hi) with lo <= cos(2*pi*turn) <= hi, hi-lo <= 2**(2-bits)."""
-        key = turn
-        cached = self.store.get(key)
-        if cached is not None and cached[0] >= bits:
-            return cached[1], cached[2]
-        t = turn - (turn.numerator // turn.denominator)  # reduce mod 1 into [0,1)
-        if 2 * t > 1:
-            t = 1 - t
-        # u = 2*pi*t, with pi known to an interval; |cos' | <= 1 gives the
-        # Lipschitz correction for the pi uncertainty.
-        pl, ph = pi_bounds(bits + 8)
-        u_mid = (pl + ph) * t
-        slack = (ph - pl) * t
-        u_mid = dyadic_floor(u_mid, bits + 8)
-        slack += Fraction(1, 1 << (bits + 7))
-        lo, hi = _cos_series_bounds(u_mid, bits + 4)
-        lo, hi = lo - slack, hi + slack
-        lo = max(lo, Fraction(-1))
-        hi = min(hi, Fraction(1))
-        self.store[key] = (bits, lo, hi)
-        return lo, hi
-
-
-_COS = _CosCache()
+#: Per-turn cache: turn -> (bits, lo, hi) of the most precise enclosure.
+_COS = {}
 
 
 def cos_turn_bounds(turn, bits):
-    return _COS.bounds(Fraction(turn), bits)
+    """Certified (lo, hi) with lo <= cos(2*pi*turn) <= hi, hi-lo <= 2**(2-bits)."""
+    turn = Fraction(turn)
+    cached = _COS.get(turn)
+    if cached is not None and cached[0] >= bits:
+        return cached[1], cached[2]
+    b = turn.denominator
+    a = turn.numerator % b  # reduce mod 1 into [0, 1), then into [0, 1/2]
+    p = bits + GUARD
+    lo, hi = _cos_scaled(min(a, b - a), b, p)
+    lo, hi = Fraction(lo, 1 << p), Fraction(hi, 1 << p)
+    _COS[turn] = (bits, lo, hi)
+    return lo, hi
 
 
 #: Rational values of cos(2*pi*j/d); the only rational turns with rational
@@ -252,8 +257,7 @@ def sign_at_cos_turn(q, turn):
     # H(t) = 2^n * t^n * q((t + 1/t)/2), an integer polynomial
     h = []
     for i, c in enumerate(q):
-        h = _padd(h, _pscale(_ppow_t2p1(i), c * 2 ** (n - i), n - i))
-    h = pnorm(h)
+        h = padd(h, pmul([0] * (n - i) + [c * 2 ** (n - i)], _ppow_t2p1(i)))
     if not h:
         return 0
     # the cyclotomic polynomial is only needed when its degree phi(d) is
@@ -289,33 +293,7 @@ def _euler_phi(n):
 @lru_cache(maxsize=None)
 def _ppow_t2p1(i):
     """(t^2 + 1)^i as a coefficient tuple."""
-    out = [1]
-    for _ in range(i):
-        out = _pmul_simple(out, [1, 0, 1])
-    return tuple(out)
-
-
-def _pmul_simple(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _padd(p, q):
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return out
-
-
-def _pscale(p, c, shift):
-    return [0] * shift + [c * a for a in p]
+    return tuple(pmul(_ppow_t2p1(i - 1), [1, 0, 1])) if i else (1,)
 
 
 def simplest_between(lo, hi):

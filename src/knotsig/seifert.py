@@ -17,6 +17,10 @@ from . import intmat
 from .polyz import peval, pinterpolate
 
 
+class MalformedMatrix(ValueError):
+    """Input is not a list of rows of integers."""
+
+
 class NotSquare(ValueError):
     """Input matrix is not square."""
 
@@ -75,23 +79,25 @@ class SeifertMatrix:
 def validate_seifert(raw, name=None):
     """Validate a raw integer matrix as a Seifert matrix.
 
-    Raises NotSquare, OddSize or NotUnimodular on malformed input; these
-    all indicate bad data, never a computation failure.
+    Raises MalformedMatrix, NotSquare, OddSize or NotUnimodular on
+    malformed input; these all indicate bad data, never a computation
+    failure. Entries must be ints: bools and floats are rejected.
     """
-    rows = [list(r) for r in raw]
-    n = len(rows)
-    for r in rows:
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise MalformedMatrix("a Seifert matrix must be a list of rows, each a list")
+    n = len(raw)
+    for r in raw:
         if len(r) != n:
             raise NotSquare(f"row of length {len(r)} in a {n}-row matrix")
         for x in r:
-            if x != int(x):
-                raise NotSquare("entries must be integers")
+            if type(x) is not int:
+                raise MalformedMatrix(f"entries must be integers, not {x!r}")
     if n % 2 != 0:
         raise OddSize(f"size {n} is odd")
-    skew = [[rows[i][j] - rows[j][i] for j in range(n)] for i in range(n)]
+    skew = [[raw[i][j] - raw[j][i] for j in range(n)] for i in range(n)]
     if intmat.det(skew) != 1:
         raise NotUnimodular("det(A - A^t) != 1")
-    return SeifertMatrix(tuple(tuple(int(x) for x in r) for r in rows), name=name)
+    return SeifertMatrix(tuple(tuple(r) for r in raw), name=name)
 
 
 def block_sum(a, b, name=None):

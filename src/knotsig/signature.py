@@ -34,12 +34,13 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import char_poly
-from .polyz import (cyclotomic, isolate_roots, pdeg, pdivides,
-                    palindromic_compact, peval, pinterpolate, psubst_scale,
-                    pprimitive, cos_minimal_poly, squarefree_part)
+from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
+                    pdivides, palindromic_compact, peval, pinterpolate,
+                    psubst_scale, pprimitive, cos_minimal_poly,
+                    squarefree_part)
 from .realalg import (MAX_REFINE, PrecisionExhausted, RealAlgebraic,
                       cos_turn_bounds, cos_turn_rational, sign_at_cos_turn,
-                      simplest_between, _euler_phi, _sgn)
+                      simplest_between, _euler_phi)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -124,11 +125,6 @@ def _signature_from_signs(signs):
     neg = _variations([s if i % 2 == 0 else -s for i, s in enumerate(tail)])
     assert pos + neg + m == n, "sign pattern inconsistent with real-rootedness"
     return pos - neg
-
-
-def _variations(signs):
-    signs = [s for s in signs if s]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
 
 
 def tl_signature_at(a: SeifertMatrix, z: UnitRootAngle) -> int:

@@ -200,11 +200,58 @@ class TestErrors:
         code, _ = run_cli(capsys, "invariants", "--knot", str(bad))
         assert code == 2
 
+    @pytest.mark.parametrize("seifert, message", [
+        ("5", "list of rows"),
+        ("[[1e400, 1], [0, -1]]", "entries must be integers"),
+        ("[[true, 1], [0, -1]]", "entries must be integers"),
+    ])
+    def test_malformed_matrix(self, capsys, tmp_path, seifert, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"seifert": %s}' % seifert)
+        code = main(["invariants", "--knot", str(bad)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_unknown_keys_ignored(self, capsys, tmp_path):
         f = tmp_path / "extra.json"
         f.write_text('{"name": "x", "seifert": [], "comment": "ignored"}')
         code, _ = run_cli(capsys, "invariants", "--knot", str(f))
         assert code == 0
+
+
+class TestGolden:
+    """Exact stdout of fresh `knotsig` commands for a conjugate of
+    [[20, 1], [0, 1]], whose two breakpoints lie at irrational turns. The
+    x intervals sigfn prints are as narrow as the turn trackers' cosine
+    comparisons forced them, and the l2 bounds come from the tracked turn
+    enclosures, so these bytes pin how far the certified refinement went."""
+
+    KNOT = {"name": "D20", "seifert": [[20, -20], [-21, 22]]}
+    SIGFN = (
+        "kind,arc_index,x_lo,x_hi,hemisphere,value\n"
+        "arc,0,-1,274438102292889/281474976710656,upper,2\n"
+        "arc,0,-1,274438102292889/281474976710656,lower,2\n"
+        "arc,1,137219051146445/140737488355328,1,lower,0\n"
+        "arc,1,137219051146445/140737488355328,1,upper,0\n"
+        "point,0,274438102292889/281474976710656,137219051146445/140737488355328,upper,1\n"
+        "point,1,274438102292889/281474976710656,137219051146445/140737488355328,lower,1\n")
+    L2 = ('{"integral_hi": "40449484580180705714969186198839486685519/'
+          '21778071482940061661655974875633165533184", '
+          '"integral_lo": "80898969160361411429938372397678973371037/'
+          '43556142965880123323311949751266331066368"}\n')
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["sigfn"], SIGFN),
+        (["l2", "--eps", "1e-40"], L2),
+    ])
+    def test_irrational_breakpoints(self, tmp_path, argv, expected):
+        knot = tmp_path / "d20.json"
+        knot.write_text(json.dumps(self.KNOT))
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-m", "knotsig.cli", argv[0], "--knot", str(knot)] + argv[1:],
+            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout
+        assert out.decode() == expected
 
 
 class TestDeterminism:

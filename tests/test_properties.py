@@ -229,6 +229,57 @@ class TestHighPrecisionOracles:
                 assert direct == oracle, (a.entries, x)
 
 
+class TestIntegerKernel:
+    """The fixed-point cosine and pi kernel against mpmath carried 96 bits
+    beyond the requested precision, on turns where the reduction or the
+    series is at an edge: next to 0, 1/4 and 1/2, with huge binary and
+    decimal denominators, negative and above 1."""
+
+    EPS2, EPS10 = Fraction(1, 2 ** 40), Fraction(1, 10 ** 30)
+    TURNS = [EPS2, EPS10, Fraction(1, 4) - EPS2, Fraction(1, 4) + EPS10,
+             Fraction(1, 2) - EPS2, Fraction(1, 2) - EPS10,
+             Fraction(123456789, 2 ** 40), Fraction(10 ** 29 + 7, 10 ** 30),
+             -EPS2, -Fraction(1, 4) - EPS10, -Fraction(7, 2) + EPS2,
+             1 + EPS10, Fraction(29, 4) - EPS2, 5 - EPS10, Fraction(3, 2) + EPS2]
+
+    @staticmethod
+    def _dyadic(x, bits):
+        """x rounded down to a multiple of 2**-(bits + 96), as a Fraction."""
+        import mpmath
+        return Fraction(int(mpmath.floor(mpmath.ldexp(x, bits + 96))), 2 ** (bits + 96))
+
+    @pytest.mark.parametrize("bits", [512, 2048])
+    def test_cos_against_mpmath(self, bits):
+        import mpmath
+        with mpmath.workprec(bits + 96):
+            for turn in self.TURNS:
+                lo, hi = cos_turn_bounds(turn, bits)
+                ref = mpmath.cos(2 * mpmath.pi * mpmath.mpf(turn.numerator) / turn.denominator)
+                ref, tol = self._dyadic(ref, bits), Fraction(1, 2 ** (bits + 90))
+                assert lo <= ref + tol and ref - tol <= hi, (turn, bits)
+                assert -1 <= lo <= hi <= 1
+
+    def test_width_contract(self):
+        # turns shifted by a whole turn are keys no other test caches, and
+        # bits increase, so the per-turn cache never answers for the kernel
+        for turn in [t + 11 for t in self.TURNS + [Fraction(1, 7), Fraction(3, 7)]]:
+            bits = 16
+            while bits <= 4096:
+                lo, hi = cos_turn_bounds(turn, bits)
+                assert hi - lo <= Fraction(4, 2 ** bits), (turn, bits)
+                bits *= 2
+
+    @pytest.mark.parametrize("bits", [1024, 4096])
+    def test_pi_against_mpmath(self, bits):
+        import mpmath
+        with mpmath.workprec(bits + 96):
+            ref = self._dyadic(+mpmath.pi, bits)
+        lo, hi = pi_bounds(bits)
+        tol = Fraction(1, 2 ** (bits + 90))
+        assert lo <= ref + tol and ref - tol <= hi
+        assert hi - lo <= Fraction(2, 2 ** bits)
+
+
 class TestPalindromicCompact:
     @given(st.lists(st.integers(-4, 4), max_size=7), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
