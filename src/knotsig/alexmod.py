@@ -13,12 +13,13 @@ x^t (A + A^t)^(-1) y mod 1.
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Optional
 
 from . import intmat
+from .knotio import frac_str
 from .polyz import resultant
 from .seifert import SeifertMatrix, alexander_polynomial
 
@@ -92,7 +93,7 @@ class FiniteLambdaModule:
 
     def _is_invertible(self):
         # surjective iff surjective on F/pF for every prime p dividing d_r
-        for p in _prime_factors(self.torsion[-1]):
+        for p in intmat.prime_factorization(self.torsion[-1]):
             idx = [i for i, d in enumerate(self.torsion) if d % p == 0]
             sub = [[self.t_matrix[i][j] % p for j in idx] for i in idx]
             if intmat.det(sub) % p == 0:
@@ -102,6 +103,8 @@ class FiniteLambdaModule:
     @classmethod
     def make(cls, torsion, t_matrix):
         torsion = tuple(int(x) for x in torsion)
+        if len(t_matrix) != len(torsion) or any(d < 2 for d in torsion):
+            raise ValueError("need torsion coefficients >= 2 and one action row each")
         t = tuple(tuple(int(x) % torsion[i] for x in row)
                   for i, row in enumerate(t_matrix))
         return cls(torsion, t)
@@ -115,7 +118,7 @@ class FiniteLambdaModule:
         return len(self.torsion)
 
     def order(self):
-        return reduce(lambda x, y: x * y, self.torsion, 1)
+        return prod(self.torsion)
 
     def reduce_vec(self, vec):
         return tuple(int(v) % d for v, d in zip(vec, self.torsion))
@@ -136,9 +139,9 @@ class FiniteLambdaModule:
         return tuple(sum(self.t_matrix[i][j] * vec[j] for j in range(self.rank)) % d
                      for i, d in enumerate(self.torsion))
 
-    def action_order(self, cap=10**7):
+    def action_order(self):
         """Minimal o >= 1 with t^o the identity on the module."""
-        return _action_order(self, cap)
+        return _action_order(self)
 
     def t_power_matrix(self, e):
         """The matrix of t^e on the module (e taken mod the action order)."""
@@ -159,31 +162,35 @@ class FiniteLambdaModule:
 
     @classmethod
     def from_json_dict(cls, data):
-        return cls.make(data["torsion"], data["t"])
+        """The module of a {"torsion": [int, ...], "t": [[int, ...], ...]}
+        dict; anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("module must be a JSON object")
+        torsion, t = data.get("torsion"), data.get("t")
+        if not (isinstance(torsion, list) and all(_is_int(x) for x in torsion)):
+            raise ValueError("torsion must be a list of integers")
+        if not (isinstance(t, list) and all(isinstance(row, list) and all(_is_int(x) for x in row)
+                                            for row in t)):
+            raise ValueError("t must be a list of rows of integers")
+        return cls.make(torsion, t)
 
 
-def _prime_factors(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+#: Largest action order _action_order searches before giving up.
+ACTION_ORDER_CAP = 10**7
 
 
 @lru_cache(maxsize=None)
-def _action_order(module, cap):
+def _action_order(module):
     if module.rank == 0:
         return 1
     basis = [tuple(int(i == j) for j in range(module.rank))
              for i in range(module.rank)]
     cur = list(basis)
-    for o in range(1, cap + 1):
+    for o in range(1, ACTION_ORDER_CAP + 1):
         cur = [module.t_apply(v) for v in cur]
         if cur == basis:
             return o
@@ -192,14 +199,10 @@ def _action_order(module, cap):
 
 @lru_cache(maxsize=None)
 def _t_power_matrix(module, e):
-    if e == 0:
-        return tuple(tuple(int(i == j) for j in range(module.rank))
-                     for i in range(module.rank))
-    prev = _t_power_matrix(module, e - 1)
-    t = module.t_matrix
-    r = module.rank
-    return tuple(tuple(sum(t[i][k] * prev[k][j] for k in range(r)) % module.torsion[i]
-                       for j in range(r)) for i in range(r))
+    # t^e mod d_r, then row i mod d_i: exact because d_i | d_r and t is a
+    # well-defined endomorphism
+    power = intmat.mat_pow_mod(module.t_matrix, e, module.torsion[-1])
+    return tuple(tuple(x % d for x in row) for row, d in zip(power, module.torsion))
 
 
 @dataclass(frozen=True)
@@ -290,13 +293,8 @@ class LinkingForm:
 
     def to_json_dict(self):
         d = self.module.to_json_dict()
-        d["gram"] = [[_frac_str(x) for x in row] for row in self.gram]
+        d["gram"] = [[frac_str(x) for x in row] for row in self.gram]
         return d
-
-
-def _frac_str(x):
-    x = Fraction(x)
-    return str(x)
 
 
 def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
@@ -305,29 +303,22 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     n = a.n
     if n == 0:
         return LinkingForm(FiniteLambdaModule.trivial(), ())
-    b = a.symmetrization()
-    if intmat.det(b) == 0:
+    snf = intmat.smith_form(a.symmetrization())
+    if 0 in snf.d:
         raise DegenerateForm("A + A^t is singular")
-    binv = intmat.frac_inverse(b)
-    snf = intmat.smith_form(b)
-    uinv = snf.u_inv
     tor_idx = [i for i, d in enumerate(snf.d) if d > 1]
     torsion = tuple(snf.d[i] for i in tor_idx)
     if not torsion:
         return LinkingForm(FiniteLambdaModule.trivial(), ())
-    gens = [[uinv[r][i] for r in range(n)] for i in tor_idx]
-    gram = []
-    for gi in gens:
-        row = []
-        for gj in gens:
-            val = sum(Fraction(gi[r]) * binv[r][s] * gj[s]
-                      for r in range(n) for s in range(n))
-            row.append(val % 1)
-        gram.append(tuple(row))
+    # D = U B V gives B^-1 = V D^-1 U, and U g_i = e_i for the generator
+    # g_i = column i of U^-1, so g_i^t B^-1 g_j = (g_i . V e_j) / d_j
+    uinv, v = snf.u_inv, snf.v
+    gram = tuple(tuple(Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), snf.d[j]) % 1
+                       for j in tor_idx) for i in tor_idx)
     t_mat = tuple(tuple((-1 if i == j else 0) % torsion[i] for j in range(len(tor_idx)))
                   for i in range(len(tor_idx)))
     module = FiniteLambdaModule.make(torsion, t_mat)
-    return LinkingForm(module, tuple(gram))
+    return LinkingForm(module, gram)
 
 
 def find_linking_metabolizers(form: LinkingForm, cap: Optional[int] = None):

@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 invalid input, 3 computation failure, 4 an
 enumeration cap was exceeded (override with the KNOTSIG_CAP environment
 variable). Output is deterministic: identical inputs give byte-identical
-output regardless of --threads.
+output.
 """
 
 import argparse
@@ -29,7 +29,10 @@ FACTORIAL_CAP = 10  # largest N for the factorial:N schedule
 
 
 def _parse_eps(text):
-    eps = Fraction(text)
+    try:
+        eps = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"eps {text!r} has a zero denominator") from None
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
@@ -193,8 +196,6 @@ def build_parser():
 
     def common(p):
         p.add_argument("--out", default=None, help="output file (default stdout)")
-        p.add_argument("--threads", type=int, default=0,
-                       help="0=auto; reserved, results are identical regardless")
 
     p = sub.add_parser("invariants", help="Alexander polynomial, Arf, genus, metabolizer")
     p.add_argument("--knot", required=True)

@@ -1,11 +1,12 @@
-"""Exact integer and rational matrix utilities.
+"""Exact integer matrix utilities and the integer number-theory helpers.
 
 Matrices are lists of lists (row major). Smith normal form tracks the row
 transform and its inverse so module structure (like a group action) can be
-transported to the normal-form basis.
+transported to the normal-form basis. This module is the one home of the
+integer primitives the library shares: determinant, characteristic
+polynomial, modular matrix power, extended gcd, prime factorization and
+Euler's phi.
 """
-
-from fractions import Fraction
 
 
 def identity(n):
@@ -82,6 +83,23 @@ def det(mat):
     return sign * m[n - 1][n - 1]
 
 
+def mat_pow_mod(m, e, mod):
+    """m^e (e >= 0) with entries reduced mod `mod`, by square-and-multiply."""
+
+    def mul(a, b):
+        return [[x % mod for x in row] for row in mat_mul(a, b)]
+
+    result = [[x % mod for x in row] for row in identity(len(m))]
+    base = [[x % mod for x in row] for row in m]
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
 def char_poly(mat):
     """Coefficients c_0..c_n of det(lambda*I - M) for a square integer
     matrix M, lowest degree first, by Faddeev-LeVerrier over Z.
@@ -100,25 +118,6 @@ def char_poly(mat):
             mn[i][i] += c
         nk = mn
     return coeffs
-
-
-def frac_inverse(mat):
-    """Exact inverse of a square integer (or Fraction) matrix, as Fractions."""
-    n = len(mat)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                c = a[r][col]
-                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
 
 
 class SmithForm:
@@ -262,14 +261,15 @@ def lattice_row_basis(vectors):
                 q = v[j] // b[j]
                 v = [x - q * y for x, y in zip(v, b)]
             else:
-                x, y, g = _xgcd(b[j], v[j])
+                x, y, g = xgcd(b[j], v[j])
                 new = [x * p + y * q for p, q in zip(b, v)]
                 v = [(b[j] // g) * q - (v[j] // g) * p for p, q in zip(b, v)]
                 basis[j] = new
     return [basis[j] for j in sorted(basis)]
 
 
-def _xgcd(a, b):
+def xgcd(a, b):
+    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:
         q = g // ng
@@ -279,6 +279,30 @@ def _xgcd(a, b):
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, g
+
+
+def prime_factorization(n):
+    """{p: e} with n = prod p^e, for a positive integer n, by trial division."""
+    if n < 1:
+        raise ValueError("only positive integers are factored")
+    out = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def euler_phi(n):
+    """Euler's totient of a positive integer."""
+    out = n
+    for p in prime_factorization(n):
+        out -= out // p
+    return out
 
 
 def spans_direct_summand(vectors, ambient_dim):

@@ -14,6 +14,8 @@ from .seifert import SeifertMatrix, validate_seifert
 def read_knot(path) -> SeifertMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("knot file must hold a JSON object")
     if "seifert" not in data:
         raise KeyError("knot file must contain a 'seifert' matrix")
     return validate_seifert(data["seifert"], name=data.get("name"))

@@ -10,7 +10,7 @@ of roots of unity are reduced modulo the relevant cyclotomic polynomial.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import lcm
 
 from .alexmod import Character, FiniteLambdaModule
 from .polyz import cyclotomic, pdivmod, pnorm
@@ -242,16 +242,12 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
 
 # exact cyclotomic verification ---------------------------------------------
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def roots_of_unity_sum_equals(turn_counts, value):
     """Whether sum over (turn, count) of count * exp(2*pi*i*turn) equals the
     given integer, exactly (reduction modulo a cyclotomic polynomial)."""
     n = 1
     for turn in turn_counts:
-        n = _lcm(n, Fraction(turn).denominator)
+        n = lcm(n, Fraction(turn).denominator)
     vec = [0] * max(n, 1)
     for turn, count in turn_counts.items():
         turn = Fraction(turn) % 1

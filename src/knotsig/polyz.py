@@ -10,6 +10,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
+from .intmat import det
+
 
 def pnorm(p):
     """Strip trailing zero coefficients."""
@@ -309,7 +311,7 @@ def cos_minimal_poly(d):
 # Resultants ---------------------------------------------------------------
 
 def resultant(p, q):
-    """Resultant of two integer polynomials, exactly (Sylvester + Bareiss)."""
+    """Resultant of two integer polynomials, exactly (Sylvester + Bareiss det)."""
     p, q = pnorm(p), pnorm(q)
     n, m = pdeg(p), pdeg(q)
     if n < 0 or m < 0:
@@ -326,27 +328,5 @@ def resultant(p, q):
     for i in range(n):
         for j, c in enumerate(reversed(q)):
             syl[m + i][i + j] = c
-    return _bareiss_det(syl)
+    return det(syl)
 
-
-def _bareiss_det(mat):
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]

@@ -14,6 +14,7 @@ guaranteed. No floating point is used.
 from fractions import Fraction
 from functools import lru_cache
 
+from .intmat import euler_phi
 from .polyz import (_sgn, cyclotomic, padd, pdivides, peval, pgcd, pdeg,
                     pmul, pnorm)
 
@@ -166,21 +167,12 @@ class RealAlgebraic:
         self._sign_lo = None if value is not None else _sgn(peval(self.poly, lo))
 
     @classmethod
-    def rational(cls, r):
-        r = Fraction(r)
-        return cls(None, r, r, value=r)
-
-    @classmethod
     def root_of(cls, poly, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
         slo, shi = _sgn(peval(poly, lo)), _sgn(peval(poly, hi))
         if slo * shi >= 0:
             raise ValueError("not an isolating interval with a sign change")
         return cls(poly, lo, hi)
-
-    @property
-    def is_rational(self):
-        return self.value is not None
 
     def refine(self):
         if self.value is not None:
@@ -224,11 +216,6 @@ class RealAlgebraic:
             self.refine()
         raise PrecisionExhausted("sign of polynomial at algebraic point")
 
-    def compare_rational(self, r):
-        """Sign of (alpha - r)."""
-        r = Fraction(r)
-        return self.sign_of_poly([-r.numerator, r.denominator])
-
     def __repr__(self):
         if self.value is not None:
             return f"RealAlgebraic({self.value})"
@@ -262,7 +249,7 @@ def sign_at_cos_turn(q, turn):
         return 0
     # the cyclotomic polynomial is only needed when its degree phi(d) is
     # small enough to divide h; phi itself is cheap even for huge d
-    if _euler_phi(d) <= pdeg(h) and pdivides(list(cyclotomic(d)), h):
+    if euler_phi(d) <= pdeg(h) and pdivides(list(cyclotomic(d)), h):
         return 0
     bits = 16
     for _ in range(MAX_REFINE):
@@ -274,20 +261,6 @@ def sign_at_cos_turn(q, turn):
             return -1
         bits *= 2
     raise PrecisionExhausted("sign of polynomial at root-of-unity cosine")
-
-
-def _euler_phi(n):
-    out = n
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out -= out // d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out -= out // n
-    return out
 
 
 @lru_cache(maxsize=None)

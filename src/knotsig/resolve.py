@@ -10,68 +10,16 @@ replaces the intersection axiom, which is not checkable at finite depth.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Optional
 
 from .alexmod import FiniteLambdaModule
+from .intmat import identity, mat_pow_mod, prime_factorization
 from .seifert import IntLaurentPoly
 
 
 class PrimeDividesLeading(ValueError):
     """p divides the leading coefficient, so the companion model breaks."""
-
-
-def _is_prime(p):
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factorization(n):
-    out = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _mat_mul_mod(a, b, mod):
-    n = len(a)
-    out = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            c = a[i][k]
-            if c:
-                for j in range(n):
-                    out[i][j] = (out[i][j] + c * b[k][j]) % mod
-    return out
-
-
-def _mat_pow_mod(m, e, mod):
-    n = len(m)
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [[x % mod for x in row] for row in m]
-    while e:
-        if e & 1:
-            result = _mat_mul_mod(result, base, mod)
-        base = _mat_mul_mod(base, base, mod)
-        e >>= 1
-    return result
-
-
-def _is_identity_mod(m, mod):
-    return all(m[i][j] % mod == (1 if i == j else 0) % mod
-               for i in range(len(m)) for j in range(len(m)))
 
 
 def _companion_mod(delta: IntLaurentPoly, p: int, i: int):
@@ -99,7 +47,7 @@ def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLa
     """The module (Z/p^i)[t]/(delta): free of rank deg(delta) over Z/p^i,
     with t acting by the companion matrix of the monicized polynomial.
     Requires p coprime to the leading coefficient."""
-    if not _is_prime(p):
+    if p < 2 or prime_factorization(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if i < 1:
         raise ValueError("level must be >= 1")
@@ -116,7 +64,7 @@ def order_of_t(delta: IntLaurentPoly, p: int, i: int) -> int:
     The order mod p divides |GL(deg, p)|, whose prime factors are divided
     out; the order then lifts along powers of p.
     """
-    if not _is_prime(p):
+    if p < 2 or prime_factorization(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if i < 1:
         raise ValueError("level must be >= 1")
@@ -124,22 +72,23 @@ def order_of_t(delta: IntLaurentPoly, p: int, i: int) -> int:
     deg = len(comp)
     if deg == 0:
         return 1
+    one = identity(deg)
     # order modulo p, starting from the full group order
     group_order = 1
     for j in range(deg):
         group_order *= p ** deg - p ** j
     order = group_order
-    for q in _prime_factorization(group_order):
-        while order % q == 0 and _is_identity_mod(_mat_pow_mod(comp, order // q, p), p):
+    for q in prime_factorization(group_order):
+        while order % q == 0 and mat_pow_mod(comp, order // q, p) == one:
             order //= q
-    assert _is_identity_mod(_mat_pow_mod(comp, order, p), p)
+    assert mat_pow_mod(comp, order, p) == one
     # lift to p^i: the order can only grow by factors of p
     mod = p ** i
-    while not _is_identity_mod(_mat_pow_mod(comp, order, mod), mod):
+    while mat_pow_mod(comp, order, mod) != one:
         order *= p
     # minimize once more (guards the p = 2 lift edge cases)
-    for q in _prime_factorization(order):
-        while order % q == 0 and _is_identity_mod(_mat_pow_mod(comp, order // q, mod), mod):
+    for q in prime_factorization(order):
+        while order % q == 0 and mat_pow_mod(comp, order // q, mod) == one:
             order //= q
     return order
 
@@ -206,10 +155,6 @@ def quotient_group_order(step: ResolutionStep) -> int:
     return step.cyclic_order() * step.module.order()
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
                      s_schedule=None, witnesses=None, witness_bound: int = 2) -> ResolutionReport:
     """Build the first `depth` stages of the tower for the given polynomial
@@ -217,8 +162,8 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
 
     k_i is the exact order of t on H/H_i times the least factor enforcing
     k_i > i and k_(i-1) | k_i (any multiple of the exact order still acts
-    trivially, so correctness is preserved). s_i defaults to i; a list or a
-    callable may be supplied instead. Witnesses default to all nonzero
+    trivially, so correctness is preserved). s_i defaults to i; a list
+    s_schedule[i - 1] may be supplied instead. Witnesses default to all nonzero
     (n, h) with |n| and the coefficients of h bounded by witness_bound;
     an unseparated witness is recorded, not fatal (the depth may simply be
     too small)."""
@@ -227,22 +172,15 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     delta = delta.canonical()
     deg = delta.degree
 
-    def s_of(i):
-        if s_schedule is None:
-            return i
-        if callable(s_schedule):
-            return int(s_schedule(i))
-        return int(s_schedule[i - 1])
-
     steps = []
     k_prev = 1
     s_prev = 0
     for i in range(1, depth + 1):
         module = finite_alexander_quotient(delta, p, i)
         o = order_of_t(delta, p, i)
-        base = _lcm(o, k_prev)
+        base = lcm(o, k_prev)
         k_i = base * (i // base + 1)
-        s_i = s_of(i)
+        s_i = i if s_schedule is None else int(s_schedule[i - 1])
         if s_i < max(1, s_prev):
             raise ValueError("s schedule must be positive and nondecreasing")
         assert k_i > i and k_i % k_prev == 0 and k_i % o == 0

@@ -254,23 +254,11 @@ def _gcd_combination(vals):
             coeff = [0] * len(vals)
             coeff[i] = 1 if v > 0 else -1
             continue
-        x, y, g2 = _xgcd(g, v)
+        x, y, g2 = intmat.xgcd(g, v)
         coeff = [x * c for c in coeff]
         coeff[i] += y
         g = g2
     return g, coeff
-
-
-def _xgcd(a, b):
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def arf_invariant(a):

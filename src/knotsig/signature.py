@@ -33,14 +33,14 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .intmat import char_poly
+from .intmat import char_poly, euler_phi
 from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
                     pdivides, palindromic_compact, peval, pinterpolate,
                     psubst_scale, pprimitive, cos_minimal_poly,
                     squarefree_part)
 from .realalg import (MAX_REFINE, PrecisionExhausted, RealAlgebraic,
                       cos_turn_bounds, cos_turn_rational, sign_at_cos_turn,
-                      simplest_between, _euler_phi)
+                      simplest_between)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -175,14 +175,6 @@ class CirclePoint:
         self.exact_turn = exact_turn
         self._tracker = tracker
 
-    @property
-    def defining_poly(self):
-        return self.x.poly
-
-    @property
-    def x_interval(self):
-        return (self.x.lo, self.x.hi)
-
     def turn_bounds(self, width):
         """Certified rational (lo, hi) enclosing theta/(2*pi), width <= width."""
         if self.exact_turn is not None:
@@ -250,7 +242,7 @@ def _root_of_unity_orders(delta):
     coeffs = list(delta.coeffs)
     dd = pdeg(coeffs)
     return [d for d in range(3, 4 * dd * dd + 7)
-            if _euler_phi(d) <= dd and pdivides(list(cyclotomic(d)), coeffs)]
+            if euler_phi(d) <= dd and pdivides(list(cyclotomic(d)), coeffs)]
 
 
 def breakpoints(a: SeifertMatrix):
@@ -333,9 +325,6 @@ class SignatureFunction:
         # the arc through z = 1 carries the value 0: the function is
         # continuous off the breakpoints and the matrix at z = 1 is zero
         assert arc_values[-1] == 0, "arc through z=1 must vanish"
-
-    def genus_bound(self):
-        return self.matrix.n
 
     def value_at(self, z: UnitRootAngle) -> int:
         """Evaluate the step function at a rational turn, using the stored

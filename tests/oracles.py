@@ -246,6 +246,27 @@ def _frac_det(m):
     return det
 
 
+def frac_inverse(mat):
+    """Exact inverse of a square integer matrix, as Fractions, by
+    Gauss-Jordan elimination over Q (the library reads B^-1 off the Smith
+    form instead)."""
+    n = len(mat)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(mat)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("matrix is singular")
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                c = a[r][col]
+                a[r] = [x - c * y for x, y in zip(a[r], a[col])]
+    return [row[n:] for row in a]
+
+
 def _lagrange(xs, ys):
     n = len(xs)
     out = [Fraction(0)] * n

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +12,7 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
                      torsion_order_by_resultant)
 
 from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert
+from oracles import frac_inverse
 
 
 class TestPresentation:
@@ -96,6 +98,37 @@ class TestCyclicQuotient:
                     assert hom.free_rank > 0
 
 
+class TestTPowers:
+    """t^e is one modular matrix power, not a chain of e products."""
+
+    MODULE = FiniteLambdaModule.make((1019,), [[2]])  # t has order 1018
+
+    def test_inverse_power_on_a_long_orbit(self):
+        assert self.MODULE.action_order() == 1018
+        assert self.MODULE.t_pow_apply((1,), -1) == (510,)  # 2 * 510 = 1 mod 1019
+
+    def test_semidirect_inverse_on_a_long_orbit(self):
+        from knotsig import (SemidirectElement, semidirect_identity, semidirect_inverse,
+                             semidirect_mul)
+        x = SemidirectElement(1, (1,))
+        inv = semidirect_inverse(x, self.MODULE)
+        assert semidirect_mul(x, inv, self.MODULE) == semidirect_identity(self.MODULE)
+        assert semidirect_mul(inv, x, self.MODULE) == semidirect_identity(self.MODULE)
+
+    def test_matches_repeated_application(self):
+        rng = random.Random(23)
+        for _ in range(6):
+            a = random_seifert(rng, rng.choice([1, 2]))
+            m = cyclic_quotient(alexander_module(a), rng.choice([3, 4, 5])).module
+            if m.rank == 0:
+                continue
+            vec = m.reduce_vec([rng.randrange(100) for _ in range(m.rank)])
+            cur = vec
+            for e in range(2 * m.action_order() + 1):
+                assert m.t_pow_apply(vec, e) == cur
+                cur = m.t_apply(cur)
+
+
 class TestLinkingForm:
     def test_trefoil_value(self, trefoil):
         form = double_cover_linking_form(trefoil)
@@ -107,16 +140,56 @@ class TestLinkingForm:
         form = double_cover_linking_form(unknot)
         assert form.module.rank == 0
 
+    @staticmethod
+    def assert_self_linking_by_inverse_oracle(a):
+        """x -> x^t B^-1 x mod 1 on Z^n, B = A + A^t, factors through
+        coker(B), and D = |det B| kills coker(B), so the cube [0, D)^n covers
+        each class D^(n-1) times. The multiset of self-linkings is an
+        isometry invariant, so the form must give the same multiset."""
+        b = a.symmetrization()
+        binv = frac_inverse(b)  # independent exact inverse of A + A^t
+        n = a.n
+        d = int(abs(alexander_polynomial(a)(-1)))  # |det B|
+        by_oracle = Counter(
+            sum(x[r] * binv[r][s] * x[s] for r in range(n) for s in range(n)) % 1
+            for x in product(range(d), repeat=n))
+        form = double_cover_linking_form(a)
+        assert form.module.order() == d
+        per_class = Counter(form.pair(v, v) for v in form.module.elements())
+        assert by_oracle == Counter({val: c * d ** (n - 1) for val, c in per_class.items()})
+
     def test_slice4_pinned_by_inverse_oracle(self, slice4):
         form = double_cover_linking_form(slice4)
         assert form.module.order() == 9
-        # independent exact inverse of A + A^t
-        from knotsig.intmat import frac_inverse
-        binv = frac_inverse(slice4.symmetrization())
         assert form.module.torsion == (9,)
         g = form.gram[0][0]
         # generator linking value must generate (1/9)Z/Z (nonsingular)
         assert g.denominator == 9
+        self.assert_self_linking_by_inverse_oracle(slice4)
+
+    @pytest.mark.parametrize("knot", [TREFOIL, FIGURE_EIGHT], ids=["trefoil", "fig8"])
+    def test_self_linking_by_inverse_oracle(self, knot):
+        self.assert_self_linking_by_inverse_oracle(knot)
+
+    def test_gram_equals_inverse_on_smith_generators(self):
+        # the generators are the columns g_i of U^-1 in the Smith form of B;
+        # the gram must be g_i^t B^-1 g_j mod 1 with B^-1 from the oracle
+        from knotsig import block_sum
+        from knotsig.intmat import smith_form
+        rng = random.Random(31)
+        knots = [block_sum(TREFOIL, SLICE4), block_sum(TREFOIL, block_sum(TREFOIL, FIGURE_EIGHT))]
+        knots += [random_seifert(rng, rng.choice([1, 2, 3])) for _ in range(20)]
+        for a in knots:
+            b = a.symmetrization()
+            binv = frac_inverse(b)
+            snf = smith_form(b)
+            idx = [i for i, d in enumerate(snf.d) if d > 1]
+            gens = [[snf.u_inv[r][i] for r in range(a.n)] for i in idx]
+            want = tuple(tuple(sum(gi[r] * binv[r][s] * gj[s] for r in range(a.n)
+                                   for s in range(a.n)) % 1 for gj in gens) for gi in gens)
+            form = double_cover_linking_form(a)
+            assert form.module.torsion == tuple(snf.d[i] for i in idx)
+            assert form.gram == want
 
     def test_symmetric_nonsingular_on_fixtures(self):
         rng = random.Random(29)

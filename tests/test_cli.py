@@ -212,6 +212,45 @@ class TestErrors:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ['"seifert"', '[[1, 0], [0, 1]]', "3"])
+    def test_knot_file_not_an_object(self, capsys, tmp_path, content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        code = main(["invariants", "--knot", str(bad)])
+        assert code == 2
+        assert "JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("module, message", [
+        ('{"torsion": [3], "t": 5}', "rows of integers"),
+        ('{"torsion": [3], "t": [1]}', "rows of integers"),
+        ('{"torsion": [3.5], "t": [[1]]}', "list of integers"),
+        ('{"torsion": [true], "t": [[1]]}', "list of integers"),
+        ('{"torsion": 3, "t": [[1]]}', "list of integers"),
+        ('{"t": [[1]]}', "list of integers"),
+        ('{"torsion": [3]}', "rows of integers"),
+        ('{"torsion": [3], "t": [[1.0]]}', "rows of integers"),
+        ('[3]', "JSON object"),
+        ('{"torsion": [0], "t": [[1]]}', "torsion coefficients >= 2"),
+        ('{"torsion": [3], "t": [[1], [1]]}', "one action row each"),
+        ('{"torsion": [], "t": [[1]]}', "one action row each"),
+    ])
+    def test_malformed_module(self, capsys, tmp_path, module, message):
+        bad = tmp_path / "mod.json"
+        bad.write_text(module)
+        code = main(["reps", "--module", str(bad), "--m", "2"])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    def test_eps_zero_denominator(self, capsys):
+        code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "1/0"])
+        assert code == 2
+        assert "zero denominator" in capsys.readouterr().err
+
+    def test_threads_flag_removed(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["sigfn", "--knot", str(FIXTURES / "trefoil.json"), "--threads", "2"])
+        assert exc.value.code == 2
+
     def test_unknown_keys_ignored(self, capsys, tmp_path):
         f = tmp_path / "extra.json"
         f.write_text('{"name": "x", "seifert": [], "comment": "ignored"}')
@@ -272,7 +311,7 @@ class TestDeterminism:
 
         def run():
             return subprocess.run(
-                [sys.executable, "-m", "knotsig.cli"] + argv + ["--threads", "2"],
+                [sys.executable, "-m", "knotsig.cli"] + argv,
                 capture_output=True, check=True, env=env).stdout
         assert run() == run()
 

@@ -14,8 +14,10 @@ from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
 from knotsig.polyz import (cos_minimal_poly, isolate_roots, padd,
                            palindromic_compact, peval, pmul, pnorm,
                            sturm_chain, sturm_count)
+from knotsig.intmat import (euler_phi, identity, mat_mul, mat_pow_mod,
+                            prime_factorization, xgcd)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
-                             sign_at_cos_turn, RealAlgebraic, _euler_phi)
+                             sign_at_cos_turn, RealAlgebraic)
 
 from conftest import random_interesting_seifert
 
@@ -309,7 +311,7 @@ class TestPalindromicCompact:
         # these cyclotomic polynomials all have zero coefficients
         for d in (8, 9, 12, 16, 18, 20, 24, 25, 27, 36):
             psi = list(cos_minimal_poly(d))
-            assert len(psi) - 1 == _euler_phi(d) // 2
+            assert len(psi) - 1 == euler_phi(d) // 2
             assert sign_at_cos_turn(psi, Fraction(1, d)) == 0
 
     def test_rejects_non_palindromic(self):
@@ -340,3 +342,43 @@ class TestSignAtCosTurn:
         val = sum(c * x ** i for i, c in enumerate(q))
         if abs(val) > 1e-6:
             assert s == (val > 0) - (val < 0)
+
+
+class TestIntegerPrimitives:
+    """The shared integer helpers of intmat against their definitions."""
+
+    @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
+    @settings(max_examples=300, deadline=None)
+    def test_xgcd_bezout(self, a, b):
+        x, y, g = xgcd(a, b)
+        assert a * x + b * y == g
+        assert g == math.gcd(a, b) >= 0
+
+    def test_xgcd_zero_arguments(self):
+        for a, b in ((0, 0), (0, -7), (-7, 0), (0, 5), (-4, -6)):
+            x, y, g = xgcd(a, b)
+            assert a * x + b * y == g == math.gcd(a, b)
+
+    def test_prime_factorization(self):
+        for n in range(1, 3001):
+            fac = prime_factorization(n)
+            assert math.prod(p ** e for p, e in fac.items()) == n
+            for p, e in fac.items():
+                assert e >= 1 and p >= 2
+                assert all(p % q for q in range(2, math.isqrt(p) + 1)), p
+        with pytest.raises(ValueError):
+            prime_factorization(0)
+
+    def test_euler_phi_counts_units(self):
+        for n in range(1, 501):
+            assert euler_phi(n) == sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
+
+    @given(st.integers(1, 4), st.integers(0, 40), st.integers(1, 200), st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_mat_pow_mod_is_repeated_product(self, n, e, mod, seed):
+        rng = random.Random(seed)
+        m = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        want = identity(n)
+        for _ in range(e):
+            want = mat_mul(want, m)
+        assert mat_pow_mod(m, e, mod) == [[x % mod for x in row] for row in want]
