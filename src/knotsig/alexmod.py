@@ -11,6 +11,7 @@ x^t (A + A^t)^(-1) y mod 1.
 """
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -20,7 +21,7 @@ from typing import Optional
 
 from . import intmat
 from .knotio import frac_str
-from .polyz import resultant
+from .polyz import cyclotomic, peval, resultant
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -179,22 +180,31 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-#: Largest action order _action_order searches before giving up.
-ACTION_ORDER_CAP = 10**7
-
-
 @lru_cache(maxsize=None)
 def _action_order(module):
+    # A known multiple M of the order, with primes divided out while t^(M/q)
+    # stays the identity. On the p-primary part, with r coefficients d_i
+    # divisible by p and p^e the p-part of d_r, t maps to GL_r(F_p), of order
+    # p^(r(r-1)/2) * prod_(i <= r) (p^i - 1) = p^(r(r-1)/2) * prod_(j <= r)
+    # Phi_j(p)^(r // j), and the kernel of Aut -> GL_r(F_p) has exponent
+    # dividing p^(e-1).
     if module.rank == 0:
         return 1
-    basis = [tuple(int(i == j) for j in range(module.rank))
-             for i in range(module.rank)]
-    cur = list(basis)
-    for o in range(1, ACTION_ORDER_CAP + 1):
-        cur = [module.t_apply(v) for v in cur]
-        if cur == basis:
-            return o
-    raise RuntimeError("action order exceeds cap")
+    multiple = Counter()
+    for p, e in intmat.prime_factorization(module.torsion[-1]).items():
+        r = sum(1 for d in module.torsion if d % p == 0)
+        part = Counter({p: r * (r - 1) // 2 + e - 1})
+        for j in range(1, r + 1):
+            for q, a in intmat.prime_factorization(peval(cyclotomic(j), p)).items():
+                part[q] += a * (r // j)
+        multiple |= part
+    order = prod(q ** a for q, a in multiple.items())
+    one = tuple(tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank))
+    assert _t_power_matrix(module, order) == one, "t^M must be the identity"
+    for q in multiple:
+        while order % q == 0 and _t_power_matrix(module, order // q) == one:
+            order //= q
+    return order
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .alexmod import Character, FiniteLambdaModule
+from .alexmod import CapExceeded, Character, FiniteLambdaModule, default_cap
 from .polyz import cyclotomic, pdivmod, pnorm
 from .signature import UnitRootAngle
 
@@ -219,13 +219,17 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
     Classes are parametrized by a t-orbit of characters (size l, the
     dimension) together with w = z^l running over the (m/l)-th roots of
     unity; z is the fixed l-th root exp(2*pi*i*a/m) of w = exp(2*pi*i*a/(m/l)).
-    Completeness is certified by sum(dim^2) = m * |F|.
+    Completeness is certified by sum(dim^2) = m * |F|. The group order
+    m * |F| is capped (KNOTSIG_CAP, else 10**6).
     """
     if m < 1:
         raise ValueError("m must be positive")
     o = module.action_order()
     if m % o != 0:
         raise ActionNotPeriodic(m)
+    order, cap = m * module.order(), default_cap()
+    if order > cap:
+        raise CapExceeded(order, cap)
     reps = []
     total = 0
     for chi, l in _character_orbits(module):

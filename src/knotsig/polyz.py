@@ -2,8 +2,8 @@
 
 Polynomials are plain lists (or tuples) of coefficients, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty list.
-Everything here is exact: integer coefficients stay integers, rational
-intermediates use fractions.Fraction.
+Everything here is exact and integer: division is pseudo-division over
+Z, and the only rationals are the bisection points of isolate_roots.
 """
 
 from fractions import Fraction
@@ -65,48 +65,48 @@ def pcontent(p):
 
 
 def pprimitive(p):
-    """Clear denominators and divide out the content; leading coefficient
-    normalized positive. Accepts integer or Fraction coefficients."""
-    p = pnorm(list(p))
-    if not p:
-        return []
+    """Divide an integer polynomial by its content; leading coefficient
+    normalized positive."""
     p = pprimitive_signed(p)
-    if p[-1] < 0:
+    if p and p[-1] < 0:
         p = [-c for c in p]
     return p
 
 
+def pprimitive_signed(p):
+    """Divide by the content only (preserves the sign of every value)."""
+    p = pnorm(p)
+    if not p:
+        return []
+    g = pcontent(p)
+    return [c // g for c in p]
+
+
 def pdivmod(p, q):
-    """Euclidean division over Q. Returns (quot, rem) as Fraction lists."""
+    """Integer pseudo-division: (quot, rem) with c*p = quot*q + rem and
+    deg rem < deg q, where c = |lc q|^(deg p - deg q + 1) > 0 (c = 1 when
+    q is monic). The positive multiplier preserves every sign."""
+    q = pnorm(q)
     if not q:
         raise ZeroDivisionError("polynomial division by zero")
-    r = [Fraction(c) for c in p]
-    d = [Fraction(c) for c in q]
-    quot = [Fraction(0)] * max(len(r) - len(d) + 1, 0)
-    while len(r) >= len(d) and pnorm(r):
-        r = pnorm(r)
-        if len(r) < len(d):
-            break
-        c = r[-1] / d[-1]
-        k = len(r) - len(d)
-        quot[k] = c
-        for i, dc in enumerate(d):
-            r[k + i] -= c * dc
-        r = r[:-1]
-    return pnorm(quot), pnorm(r)
-
-
-def pdiv_exact(p, q):
-    """Exact division of integer polynomials; raises if not exact over Z."""
-    quot, rem = pdivmod(p, q)
-    if rem:
-        raise ValueError("division is not exact")
-    out = []
-    for c in quot:
-        if c.denominator != 1:
-            raise ValueError("quotient is not integral")
-        out.append(int(c))
-    return pnorm(out)
+    r = pnorm(p)
+    n = len(q) - 1
+    steps = len(r) - n
+    if steps <= 0:
+        return [], r
+    lead, a = q[-1], abs(q[-1])
+    top = [0] * steps
+    for k in range(steps - 1, -1, -1):
+        # r <- a*r - c*t^k*q cancels the top coefficient r[n + k]
+        c = r.pop() if lead > 0 else -r.pop()
+        if a != 1:
+            r = [a * x for x in r]
+        top[k] = c
+        if c:
+            for i in range(n):
+                r[k + i] -= c * q[i]
+    # each of the k later steps scaled the quotient by a once more
+    return pnorm([c * a ** k for k, c in enumerate(top)]), pnorm(r)
 
 
 def pdivides(q, p):
@@ -115,36 +115,27 @@ def pdivides(q, p):
         return True
     if not pnorm(q):
         return False
-    _, rem = pdivmod(p, q)
-    return not rem
+    return not pdivmod(p, q)[1]
 
 
 def pgcd(p, q):
-    """Primitive gcd in Z[x], leading coefficient positive."""
+    """Primitive gcd in Z[x], leading coefficient positive, by the
+    primitive remainder sequence."""
     a = pprimitive(p)
     b = pprimitive(q)
     while b:
-        _, r = pdivmod(a, b)
-        a, b = b, pprimitive(r)
-    return pprimitive(a)
+        a, b = b, pprimitive(pdivmod(a, b)[1])
+    return a
 
 
 def squarefree_part(p):
+    p = pprimitive(p)
     g = pgcd(p, pderiv(p))
     if pdeg(g) < 1:
-        return pprimitive(p)
-    return pdiv_exact_frac(pprimitive(p), g)
-
-
-def pdiv_exact_frac(p, q):
-    """Like pdiv_exact but tolerates a rational quotient scale, returns primitive."""
-    quot, rem = pdivmod(p, q)
-    if rem:
-        raise ValueError("division is not exact")
-    den = 1
-    for c in quot:
-        den = den * c.denominator // gcd(den, c.denominator)
-    return pprimitive([int(c * den) for c in quot])
+        return p
+    quot, rem = pdivmod(p, g)
+    assert not rem, "the gcd with the derivative divides p"
+    return pprimitive(quot)
 
 
 def psubst_scale(p, c):
@@ -174,28 +165,15 @@ def sturm_chain(p):
     """Sturm chain of a squarefree integer polynomial, as primitive integer
     polynomials (each scaled by a positive constant, which preserves signs)."""
     chain = [pprimitive_signed(p)]
-    d = pnorm([i * c for i, c in enumerate(p)][1:])
+    d = pderiv(p)
     if d:
         chain.append(pprimitive_signed(d))
-    while len(chain) >= 2 and chain[-1]:
-        _, r = pdivmod(chain[-2], chain[-1])
-        r = pnorm(r)
+    while len(chain) >= 2:
+        r = pdivmod(chain[-2], chain[-1])[1]
         if not r:
             break
         chain.append(pprimitive_signed([-c for c in r]))
     return chain
-
-
-def pprimitive_signed(p):
-    """Divide by the content only (preserves the sign of every value)."""
-    p = pnorm(p)
-    if not p:
-        return []
-    g = pcontent([c.numerator for c in map(Fraction, p)])
-    den = 1
-    for c in map(Fraction, p):
-        den = den * c.denominator // gcd(den, c.denominator)
-    return [int(Fraction(c) * den) // g for c in p]
 
 
 def _variations(signs):
@@ -264,7 +242,8 @@ def cyclotomic(d):
     p = [-1] + [0] * (d - 1) + [1]          # t^d - 1
     for e in range(1, d):
         if d % e == 0:
-            p = pdiv_exact(p, list(cyclotomic(e)))
+            p, rem = pdivmod(p, cyclotomic(e))  # Phi_e is monic: plain division
+            assert not rem, "Phi_e divides t^d - 1"
     return tuple(p)
 
 

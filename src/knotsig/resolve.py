@@ -14,7 +14,7 @@ from math import lcm
 from typing import Optional
 
 from .alexmod import FiniteLambdaModule
-from .intmat import identity, mat_pow_mod, prime_factorization
+from .intmat import prime_factorization
 from .seifert import IntLaurentPoly
 
 
@@ -32,6 +32,8 @@ def _companion_mod(delta: IntLaurentPoly, p: int, i: int):
         return [], 1
     if coeffs[-1] % p == 0:
         raise PrimeDividesLeading(f"{p} divides the leading coefficient")
+    if coeffs[0] % p == 0:
+        raise ValueError(f"{p} divides the constant coefficient, so t is not a unit mod {p}")
     mod = p ** i
     inv = pow(coeffs[-1], -1, mod)
     monic = [(c * inv) % mod for c in coeffs]
@@ -59,38 +61,8 @@ def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLa
 
 
 def order_of_t(delta: IntLaurentPoly, p: int, i: int) -> int:
-    """Minimal k with t^k the identity on (Z/p^i)[t]/(delta).
-
-    The order mod p divides |GL(deg, p)|, whose prime factors are divided
-    out; the order then lifts along powers of p.
-    """
-    if p < 2 or prime_factorization(p) != {p: 1}:
-        raise ValueError(f"{p} is not prime")
-    if i < 1:
-        raise ValueError("level must be >= 1")
-    comp, _ = _companion_mod(delta, p, i)
-    deg = len(comp)
-    if deg == 0:
-        return 1
-    one = identity(deg)
-    # order modulo p, starting from the full group order
-    group_order = 1
-    for j in range(deg):
-        group_order *= p ** deg - p ** j
-    order = group_order
-    for q in prime_factorization(group_order):
-        while order % q == 0 and mat_pow_mod(comp, order // q, p) == one:
-            order //= q
-    assert mat_pow_mod(comp, order, p) == one
-    # lift to p^i: the order can only grow by factors of p
-    mod = p ** i
-    while mat_pow_mod(comp, order, mod) != one:
-        order *= p
-    # minimize once more (guards the p = 2 lift edge cases)
-    for q in prime_factorization(order):
-        while order % q == 0 and mat_pow_mod(comp, order // q, mod) == one:
-            order //= q
-    return order
+    """Minimal k with t^k the identity on (Z/p^i)[t]/(delta)."""
+    return finite_alexander_quotient(delta, p, i).action_order()
 
 
 @dataclass(frozen=True)
@@ -169,6 +141,8 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     too small)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    if witnesses is None and witness_bound < 1:
+        raise ValueError("witness bound must be >= 1, or no witness is checked")
     delta = delta.canonical()
     deg = delta.degree
 
@@ -177,7 +151,7 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     s_prev = 0
     for i in range(1, depth + 1):
         module = finite_alexander_quotient(delta, p, i)
-        o = order_of_t(delta, p, i)
+        o = module.action_order()
         base = lcm(o, k_prev)
         k_i = base * (i // base + 1)
         s_i = i if s_schedule is None else int(s_schedule[i - 1])
@@ -186,7 +160,6 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
         assert k_i > i and k_i % k_prev == 0 and k_i % o == 0
         if module.rank:
             assert module.order() == p ** (i * deg), "H/H_i must be a p-group"
-            assert module.action_order() == o
         steps.append(ResolutionStep(i, p, k_i, s_i, o, module))
         k_prev, s_prev = k_i, s_i
 

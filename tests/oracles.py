@@ -7,6 +7,7 @@ instead of order-finding, commutant dimensions instead of orbit criteria.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from knotsig.polyz import pnorm
 
@@ -325,6 +326,18 @@ def matrix_order_brute(mat, mod, cap=10 ** 6):
     raise AssertionError("order exceeds cap")
 
 
+def action_order_brute(module, cap=10 ** 7):
+    """Order of t on a FiniteLambdaModule, by applying t to the standard
+    basis one step at a time."""
+    basis = [tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank)]
+    cur = list(basis)
+    for k in range(1, cap + 1):
+        cur = [module.t_apply(v) for v in cur]
+        if cur == basis:
+            return k
+    raise AssertionError("order exceeds cap")
+
+
 def groups_isomorphic_brute(elements, mul, other_elements, other_mul):
     """Whether two small groups are isomorphic, by brute force over all
     bijections (intended for orders <= 8)."""
@@ -339,3 +352,50 @@ def groups_isomorphic_brute(elements, mul, other_elements, other_mul):
                for a in elements for b in elements):
             return True
     return False
+
+
+# --- polynomial gcd and division by Euclid over Q --------------------------
+
+def frac_pdivmod(p, q):
+    """Euclidean division over Q: Fraction lists (quot, rem) with
+    p = quot*q + rem and deg rem < deg q."""
+    r = [Fraction(c) for c in pnorm(p)]
+    q = [Fraction(c) for c in pnorm(q)]
+    quot = [Fraction(0)] * max(len(r) - len(q) + 1, 0)
+    for k in range(len(quot) - 1, -1, -1):
+        c = r[k + len(q) - 1] / q[-1]
+        quot[k] = c
+        for i, qc in enumerate(q):
+            r[k + i] -= c * qc
+    return pnorm(quot), pnorm(r[:len(q) - 1])
+
+
+def _frac_primitive(p):
+    """The primitive integer polynomial with positive leading coefficient
+    proportional to a nonzero Fraction list."""
+    den = 1
+    for c in p:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [int(c * den) for c in p]
+    g = 0
+    for c in ints:
+        g = gcd(g, c)
+    sign = 1 if ints[-1] > 0 else -1
+    return [sign * c // g for c in ints]
+
+
+def frac_pgcd(p, q):
+    """gcd of integer polynomials by Euclid over Q, as a primitive integer
+    polynomial with positive leading coefficient."""
+    a, b = pnorm(p), pnorm(q)
+    while b:
+        a, b = b, frac_pdivmod(a, b)[1]
+    return _frac_primitive(a) if a else []
+
+
+def frac_squarefree_part(p):
+    """p / gcd(p, p') over Q, made primitive with positive leading term."""
+    deriv = pnorm([i * c for i, c in enumerate(p)][1:])
+    quot, rem = frac_pdivmod(p, frac_pgcd(p, deriv) or [1])
+    assert not rem
+    return _frac_primitive(quot)

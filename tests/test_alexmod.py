@@ -12,7 +12,7 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
                      torsion_order_by_resultant)
 
 from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert
-from oracles import frac_inverse
+from oracles import action_order_brute, frac_inverse
 
 
 class TestPresentation:
@@ -81,7 +81,7 @@ class TestCyclicQuotient:
                 if m.rank == 0:
                     continue
                 o = m.action_order()
-                assert o >= 1 and k % o == 0 or o % 1 == 0  # action periodic
+                assert k % o == 0  # the shift has order k, so o divides it
                 vec = m.reduce_vec(tuple(range(1, m.rank + 1)))
                 assert m.t_pow_apply(vec, o) == vec
 
@@ -127,6 +127,50 @@ class TestTPowers:
             for e in range(2 * m.action_order() + 1):
                 assert m.t_pow_apply(vec, e) == cur
                 cur = m.t_apply(cur)
+
+
+def _random_module(rng, torsion):
+    """A random well-defined invertible t on the torsion chain: entry (i, j)
+    with i > j is a multiple of d_i / d_j."""
+    while True:
+        t = [[rng.randrange(d) * (d // torsion[j] if i > j else 1) for j in range(len(torsion))]
+             for i, d in enumerate(torsion)]
+        try:
+            return FiniteLambdaModule.make(torsion, t)
+        except ValueError:
+            continue
+
+
+class TestActionOrder:
+    """The order of t, divided out of a known multiple, against iteration."""
+
+    def test_cover_modules(self):
+        rng = random.Random(29)
+        seen = 0
+        for _ in range(40):
+            a = random_seifert(rng, rng.choice([1, 2, 3]))
+            k = rng.randrange(2, 9)
+            m = cyclic_quotient(alexander_module(a), k).module
+            if m.rank:
+                assert m.action_order() == action_order_brute(m), (m, k)
+                seen += 1
+        assert seen >= 20
+
+    @pytest.mark.parametrize("torsion", [(2, 6), (3, 15), (2, 4, 12), (4, 8), (9, 45),
+                                         (2, 2, 2, 6), (6, 30, 60), (5, 25), (7, 7, 21)])
+    def test_mixed_prime_modules(self, torsion):
+        rng = random.Random(sum(torsion))
+        for _ in range(6):
+            m = _random_module(rng, torsion)
+            assert m.action_order() == action_order_brute(m), m
+
+    def test_large_prime(self):
+        # the order of 2 mod 1000003 is 1000002: found without a million steps
+        assert FiniteLambdaModule.make((1000003,), [[2]]).action_order() == 1000002
+
+    def test_trivial(self):
+        assert FiniteLambdaModule.trivial().action_order() == 1
+        assert FiniteLambdaModule.make((2, 2), [[1, 0], [0, 1]]).action_order() == 1
 
 
 class TestLinkingForm:

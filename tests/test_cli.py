@@ -241,6 +241,29 @@ class TestErrors:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_resolve_witness_bound_below_one(self, capsys, bound):
+        code = main(["resolve", "--delta", "1,-1,1", "--p", "5", "--depth", "2",
+                     "--witness-bound", bound])
+        assert code == 2
+        assert "witness bound" in capsys.readouterr().err
+
+    def test_resolve_prime_divides_constant(self, capsys):
+        code = main(["resolve", "--delta", "2,-1,1", "--p", "2", "--depth", "2"])
+        assert code == 2
+        assert "2 divides the constant coefficient" in capsys.readouterr().err
+
+    def test_reps_over_cap(self, capsys, tmp_path, monkeypatch):
+        # t = 2 has order 1000002 on Z/1000003, so m = 1000002 is periodic
+        # but the group order m * 1000003 is far above the default cap
+        monkeypatch.delenv("KNOTSIG_CAP", raising=False)
+        mod = tmp_path / "mod.json"
+        mod.write_text('{"torsion": [1000003], "t": [[2]]}')
+        code = main(["reps", "--module", str(mod), "--m", "1000002"])
+        assert code == 4
+        assert "exceeds cap 1000000" in capsys.readouterr().err
+        assert main(["reps", "--module", str(mod), "--m", "3"]) == 2
+
     def test_eps_zero_denominator(self, capsys):
         code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "1/0"])
         assert code == 2

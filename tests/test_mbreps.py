@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from knotsig import (ActionNotPeriodic, Character, CharacterNotPeriodic,
+from knotsig import (ActionNotPeriodic, CapExceeded, Character, CharacterNotPeriodic,
                      FiniteLambdaModule, MonomialMatrix, SemidirectElement,
                      TWIST_SIGN, UnitRootAngle, build_rep,
                      character_table_checks, enumerate_irreps, is_irreducible,
@@ -176,6 +176,15 @@ class TestEnumerate:
     def test_action_not_periodic(self):
         with pytest.raises(ActionNotPeriodic):
             enumerate_irreps(2, Z7_DOUBLE)  # t has order 3, not dividing 2
+
+    def test_group_order_cap(self, monkeypatch):
+        monkeypatch.setenv("KNOTSIG_CAP", "20")
+        assert len(enumerate_irreps(6, Z3_TWO)) == 9  # order 18 is within the cap
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_irreps(9, Z7_DOUBLE)  # order 63
+        assert (exc.value.order, exc.value.cap) == (63, 20)
+        with pytest.raises(ActionNotPeriodic):
+            enumerate_irreps(100, Z7_DOUBLE)  # not periodic is reported first
 
     def test_dimension_bound(self):
         for module, m in ((Z3_FLIP, 4), (Z7_DOUBLE, 9), (Z3_TWO, 2)):

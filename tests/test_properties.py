@@ -11,14 +11,16 @@ from hypothesis import given, settings, strategies as st
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
                      tl_signature_at, validate_seifert)
-from knotsig.polyz import (cos_minimal_poly, isolate_roots, padd,
-                           palindromic_compact, peval, pmul, pnorm,
-                           sturm_chain, sturm_count)
+from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
+                           palindromic_compact, pdeg, pdivides, pdivmod, peval,
+                           pgcd, pmul, pnorm, squarefree_part, sturm_chain,
+                           sturm_count)
 from knotsig.intmat import (euler_phi, identity, mat_mul, mat_pow_mod,
                             prime_factorization, xgcd)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
                              sign_at_cos_turn, RealAlgebraic)
 
+import oracles
 from conftest import random_interesting_seifert
 
 
@@ -382,3 +384,50 @@ class TestIntegerPrimitives:
         for _ in range(e):
             want = mat_mul(want, m)
         assert mat_pow_mod(m, e, mod) == [[x % mod for x in row] for row in want]
+
+
+_POLY = st.lists(st.integers(-30, 30), max_size=9).map(pnorm)
+
+
+class TestPseudoDivision:
+    """polyz division is integer pseudo-division; the gcd, divisibility and
+    squarefree part built on it agree with Euclid over Q."""
+
+    @given(_POLY, _POLY.filter(bool))
+    @settings(max_examples=300, deadline=None)
+    def test_pseudo_division_identity(self, p, q):
+        quot, rem = pdivmod(p, q)
+        c = abs(q[-1]) ** max(pdeg(p) - pdeg(q) + 1, 0)
+        assert c > 0 and pdeg(rem) < pdeg(q)
+        assert all(type(x) is int for x in quot + rem)
+        assert padd(pmul(quot, q), rem) == pnorm([c * x for x in p])
+
+    def test_monic_divisor_is_plain_division(self):
+        p = [5, -3, 0, 7, 2]
+        quot, rem = pdivmod(p, [1, 0, 1])
+        assert padd(pmul(quot, [1, 0, 1]), rem) == p
+
+    @given(_POLY, _POLY, _POLY)
+    @settings(max_examples=200, deadline=None)
+    def test_against_euclid_over_q(self, a, b, common):
+        if common:
+            a, b = pmul(a, common), pmul(b, common)
+        assert pgcd(a, b) == oracles.frac_pgcd(a, b)
+        if b:
+            assert pdivides(b, a) == (not oracles.frac_pdivmod(a, b)[1])
+        if common:
+            assert pdivides(common, a)
+        if pdeg(a) >= 1:
+            assert squarefree_part(a) == oracles.frac_squarefree_part(a)
+
+    def test_squarefree_part_of_a_square(self):
+        assert squarefree_part(pmul([-2, 3], pmul([-2, 3], [1, 0, 1]))) == [-2, 3, -2, 3]
+
+    def test_cyclotomic_product_is_binomial(self):
+        # Phi_d * prod_(e | d, e < d) Phi_e = t^d - 1, checked by multiplication only
+        for d in range(1, 301):
+            prod_ = [1]
+            for e in range(1, d + 1):
+                if d % e == 0:
+                    prod_ = pmul(prod_, list(cyclotomic(e)))
+            assert prod_ == [-1] + [0] * (d - 1) + [1], d

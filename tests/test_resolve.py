@@ -42,6 +42,15 @@ class TestFiniteQuotient:
         mod = finite_alexander_quotient(poly, 3, 1)
         assert mod.order() == 9
 
+    def test_prime_divides_constant(self):
+        # t^2 - t + 2: p = 2 divides the constant coefficient, not the leading one
+        poly = IntLaurentPoly.make([2, -1, 1])
+        with pytest.raises(ValueError, match="2 divides the constant coefficient"):
+            finite_alexander_quotient(poly, 2, 1)
+        with pytest.raises(ValueError, match="t is not a unit mod 2"):
+            build_resolution(poly, 2, 2)
+        assert finite_alexander_quotient(poly, 3, 1).order() == 9
+
     def test_not_prime_rejected(self):
         with pytest.raises(ValueError):
             finite_alexander_quotient(PHI6, 6, 1)
@@ -122,6 +131,14 @@ class TestBuildResolution:
             for q in {2, 3, 5}:
                 if o % q == 0:
                     assert mat_pow_mod(comp, o // q, mod) != identity(len(comp))
+
+    @pytest.mark.parametrize("bound", [0, -1])
+    def test_witness_bound_below_one_rejected(self, bound):
+        with pytest.raises(ValueError, match="witness bound"):
+            build_resolution(PHI6, 5, 2, witness_bound=bound)
+        # explicit witnesses make the bound irrelevant
+        report = build_resolution(PHI6, 5, 2, witnesses=[(0, (1, 0))], witness_bound=bound)
+        assert report.witnesses[0].separated_at == 1
 
     def test_s_schedule_validation(self):
         with pytest.raises(ValueError):
