@@ -89,17 +89,15 @@ class FiniteLambdaModule:
             for j in range(r):
                 if (d[j] * t[i][j]) % d[i] != 0:
                     raise ValueError("action is not a well-defined endomorphism")
-        if r and not self._is_invertible():
-            raise ValueError("action is not invertible")
-
-    def _is_invertible(self):
-        # surjective iff surjective on F/pF for every prime p dividing d_r
-        for p in intmat.prime_factorization(self.torsion[-1]):
-            idx = [i for i, d in enumerate(self.torsion) if d % p == 0]
-            sub = [[self.t_matrix[i][j] % p for j in idx] for i in idx]
-            if intmat.det(sub) % p == 0:
-                return False
-        return True
+        # t is onto iff no prime p | d_r divides det t[s:, s:], s the first
+        # index with p | d_s. The p with a given s divide d_s but not d_(s-1),
+        # so strip from gcd(det, d_s) each factor it shares with d_(s-1).
+        for s in range(r):
+            g = gcd(intmat.det([list(row[s:]) for row in t[s:]]), d[s])
+            while s and (c := gcd(g, d[s - 1])) > 1:
+                g //= c
+            if g != 1:
+                raise ValueError("action is not invertible")
 
     @classmethod
     def make(cls, torsion, t_matrix):
@@ -143,6 +141,12 @@ class FiniteLambdaModule:
     def action_order(self):
         """Minimal o >= 1 with t^o the identity on the module."""
         return _action_order(self)
+
+    def is_periodic(self, m):
+        """Whether t^m is the identity on the module, from one modular power."""
+        r = self.rank
+        return not r or _t_power_matrix(self, m) == tuple(
+            tuple(int(i == j) for j in range(r)) for i in range(r))
 
     def t_power_matrix(self, e):
         """The matrix of t^e on the module (e taken mod the action order)."""
@@ -199,10 +203,9 @@ def _action_order(module):
                 part[q] += a * (r // j)
         multiple |= part
     order = prod(q ** a for q, a in multiple.items())
-    one = tuple(tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank))
-    assert _t_power_matrix(module, order) == one, "t^M must be the identity"
+    assert module.is_periodic(order), "t^M must be the identity"
     for q in multiple:
-        while order % q == 0 and _t_power_matrix(module, order // q) == one:
+        while order % q == 0 and module.is_periodic(order // q):
             order //= q
     return order
 
@@ -418,9 +421,9 @@ class Character:
                    for d, c in zip(module.torsion, self.exponents))
 
     def turn_of(self, vec):
-        """The value on vec, as a fraction of a full turn (mod 1)."""
-        return Fraction(sum(c * v for c, v in zip(self.exponents, vec)),
-                        self.modulus) % 1
+        """The value on vec as a residue mod the modulus: chi(vec) is
+        exp(2*pi*i*turn_of(vec)/modulus)."""
+        return sum(c * v for c, v in zip(self.exponents, vec)) % self.modulus
 
     def compose_t(self, module: FiniteLambdaModule):
         """The character x -> chi(t x)."""

@@ -257,7 +257,7 @@ def build_parser():
 
 
 _INPUT_ERRORS = (NotSquare, OddSize, NotUnimodular, FileNotFoundError,
-                 json.JSONDecodeError, KeyError, ValueError)
+                 json.JSONDecodeError, ValueError)
 
 
 def main(argv=None):

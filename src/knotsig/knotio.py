@@ -17,7 +17,7 @@ def read_knot(path) -> SeifertMatrix:
     if not isinstance(data, dict):
         raise ValueError("knot file must hold a JSON object")
     if "seifert" not in data:
-        raise KeyError("knot file must contain a 'seifert' matrix")
+        raise ValueError("knot file must contain a 'seifert' matrix")
     return validate_seifert(data["seifert"], name=data.get("name"))
 
 

@@ -1,14 +1,14 @@
 """Semidirect products Z/m x| F and their irreducible unitary representations.
 
 Every matrix that appears here is monomial with root-of-unity entries, so
-representations are stored as a permutation plus a tuple of turns (angles
-as fractions of a full revolution) and all identities are checked exactly.
-Character orthogonality is verified in exact cyclotomic arithmetic: sums
-of roots of unity are reduced modulo the relevant cyclotomic polynomial.
+representations are stored as a permutation plus a tuple of turns, each a
+residue mod N for the entry exp(2*pi*i*turn/N), and all identities are
+checked exactly in integer arithmetic. Character orthogonality is verified
+in exact cyclotomic arithmetic: sums of N-th roots of unity are reduced
+modulo the N-th cyclotomic polynomial.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from math import lcm
 
@@ -80,43 +80,31 @@ def semidirect_elements(module: FiniteLambdaModule, m: int):
 @dataclass(frozen=True)
 class MonomialMatrix:
     """Unitary monomial matrix: column j has its only nonzero entry at row
-    perm[j], with value exp(2*pi*i*turns[j])."""
+    perm[j], with value exp(2*pi*i*turns[j]/modulus), 0 <= turns[j] < modulus."""
 
     perm: tuple
     turns: tuple
-
-    @classmethod
-    def make(cls, perm, turns):
-        return cls(tuple(perm), tuple(Fraction(t) % 1 for t in turns))
-
-    @classmethod
-    def identity(cls, size):
-        return cls(tuple(range(size)), (Fraction(0),) * size)
-
-    @property
-    def size(self):
-        return len(self.perm)
+    modulus: int
 
     def __matmul__(self, other):
-        perm = tuple(self.perm[other.perm[j]] for j in range(self.size))
-        turns = tuple((self.turns[other.perm[j]] + other.turns[j]) % 1
-                      for j in range(self.size))
-        return MonomialMatrix(perm, turns)
+        n = self.modulus
+        if other.modulus != n:
+            raise ValueError("monomial matrices with different moduli")
+        turns = self.turns
+        return MonomialMatrix(tuple(map(self.perm.__getitem__, other.perm)),
+                              tuple([(turns[i] + t) % n
+                                     for i, t in zip(other.perm, other.turns)]), n)
 
     def conj_transpose(self):
-        inv = [0] * self.size
+        inv = [0] * len(self.perm)
         for j, i in enumerate(self.perm):
             inv[i] = j
-        turns = tuple((-self.turns[inv[i]]) % 1 for i in range(self.size))
-        return MonomialMatrix(tuple(inv), turns)
+        turns = tuple(-self.turns[j] % self.modulus for j in inv)
+        return MonomialMatrix(tuple(inv), turns, self.modulus)
 
     def is_identity(self):
         return all(i == j for j, i in enumerate(self.perm)) and \
             all(t == 0 for t in self.turns)
-
-    def trace_turns(self):
-        """Turns of the diagonal entries (fixed columns only)."""
-        return [self.turns[j] for j, i in enumerate(self.perm) if i == j]
 
 
 @dataclass(frozen=True)
@@ -132,20 +120,28 @@ class MetabelianRep:
     module: FiniteLambdaModule
     irreducible: bool
 
+    @property
+    def modulus(self):
+        """N = lcm(denominator of z, modulus of chi): every matrix entry is
+        an N-th root of unity."""
+        return lcm(self.z.denominator, self.chi.modulus)
+
     def matrix(self, elem: SemidirectElement) -> MonomialMatrix:
-        l = self.dim
-        n = elem.n
+        l, n, big = self.dim, elem.n, self.modulus
+        zn = n * self.z.numerator * (big // self.z.denominator)
+        scale = big // self.chi.modulus
         h = self.module.reduce_vec(elem.h)
         perm = tuple((j + n) % l for j in range(l))
         turns = []
-        hj = h
-        for j in range(l):
-            turns.append((n * self.z.turn + self.chi.turn_of(hj)) % 1)
-            hj = self.module.t_apply(hj)
-        return MonomialMatrix(perm, tuple(turns))
+        for _ in range(l):
+            turns.append((zn + scale * self.chi.turn_of(h)) % big)
+            h = self.module.t_apply(h)
+        return MonomialMatrix(perm, tuple(turns), big)
 
     def character_turns(self, elem: SemidirectElement):
-        return self.matrix(elem).trace_turns()
+        """Turns of the diagonal entries of the matrix of elem."""
+        mat = self.matrix(elem)
+        return [mat.turns[j] for j, i in enumerate(mat.perm) if i == j]
 
 
 def rep_json(rep: MetabelianRep, m: int):
@@ -153,12 +149,11 @@ def rep_json(rep: MetabelianRep, m: int):
     parameter w = z^dim as w_num / w_den with w_den = m/dim, and the
     character exponents."""
     w_den = m // rep.dim
-    w_turn = (rep.z.turn * rep.dim) % 1
-    w_num = w_turn * w_den
-    assert w_num.denominator == 1
+    w_num, rem = divmod(rep.z.numerator * rep.dim * w_den, rep.z.denominator)
+    assert rem == 0
     return {
         "dim": rep.dim,
-        "w_num": int(w_num),
+        "w_num": w_num % w_den,
         "w_den": w_den,
         "chi": list(rep.chi.exponents),
     }
@@ -224,12 +219,12 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
     """
     if m < 1:
         raise ValueError("m must be positive")
-    o = module.action_order()
-    if m % o != 0:
+    if not module.is_periodic(m):
         raise ActionNotPeriodic(m)
     order, cap = m * module.order(), default_cap()
     if order > cap:
         raise CapExceeded(order, cap)
+    o = module.action_order()
     reps = []
     total = 0
     for chi, l in _character_orbits(module):
@@ -246,16 +241,13 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
 
 # exact cyclotomic verification ---------------------------------------------
 
-def roots_of_unity_sum_equals(turn_counts, value):
-    """Whether sum over (turn, count) of count * exp(2*pi*i*turn) equals the
-    given integer, exactly (reduction modulo a cyclotomic polynomial)."""
-    n = 1
-    for turn in turn_counts:
-        n = lcm(n, Fraction(turn).denominator)
-    vec = [0] * max(n, 1)
+def roots_of_unity_sum_equals(turn_counts, value, n):
+    """Whether sum over (turn, count) of count * exp(2*pi*i*turn/n), turns
+    residues mod n, equals the given integer, exactly (reduction modulo the
+    n-th cyclotomic polynomial)."""
+    vec = [0] * n
     for turn, count in turn_counts.items():
-        turn = Fraction(turn) % 1
-        vec[int(turn * n)] += count
+        vec[turn] += count
     vec[0] -= value
     poly = pnorm(vec)
     if not poly:
@@ -283,9 +275,11 @@ def character_table_checks(reps, m: int, module: FiniteLambdaModule):
     order = m * module.order()
     sum_sq = sum(r.dim * r.dim for r in reps)
     elements = list(semidirect_elements(module, m))
+    big = lcm(1, *(r.modulus for r in reps))
     tables = []
     for r in reps:
-        tables.append([r.character_turns(g) for g in elements])
+        scale = big // r.modulus
+        tables.append([[scale * t for t in r.character_turns(g)] for g in elements])
     failures = []
     for i in range(len(reps)):
         for j in range(i, len(reps)):
@@ -293,10 +287,10 @@ def character_table_checks(reps, m: int, module: FiniteLambdaModule):
             for ti, tj in zip(tables[i], tables[j]):
                 for p in ti:
                     for q in tj:
-                        key = (p - q) % 1
+                        key = (p - q) % big
                         counts[key] = counts.get(key, 0) + 1
             expected = order if i == j else 0
-            if not roots_of_unity_sum_equals(counts, expected):
+            if not roots_of_unity_sum_equals(counts, expected, big):
                 failures.append((i, j))
     return CharacterTableReport(
         group_order=order,

@@ -38,9 +38,9 @@ from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
                     pdivides, palindromic_compact, peval, pinterpolate,
                     psubst_scale, pprimitive, cos_minimal_poly,
                     squarefree_part)
-from .realalg import (MAX_REFINE, PrecisionExhausted, RealAlgebraic,
-                      cos_turn_bounds, cos_turn_rational, sign_at_cos_turn,
-                      simplest_between)
+from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
+                      _cos_scaled, cos_turn_bounds, cos_turn_rational,
+                      sign_at_cos_turn, simplest_between)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -192,39 +192,39 @@ class CirclePoint:
 class _TurnTracker:
     """Certified enclosure of arccos(x)/(2*pi) in (0, 1/2) for an algebraic
     x in (-1, 1) with irrational turn, refined by bisection against
-    certified cosine enclosures."""
+    certified cosine enclosures. The enclosure is the dyadic interval
+    [num, num + 1] / 2^depth, held as the two integers."""
 
-    __slots__ = ("x", "lo", "hi")
+    __slots__ = ("x", "num", "depth")
 
     def __init__(self, x):
         self.x = x
-        self.lo = Fraction(0)
-        self.hi = Fraction(1, 2)
+        self.num, self.depth = 0, 1
 
     def bounds(self, width):
-        steps = 0
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            if self._cos_exceeds_x(mid):
-                self.lo = mid  # cos decreasing: cos(mid) > x means mid < turn
-            else:
-                self.hi = mid
-            steps += 1
-            if steps > MAX_REFINE:
+        while width * (1 << self.depth) < 1:
+            if self.depth > MAX_REFINE:
                 raise PrecisionExhausted("turn enclosure refinement stalled")
-        return self.lo, self.hi
+            mid = 2 * self.num + 1
+            self.depth += 1
+            # cos decreasing: cos(mid) > x means mid < turn
+            self.num = mid if self._cos_exceeds_x(mid, 1 << self.depth) else mid - 1
+        den = 1 << self.depth
+        return Fraction(self.num, den), Fraction(self.num + 1, den)
 
-    def _cos_exceeds_x(self, turn):
+    def _cos_exceeds_x(self, a, b):
+        """Whether cos(2*pi*a/b) > x for 0 < a/b < 1/2, comparing the
+        kernel's integer bounds on cos * 2^p with x by cross multiplication."""
         bits = 16
         for _ in range(MAX_REFINE):
-            clo, chi = cos_turn_bounds(turn, bits)
+            p = bits + GUARD
+            clo, chi = _cos_scaled(a, b, p)
             xlo, xhi = self.x.lo, self.x.hi
-            if clo > xhi:
+            if clo * xhi.denominator > xhi.numerator << p:
                 return True
-            if chi < xlo:
+            if chi * xlo.denominator < xlo.numerator << p:
                 return False
-            width = Fraction(1, 1 << bits)
-            self.x.bounds(width)
+            self.x.bounds(Fraction(1, 1 << bits))
             bits *= 2
         raise PrecisionExhausted("cosine comparison stalled")
 

@@ -141,21 +141,22 @@ def commutant_dimension(rep, m, module):
         h = tuple(1 if j == i else 0 for j in range(module.rank))
         gens.append(SemidirectElement(0, h))
     parent = {}
-    offset = {}  # phase turn relative to the parent chain
+    offset = {}  # phase turn mod N relative to the parent chain
+    big = rep.modulus
     dead = set()
 
     def find(cell):
         if parent[cell] == cell:
-            return cell, Fraction(0)
+            return cell, 0
         root, off = find(parent[cell])
         parent[cell] = root
-        offset[cell] = (offset[cell] + off) % 1
+        offset[cell] = (offset[cell] + off) % big
         return root, offset[cell]
 
     for r in range(l):
         for c in range(l):
             parent[(r, c)] = (r, c)
-            offset[(r, c)] = Fraction(0)
+            offset[(r, c)] = 0
     for g in gens:
         mat = rep.matrix(g)
         perm, turns = mat.perm, mat.turns
@@ -163,15 +164,15 @@ def commutant_dimension(rep, m, module):
             for c in range(l):
                 src = (r, c)
                 dst = (perm[r], perm[c])
-                delta = (turns[r] - turns[c]) % 1  # X[dst] = X[src] * e^(2pi i delta)
+                delta = (turns[r] - turns[c]) % big  # X[dst] = X[src] * e^(2pi i delta/N)
                 root_s, off_s = find(src)
                 root_d, off_d = find(dst)
                 if root_s == root_d:
-                    if (off_s + delta - off_d) % 1 != 0:
+                    if (off_s + delta - off_d) % big != 0:
                         dead.add(root_s)
                 else:
                     parent[root_d] = root_s
-                    offset[root_d] = (off_s + delta - off_d) % 1
+                    offset[root_d] = (off_s + delta - off_d) % big
                     if root_d in dead:
                         dead.discard(root_d)
                         dead.add(root_s)
@@ -336,6 +337,19 @@ def action_order_brute(module, cap=10 ** 7):
         if cur == basis:
             return k
     raise AssertionError("order exceeds cap")
+
+
+def is_invertible_by_factoring(torsion, t_matrix):
+    """Whether t is onto the module with the given torsion chain, prime by
+    prime: for each p dividing d_r, the action on F/pF (the coordinates i
+    with p | d_i) must have a determinant that is nonzero mod p."""
+    from knotsig.intmat import det, prime_factorization
+
+    for p in prime_factorization(torsion[-1]):
+        idx = [i for i, d in enumerate(torsion) if d % p == 0]
+        if det([[t_matrix[i][j] % p for j in idx] for i in idx]) % p == 0:
+            return False
+    return True
 
 
 def groups_isomorphic_brute(elements, mul, other_elements, other_mul):

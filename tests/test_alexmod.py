@@ -11,8 +11,11 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
                      double_cover_linking_form, find_linking_metabolizers,
                      torsion_order_by_resultant)
 
+from knotsig import intmat
+from knotsig.seifert import validate_seifert
+
 from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert
-from oracles import action_order_brute, frac_inverse
+from oracles import action_order_brute, frac_inverse, is_invertible_by_factoring
 
 
 class TestPresentation:
@@ -171,6 +174,42 @@ class TestActionOrder:
     def test_trivial(self):
         assert FiniteLambdaModule.trivial().action_order() == 1
         assert FiniteLambdaModule.make((2, 2), [[1, 0], [0, 1]]).action_order() == 1
+
+
+class TestInvertibility:
+    """Invertibility of t from gcds along the torsion chain, against the
+    prime-by-prime factoring oracle."""
+
+    def test_random_modules_against_factoring(self):
+        rng = random.Random(41)
+        outcomes = Counter()
+        for _ in range(1500):
+            torsion = [rng.choice([2, 3, 4, 5, 6, 9, 10, 12, 15, 25, 30])]
+            for _ in range(rng.randrange(3)):
+                torsion.append(torsion[-1] * rng.choice([1, 1, 2, 3, 5, 6]))
+            t = [[rng.randrange(d) * (d // torsion[j] if i > j else 1)
+                  for j in range(len(torsion))] for i, d in enumerate(torsion)]
+            try:
+                FiniteLambdaModule.make(torsion, t)
+                built = True
+            except ValueError as exc:
+                assert "not invertible" in str(exc)
+                built = False
+            assert built == is_invertible_by_factoring(torsion, t), (torsion, t)
+            outcomes[built] += 1
+        assert min(outcomes.values()) >= 300, outcomes
+
+    def test_large_cover_built_without_factoring(self, monkeypatch):
+        # both torsion coefficients are 1302034904649701, whose trial
+        # division took seconds; building the module no longer factors it
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(intmat, "prime_factorization", refuse)
+        a = validate_seifert([[1, -1], [-2, -2]])
+        hom = cyclic_quotient(alexander_module(a), 37)
+        assert hom.module.torsion == (1302034904649701,) * 2
+        assert hom.module.order() == torsion_order_by_resultant(a, 37)
 
 
 class TestLinkingForm:

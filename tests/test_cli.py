@@ -264,6 +264,39 @@ class TestErrors:
         assert "exceeds cap 1000000" in capsys.readouterr().err
         assert main(["reps", "--module", str(mod), "--m", "3"]) == 2
 
+    def test_reps_cap_before_action_order(self, capsys, tmp_path, monkeypatch):
+        # t = -1 on Z/((10^9 + 7)(10^9 + 9)): periodicity is one modular
+        # power and the cap needs only |F|, so neither factors the torsion
+        from knotsig import intmat
+
+        def refuse(n):
+            raise AssertionError(f"factored {n}")
+
+        monkeypatch.setattr(intmat, "prime_factorization", refuse)
+        monkeypatch.delenv("KNOTSIG_CAP", raising=False)
+        mod = tmp_path / "mod.json"
+        mod.write_text('{"torsion": [1000000016000000063], "t": [[1000000016000000062]]}')
+        assert main(["reps", "--module", str(mod), "--m", "2"]) == 4
+        assert "exceeds cap" in capsys.readouterr().err
+        assert main(["reps", "--module", str(mod), "--m", "3"]) == 2
+        assert "t^3 is not the identity" in capsys.readouterr().err
+
+    def test_knot_file_without_seifert(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": "x"}')
+        assert main(["invariants", "--knot", str(bad)]) == 2
+        assert "must contain a 'seifert' matrix" in capsys.readouterr().err
+
+    def test_internal_key_error_is_not_bad_input(self, capsys, monkeypatch):
+        from knotsig import cli
+
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "cmd_invariants", broken)
+        assert main(["invariants", "--knot", str(FIXTURES / "trefoil.json")]) == 3
+        assert "internal error" in capsys.readouterr().err
+
     def test_eps_zero_denominator(self, capsys):
         code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "1/0"])
         assert code == 2
@@ -281,12 +314,24 @@ class TestErrors:
         assert code == 0
 
 
+def run_fresh(argv):
+    """Stdout of `knotsig` in a fresh interpreter, so no cache is warm; the
+    child finds knotsig whether or not PYTHONPATH names src."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "knotsig.cli"] + argv,
+        capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout.decode()
+
+
 class TestGolden:
-    """Exact stdout of fresh `knotsig` commands for a conjugate of
-    [[20, 1], [0, 1]], whose two breakpoints lie at irrational turns. The
-    x intervals sigfn prints are as narrow as the turn trackers' cosine
-    comparisons forced them, and the l2 bounds come from the tracked turn
-    enclosures, so these bytes pin how far the certified refinement went."""
+    """Exact stdout of fresh `knotsig` commands.
+
+    D20 is a conjugate of [[20, 1], [0, 1]], whose two breakpoints lie at
+    irrational turns. The x intervals sigfn prints are as narrow as the
+    turn trackers' cosine comparisons forced them, and the l2 bounds come
+    from the tracked turn enclosures, so these bytes pin how far the
+    certified refinement went. The reps cases pin the class parameters and
+    their order."""
 
     KNOT = {"name": "D20", "seifert": [[20, -20], [-21, 22]]}
     SIGFN = (
@@ -309,11 +354,39 @@ class TestGolden:
     def test_irrational_breakpoints(self, tmp_path, argv, expected):
         knot = tmp_path / "d20.json"
         knot.write_text(json.dumps(self.KNOT))
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-m", "knotsig.cli", argv[0], "--knot", str(knot)] + argv[1:],
-            capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout
-        assert out.decode() == expected
+        assert run_fresh([argv[0], "--knot", str(knot)] + argv[1:]) == expected
+
+    REPS_Z3 = (
+        '[{"chi": [0], "dim": 1, "w_den": 6, "w_num": 0}, '
+        '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 1}, '
+        '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 2}, '
+        '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 3}, '
+        '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 4}, '
+        '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 5}, '
+        '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 0}, '
+        '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 1}, '
+        '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 2}]\n')
+    # the module `covers --k 3` prints for fixtures/slice_example.json
+    SLICE_K3 = {"torsion": [2, 2, 2, 2],
+                "t": [[0, 1, 0, 0], [1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 1]]}
+    REPS_SLICE_K3 = (
+        '[{"chi": [0, 0, 0, 0], "dim": 1, "w_den": 3, "w_num": 0}, '
+        '{"chi": [0, 0, 0, 0], "dim": 1, "w_den": 3, "w_num": 1}, '
+        '{"chi": [0, 0, 0, 0], "dim": 1, "w_den": 3, "w_num": 2}, '
+        '{"chi": [0, 0, 0, 1], "dim": 3, "w_den": 1, "w_num": 0}, '
+        '{"chi": [0, 0, 1, 0], "dim": 3, "w_den": 1, "w_num": 0}, '
+        '{"chi": [0, 0, 1, 1], "dim": 3, "w_den": 1, "w_num": 0}, '
+        '{"chi": [0, 1, 0, 0], "dim": 3, "w_den": 1, "w_num": 0}, '
+        '{"chi": [0, 1, 1, 0], "dim": 3, "w_den": 1, "w_num": 0}]\n')
+
+    @pytest.mark.parametrize("module, m, expected", [
+        ({"torsion": [3], "t": [[2]]}, 6, REPS_Z3),
+        (SLICE_K3, 3, REPS_SLICE_K3),
+    ])
+    def test_reps(self, tmp_path, module, m, expected):
+        mod = tmp_path / "mod.json"
+        mod.write_text(json.dumps(module))
+        assert run_fresh(["reps", "--module", str(mod), "--m", str(m)]) == expected
 
 
 class TestDeterminism:
@@ -328,15 +401,7 @@ class TestDeterminism:
         ["resolve", "--delta", "1,-1,1", "--p", "2", "--depth", "2"],
     ])
     def test_byte_identical_runs(self, argv):
-        # the child finds knotsig whether or not PYTHONPATH names src
-        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        env = {**os.environ, "PYTHONPATH": path}
-
-        def run():
-            return subprocess.run(
-                [sys.executable, "-m", "knotsig.cli"] + argv,
-                capture_output=True, check=True, env=env).stdout
-        assert run() == run()
+        assert run_fresh(argv) == run_fresh(argv)
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_file = tmp_path / "o.json"

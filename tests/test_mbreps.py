@@ -92,7 +92,7 @@ class TestBuildRep:
         rep = build_rep(1, UnitRootAngle.of(1, 5), Character.make(1, (0,)), Z3_FLIP)
         mat = rep.matrix(SemidirectElement(3, (2,)))
         assert mat.perm == (0,)
-        assert mat.turns == (Fraction(3, 5),)
+        assert (mat.turns, mat.modulus) == ((3,), 5)  # z^3 = exp(2*pi*i*3/5)
 
     def test_unitarity(self):
         chi = Character.make(3, (1,))
@@ -131,7 +131,7 @@ class TestBuildRep:
         assert m.perm == (1, 0)
         m2 = rep.matrix(SemidirectElement(0, (1,)))
         assert m2.perm == (0, 1)
-        assert m2.turns == (Fraction(1, 3), Fraction(2, 3))  # chi(h), chi(th)
+        assert (m2.turns, m2.modulus) == ((1, 2), 3)  # chi(h), chi(th)
 
 
 class TestIrreducibility:
@@ -197,7 +197,8 @@ class TestEnumerate:
             els = list(semidirect_elements(module, m))
             tables = []
             for rep in enumerate_irreps(m, module):
-                tables.append(tuple(tuple(sorted(rep.character_turns(g)))
+                tables.append(tuple(tuple(sorted(Fraction(t, rep.modulus)
+                                                 for t in rep.character_turns(g)))
                                     for g in els))
             assert len(set(tables)) == len(tables)
 
@@ -208,7 +209,8 @@ class TestEnumerate:
             for rep in enumerate_irreps(m, module):
                 el = SemidirectElement(rep.dim, module.zero())
                 turns = rep.character_turns(el)
-                expect = (rep.z.turn * rep.dim) % 1
+                n = rep.modulus
+                expect = rep.z.numerator * (n // rep.z.denominator) * rep.dim % n
                 assert turns == [expect] * rep.dim
 
     def test_rep_json_shape(self):
@@ -246,10 +248,13 @@ class TestCharacterTable:
 
     def test_roots_of_unity_sum(self):
         # 1 + zeta_3 + zeta_3^2 = 0
-        counts = {Fraction(0): 1, Fraction(1, 3): 1, Fraction(2, 3): 1}
-        assert roots_of_unity_sum_equals(counts, 0)
-        assert not roots_of_unity_sum_equals(counts, 1)
-        assert roots_of_unity_sum_equals({Fraction(0): 5}, 5)
+        counts = {0: 1, 1: 1, 2: 1}
+        assert roots_of_unity_sum_equals(counts, 0, 3)
+        assert not roots_of_unity_sum_equals(counts, 1, 3)
+        assert roots_of_unity_sum_equals({0: 5}, 5, 1)
+        # the same sum read mod 6: 1 + zeta_6^2 + zeta_6^4 = 0
+        assert roots_of_unity_sum_equals({0: 1, 2: 1, 4: 1}, 0, 6)
+        assert not roots_of_unity_sum_equals({0: 1, 1: 1, 2: 1}, 0, 6)
 
 
 class TestMonomialMatrix:
@@ -267,18 +272,22 @@ class TestMonomialMatrix:
             a = _random_monomial(rng, rng.randrange(1, 5))
             assert (a @ a.conj_transpose()).is_identity()
 
+    def test_unequal_moduli_rejected(self):
+        a = MonomialMatrix((0,), (1,), 3)
+        with pytest.raises(ValueError):
+            a @ MonomialMatrix((0,), (1,), 6)
+
 
 def _random_monomial(rng, size):
     perm = list(range(size))
     rng.shuffle(perm)
-    turns = [Fraction(rng.randrange(12), 12) for _ in range(size)]
-    return MonomialMatrix.make(perm, turns)
+    return MonomialMatrix(tuple(perm), tuple(rng.randrange(12) for _ in range(size)), 12)
 
 
 def _dense(m):
-    """Dense matrix over the group algebra of Q/Z: entries are dicts
-    turn -> coefficient (here single turns)."""
-    size = m.size
+    """Dense matrix over the group algebra of Z/12: entries are turns mod
+    12 (single turns), or None for a zero entry."""
+    size = len(m.perm)
     out = [[None] * size for _ in range(size)]
     for j in range(size):
         out[m.perm[j]][j] = m.turns[j]
@@ -294,6 +303,6 @@ def _matmul_dense(a, b):
             for k in range(size):
                 if a[i][k] is not None and b[k][j] is not None:
                     assert acc is None  # monomial structure
-                    acc = (a[i][k] + b[k][j]) % 1
+                    acc = (a[i][k] + b[k][j]) % 12
             out[i][j] = acc
     return out

@@ -12,7 +12,7 @@ from knotsig.realalg import cos_turn_bounds, simplest_between
 from knotsig.polyz import cyclotomic, pdivides
 from knotsig.signature import _char_poly_in_x, _root_of_unity_orders
 
-from conftest import random_seifert
+from conftest import random_interesting_seifert, random_seifert
 from oracles import tl_signature_by_congruence
 
 
@@ -312,6 +312,40 @@ class TestCornerGeometry:
         eps = Fraction(1, 10 ** 9)
         lo, hi = l2_eta_abelian(a, eps)
         assert hi - lo <= eps
+
+
+class TestTurnTracker:
+    """Irrational breakpoint turns, enclosed by dyadic bisection against the
+    integer cosine kernel."""
+
+    def test_enclosures_against_mpmath(self):
+        import mpmath
+        from knotsig import realalg
+        rng = random.Random(61)
+        mats = [validate_seifert([[500, 1], [0, 1]]), validate_seifert([[2, 1], [0, 5]])]
+        mats += [random_interesting_seifert(rng, rng.choice([1, 2, 3])) for _ in range(8)]
+        width = Fraction(1, 2 ** 100)
+        seen = 0
+        for a in mats:
+            for bp in signature_function(a).breakpoints:
+                if bp.exact_turn is not None:
+                    continue
+                cached = len(realalg._COS)
+                lo, hi = bp.turn_bounds(width)
+                assert len(realalg._COS) == cached, "tracker midpoints stay out of the cache"
+                assert hi - lo <= width
+                assert (hi - lo).numerator == 1 and lo.denominator & (lo.denominator - 1) == 0
+                xlo, _ = bp.x.bounds(Fraction(1, 2 ** 220))
+                with mpmath.workprec(320):
+                    x = mpmath.mpf(xlo.numerator) / xlo.denominator
+                    ref = mpmath.acos(x) / (2 * mpmath.pi)
+                    if bp.hemisphere == "lower":
+                        ref = 1 - ref
+                    ref = Fraction(int(mpmath.floor(mpmath.ldexp(ref, 200))), 2 ** 200)
+                tol = Fraction(1, 2 ** 160)
+                assert lo - tol <= ref <= hi + tol, (a.entries, bp)
+                seen += 1
+        assert seen >= 8
 
 
 class TestCompactForm:
