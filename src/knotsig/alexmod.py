@@ -1,11 +1,14 @@
 """The Alexander module and its finite shadows.
 
 The module over Lambda = Z[t, 1/t] presented by the pencil tA - A^t is
-studied through its finite quotients: the torsion of the k-fold cyclic
-cover homology is the torsion of coker(S (x) A - I (x) A^t) with S the
-k-cycle shift, computed by exact Smith normal form with the t-action
-transported to the normal-form basis. The order of that torsion has an
-independent exact oracle, the resultant of the Alexander polynomial with
+studied through its finite quotients. Its quotient by t^k - 1 is coker
+R_k, R_k = G^k - (G - I)^k with G = (A - A^t)^(-1) A, a 2g x 2g integer
+matrix; the torsion of the k-fold cyclic cover homology is read off one
+exact Smith normal form of R_k, with the t-action transported to the
+normal-form basis. The same quotient is, by definition, coker(S (x) A -
+I (x) A^t) with S the k-cycle shift, a 2gk x 2gk matrix that the test
+suite reduces as an independent check. The order of the torsion has a
+further exact oracle, the resultant of the Alexander polynomial with
 (t^k - 1)/(t - 1). For k = 2 the linking form on the torsion is
 x^t (A + A^t)^(-1) y mod 1.
 """
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, prod
+from math import comb, gcd, isqrt, prod
 from typing import Optional
 
 from . import intmat
@@ -51,10 +54,6 @@ class LambdaModulePresentation:
     @property
     def size(self):
         return self.matrix.n
-
-    def pencil(self):
-        a = self.matrix.as_lists()
-        return a, intmat.transpose(a)
 
     def determinant(self):
         """Order of the module: the normalized Alexander polynomial."""
@@ -230,22 +229,42 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     """Quotient of the Alexander module by (t^k - 1), split into torsion
     plus free rank, with the induced t-action on the torsion.
 
-    The torsion here is taken, by definition, as the torsion of
-    coker(S (x) A - I (x) A^t); for prime-power k it agrees with the
-    torsion of the cover homology and its order equals the resultant
-    oracle, which the test suite checks on every fixture.
+    V = A - A^t is unimodular, so G = V^(-1) A is an integer matrix and
+    tA - A^t = V((t - 1)G + I). On the module G is invertible and
+    t = I - G^(-1), so t^k = 1 exactly when G^k = (G - I)^k: the quotient
+    is coker R_k with the 2g x 2g matrix R_k = G^k - (G - I)^k. Write
+    x^k - (x - 1)^k = c_0 + x r(x) with c_0 = (-1)^(k+1); then on coker R_k
+    G^(-1) = -c_0 r(G) and t acts by I + c_0 r(G). One Smith form of R_k
+    gives the torsion and the free rank, and t is moved to its basis as
+    U T U^(-1). When R_k is nonsingular the transforms are kept mod
+    |det R_k|, which every invariant factor divides.
+
+    The torsion agrees with that of coker(S (x) A - I (x) A^t), S the
+    k-cycle shift, which the test suite recomputes by that route; for
+    prime-power k it is the torsion of the cover homology, and its order
+    equals the resultant oracle.
     """
     if k < 1:
         raise ValueError("k must be positive")
     n = pres.size
     if n == 0:
         return CyclicCoverHomology(FiniteLambdaModule.trivial(), 0)
-    a, at = pres.pencil()
-    shift = [[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)]
-    big = intmat.mat_sub(intmat.kron(shift, a), intmat.kron(intmat.identity(k), at))
-    t_big = intmat.kron(shift, intmat.identity(n))
-    snf = intmat.smith_form(big)
-    w = intmat.mat_mul(intmat.mat_mul(snf.u, t_big), snf.u_inv)
+    skew = intmat.smith_form(pres.matrix.antisymmetrization())
+    gamma = intmat.mat_mul(intmat.mat_mul(skew.v, skew.u), pres.matrix.as_lists())
+    # c_j = coefficient of x^j in x^k - (x - 1)^k; r(G) by Horner
+    c = [(-1) ** (k - j + 1) * comb(k, j) for j in range(k)]
+    r = [[0] * n for _ in range(n)]
+    for cj in reversed(c[1:]):
+        r = intmat.mat_mul(r, gamma)
+        for i in range(n):
+            r[i][i] += cj
+    rel = intmat.mat_mul(gamma, r)
+    t_mat = [[c[0] * x for x in row] for row in r]
+    for i in range(n):
+        rel[i][i] += c[0]
+        t_mat[i][i] += 1
+    snf = intmat.smith_form(rel, modulus=abs(intmat.det(rel)))
+    w = intmat.mat_mul(intmat.mat_mul(snf.u, t_mat), snf.u_inv)
     tor_idx = [i for i, d in enumerate(snf.d) if d not in (0, 1)]
     free_idx = [i for i, d in enumerate(snf.d) if d == 0]
     for i in free_idx:

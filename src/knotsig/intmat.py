@@ -125,7 +125,8 @@ class SmithForm:
 
     Attributes: d (diagonal entries, nonnegative, each dividing the next),
     u, u_inv, v. Diagonal length is min(rows, cols); entries beyond the
-    rank are zero.
+    rank are zero. With a modulus N the transforms are kept mod N, so
+    U * M * V = D and U * U_inv = I hold mod N (N = 0 means exactly).
     """
 
     def __init__(self, d, u, u_inv, v):
@@ -135,7 +136,12 @@ class SmithForm:
         self.v = v
 
 
-def smith_form(mat, rows=None, cols=None):
+def smith_form(mat, rows=None, cols=None, modulus=0):
+    """The Smith form of mat. d is always exact; a nonzero `modulus` keeps
+    the transforms mod it, so they stay its size instead of growing with
+    every elimination step. Any multiple of the last nonzero d_i, such as
+    |det| of a nonsingular square matrix, still gives the cokernel's
+    coordinates (U x)_i mod d_i."""
     if rows is None:
         rows = len(mat)
     if cols is None:
@@ -151,6 +157,10 @@ def smith_form(mat, rows=None, cols=None):
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
         for r in range(rows):
             ui[r][j] += q * ui[r][i]
+        if modulus:
+            u[i] = [a % modulus for a in u[i]]
+            for r in range(rows):
+                ui[r][j] %= modulus
 
     def row_swap(i, j):
         m[i], m[j] = m[j], m[i]
@@ -170,6 +180,9 @@ def smith_form(mat, rows=None, cols=None):
             m[r][i] -= q * m[r][j]
         for r in range(cols):
             v[r][i] -= q * v[r][j]
+        if modulus:
+            for r in range(cols):
+                v[r][i] %= modulus
 
     def col_swap(i, j):
         for r in range(rows):

@@ -11,6 +11,7 @@ modulo the N-th cyclotomic polynomial.
 from dataclasses import dataclass
 from itertools import product
 from math import lcm
+from typing import NamedTuple
 
 from .alexmod import CapExceeded, Character, FiniteLambdaModule, default_cap
 from .polyz import cyclotomic, pdivmod, pnorm
@@ -35,9 +36,10 @@ class ActionNotPeriodic(ValueError):
         self.m = m
 
 
-@dataclass(frozen=True)
-class SemidirectElement:
-    """Element (n, h) of Z x| F or Z/m x| F; h is a coordinate vector."""
+class SemidirectElement(NamedTuple):
+    """Element (n, h) of Z x| F or Z/m x| F; h is a coordinate vector. A
+    named tuple, so hashing and equality, done for every table lookup of
+    the group, run in C."""
 
     n: int
     h: tuple
@@ -77,10 +79,10 @@ def semidirect_elements(module: FiniteLambdaModule, m: int):
             yield SemidirectElement(n, h)
 
 
-@dataclass(frozen=True)
-class MonomialMatrix:
+class MonomialMatrix(NamedTuple):
     """Unitary monomial matrix: column j has its only nonzero entry at row
-    perm[j], with value exp(2*pi*i*turns[j]/modulus), 0 <= turns[j] < modulus."""
+    perm[j], with value exp(2*pi*i*turns[j]/modulus), 0 <= turns[j] < modulus.
+    A named tuple, like SemidirectElement."""
 
     perm: tuple
     turns: tuple

@@ -368,6 +368,82 @@ def groups_isomorphic_brute(elements, mul, other_elements, other_mul):
     return False
 
 
+def lambda_modules_isomorphic_brute(m1, m2):
+    """Whether two FiniteLambdaModules are isomorphic over Z[t, 1/t]: a
+    search for a group isomorphism that commutes with t, one image per
+    generator at a time (intended for orders up to about 10^3).
+
+    The graph of a map fixed on some generators is the submodule of
+    M1 x M2 their pairs generate, reached from 0 by adding a pair or
+    applying t; it must stay the graph of an injective map."""
+    if m1.torsion != m2.torsion:
+        return False  # the invariant factors decide the group
+    basis = [tuple(int(i == j) for j in range(m1.rank)) for i in range(m1.rank)]
+
+    def graph(pairs):
+        fwd, back = {m1.zero(): m2.zero()}, {m2.zero()}
+        frontier = [(m1.zero(), m2.zero())]
+        while frontier:
+            x, y = frontier.pop()
+            steps = [(m1.t_apply(x), m2.t_apply(y))]
+            steps += [(m1.add(x, a), m2.add(y, b)) for a, b in pairs]
+            for nx, ny in steps:
+                if nx in fwd or ny in back:
+                    if fwd.get(nx) != ny:
+                        return None
+                    continue
+                fwd[nx] = ny
+                back.add(ny)
+                frontier.append((nx, ny))
+        return fwd
+
+    def search(pairs, known):
+        if len(known) == m1.order():
+            return True
+        g = next(e for e in basis if e not in known)
+        for y in m2.elements():
+            ext = graph(pairs + [(g, y)])
+            if ext is not None and search(pairs + [(g, y)], ext):
+                return True
+        return False
+
+    return search([], graph([]))
+
+
+# --- cyclic cover homology from the Kronecker pencil -------------------------
+
+def cyclic_quotient_by_kronecker(pres, k):
+    """Torsion, free rank and t-action of the Alexander module mod t^k - 1
+    from the Smith form of the 2gk x 2gk matrix S (x) A - I (x) A^t, S the
+    k-cycle shift, with t = S (x) I moved to the normal-form basis (the
+    library reduces the 2g x 2g matrix G^k - (G - I)^k instead)."""
+    from knotsig import intmat
+    from knotsig.alexmod import CyclicCoverHomology, FiniteLambdaModule
+
+    if k < 1:
+        raise ValueError("k must be positive")
+    n = pres.size
+    if n == 0:
+        return CyclicCoverHomology(FiniteLambdaModule.trivial(), 0)
+    a = pres.matrix.as_lists()
+    at = intmat.transpose(a)
+    shift = [[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)]
+    big = intmat.mat_sub(intmat.kron(shift, a), intmat.kron(intmat.identity(k), at))
+    t_big = intmat.kron(shift, intmat.identity(n))
+    snf = intmat.smith_form(big)
+    w = intmat.mat_mul(intmat.mat_mul(snf.u, t_big), snf.u_inv)
+    tor_idx = [i for i, d in enumerate(snf.d) if d not in (0, 1)]
+    free_idx = [i for i, d in enumerate(snf.d) if d == 0]
+    for i in free_idx:
+        for j in tor_idx:
+            assert w[i][j] == 0, "t-action must preserve the torsion submodule"
+    torsion = tuple(snf.d[i] for i in tor_idx)
+    t_tor = tuple(tuple(w[i][j] % snf.d[i] for j in tor_idx) for i in tor_idx)
+    module = (FiniteLambdaModule.make(torsion, t_tor) if torsion
+              else FiniteLambdaModule.trivial())
+    return CyclicCoverHomology(module, len(free_idx))
+
+
 # --- polynomial gcd and division by Euclid over Q --------------------------
 
 def frac_pdivmod(p, q):

@@ -137,9 +137,12 @@ class TestCriterion4:
         t0 = time.monotonic()
         for a in (TREFOIL, FIGURE_EIGHT, SLICE4):
             pres = alexander_module(a)
-            for k in (2, 3, 4, 5, 7, 8, 9):
+            for k in range(2, 41):
                 hom = cyclic_quotient(pres, k)
                 res = torsion_order_by_resultant(a, k)
+                if res == 0:  # Delta vanishes at a k-th root of unity
+                    assert hom.free_rank > 0, (a.name, k)
+                    continue
                 assert hom.free_rank == 0
                 assert hom.module.order() == res, (a.name, k)
         hom2 = cyclic_quotient(alexander_module(TREFOIL), 2)

@@ -14,8 +14,9 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
 from knotsig import intmat
 from knotsig.seifert import validate_seifert
 
-from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert
-from oracles import action_order_brute, frac_inverse, is_invertible_by_factoring
+from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert, random_unimodular
+from oracles import (action_order_brute, cyclic_quotient_by_kronecker, frac_inverse,
+                     is_invertible_by_factoring, lambda_modules_isomorphic_brute)
 
 
 class TestPresentation:
@@ -99,6 +100,65 @@ class TestCyclicQuotient:
                     assert hom.module.order() == res
                 else:
                     assert hom.free_rank > 0
+
+
+class TestCoverRoutes:
+    """coker R_k against the Kronecker pencil S (x) A - I (x) A^t: the same
+    torsion and free rank, and Lambda-isomorphic torsion modules wherever
+    the order admits the brute-force search."""
+
+    @staticmethod
+    def _compare(a, k):
+        pres = alexander_module(a)
+        hom, ref = cyclic_quotient(pres, k), cyclic_quotient_by_kronecker(pres, k)
+        assert hom.module.torsion == ref.module.torsion, (a.entries, k)
+        assert hom.free_rank == ref.free_rank, (a.entries, k)
+        if hom.module.order() > 1000:
+            return False
+        assert lambda_modules_isomorphic_brute(hom.module, ref.module), (a.entries, k)
+        return True
+
+    def test_random_matrices(self):
+        rng = random.Random(5)
+        isomorphic = sum(self._compare(random_seifert(rng, rng.choice([1, 2, 3])),
+                                       rng.randrange(2, 13)) for _ in range(64))
+        assert isomorphic >= 12
+
+    @pytest.mark.parametrize("k", [2, 3, 6, 12])
+    @pytest.mark.parametrize("a", [TREFOIL, FIGURE_EIGHT, SLICE4],
+                             ids=["trefoil", "fig8", "slice4"])
+    def test_fixtures(self, a, k):
+        self._compare(a, k)
+
+    @pytest.mark.parametrize("genus, k", [(3, 40), (4, 200)])
+    def test_resultant_at_large_k(self, genus, k):
+        a = random_seifert(random.Random(7), genus)
+        hom = cyclic_quotient(alexander_module(a), k)
+        res = torsion_order_by_resultant(a, k)
+        assert res > 0 and hom.free_rank == 0
+        assert hom.module.order() == res
+
+
+class TestLambdaIsomorphismOracle:
+    def test_small_modules(self):
+        make = FiniteLambdaModule.make
+        assert lambda_modules_isomorphic_brute(make((5,), [[2]]), make((5,), [[2]]))
+        assert not lambda_modules_isomorphic_brute(make((5,), [[2]]), make((5,), [[3]]))
+        assert not lambda_modules_isomorphic_brute(make((4,), [[1]]), make((2, 2), [[1, 0], [0, 1]]))
+        # elements of order 3 in GL_2(F_2) are conjugate; a swap and the identity are not
+        assert lambda_modules_isomorphic_brute(make((2, 2), [[0, 1], [1, 1]]),
+                                               make((2, 2), [[1, 1], [1, 0]]))
+        assert not lambda_modules_isomorphic_brute(make((2, 2), [[0, 1], [1, 0]]),
+                                                   make((2, 2), [[1, 0], [0, 1]]))
+
+    def test_conjugate_actions(self):
+        rng = random.Random(31)
+        for p, r in ((2, 3), (3, 3), (5, 2), (7, 2), (2, 4)):
+            m = _random_module(rng, (p,) * r)
+            q = random_unimodular(rng, r)
+            q_inv = [[int(x) for x in row] for row in frac_inverse(q)]
+            t = intmat.mat_mul(intmat.mat_mul(q, [list(row) for row in m.t_matrix]), q_inv)
+            assert lambda_modules_isomorphic_brute(m, FiniteLambdaModule.make(m.torsion, t))
 
 
 class TestTPowers:

@@ -366,9 +366,15 @@ class TestGolden:
         '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 0}, '
         '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 1}, '
         '{"chi": [1], "dim": 2, "w_den": 3, "w_num": 2}]\n')
-    # the module `covers --k 3` prints for fixtures/slice_example.json
+    # the 3-fold cover module of fixtures/slice_example.json in the basis of
+    # the Kronecker pencil (oracles.cyclic_quotient_by_kronecker); `covers
+    # --k 3` prints a Lambda-isomorphic module in the basis of R_3 instead
     SLICE_K3 = {"torsion": [2, 2, 2, 2],
                 "t": [[0, 1, 0, 0], [1, 1, 0, 0], [0, 1, 0, 1], [1, 0, 1, 1]]}
+    COVERS_SLICE_K3 = (
+        '{"free_rank": 0, "k": 3, "module": {"t": [[0, 1, 0, 1], [1, 1, 1, 0], '
+        '[0, 0, 0, 1], [0, 0, 1, 1]], "torsion": [2, 2, 2, 2]}, '
+        '"resultant_order": 16, "torsion_order": 16}\n')
     REPS_SLICE_K3 = (
         '[{"chi": [0, 0, 0, 0], "dim": 1, "w_den": 3, "w_num": 0}, '
         '{"chi": [0, 0, 0, 0], "dim": 1, "w_den": 3, "w_num": 1}, '
@@ -387,6 +393,27 @@ class TestGolden:
         mod = tmp_path / "mod.json"
         mod.write_text(json.dumps(module))
         assert run_fresh(["reps", "--module", str(mod), "--m", str(m)]) == expected
+
+    def test_covers_slice_k3(self):
+        argv = ["covers", "--knot", str(FIXTURES / "slice_example.json"), "--k", "3"]
+        assert run_fresh(argv) == self.COVERS_SLICE_K3
+
+    def test_printed_slice_module_matches_kronecker_basis(self, tmp_path):
+        from knotsig import FiniteLambdaModule, alexander_module, read_knot
+        from oracles import cyclic_quotient_by_kronecker, lambda_modules_isomorphic_brute
+        a = read_knot(str(FIXTURES / "slice_example.json"))
+        ref = cyclic_quotient_by_kronecker(alexander_module(a), 3).module
+        assert ref.to_json_dict() == self.SLICE_K3
+        printed = json.loads(self.COVERS_SLICE_K3)["module"]
+        assert lambda_modules_isomorphic_brute(ref, FiniteLambdaModule.from_json_dict(printed))
+        # reps --m 3 finds as many classes, of the same dimensions, on both
+        classes = []
+        for module in (self.SLICE_K3, printed):
+            mod = tmp_path / "mod.json"
+            mod.write_text(json.dumps(module))
+            out = json.loads(run_fresh(["reps", "--module", str(mod), "--m", "3"]))
+            classes.append(sorted(c["dim"] for c in out))
+        assert classes[0] == classes[1] == [1, 1, 1, 3, 3, 3, 3, 3]
 
 
 class TestDeterminism:

@@ -15,8 +15,8 @@ from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
                            palindromic_compact, pdeg, pdivides, pdivmod, peval,
                            pgcd, pmul, pnorm, squarefree_part, sturm_chain,
                            sturm_count)
-from knotsig.intmat import (euler_phi, identity, mat_mul, mat_pow_mod,
-                            prime_factorization, xgcd)
+from knotsig.intmat import (det, euler_phi, identity, mat_mul, mat_pow_mod,
+                            prime_factorization, smith_form, xgcd)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
                              sign_at_cos_turn, RealAlgebraic)
 
@@ -384,6 +384,23 @@ class TestIntegerPrimitives:
         for _ in range(e):
             want = mat_mul(want, m)
         assert mat_pow_mod(m, e, mod) == [[x % mod for x in row] for row in want]
+
+    @given(st.integers(1, 5), st.integers(0, 10 ** 6))
+    @settings(max_examples=150, deadline=None)
+    def test_smith_transforms_mod_det(self, n, seed):
+        # the transforms kept mod |det| are the exact ones reduced
+        rng = random.Random(seed)
+        m = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+        big = abs(det(m))
+        exact, small = smith_form(m), smith_form(m, modulus=big)
+        assert small.d == exact.d
+        if big:
+            for got, want in ((small.u, exact.u), (small.u_inv, exact.u_inv), (small.v, exact.v)):
+                assert [[x % big for x in row] for row in got] == \
+                    [[x % big for x in row] for row in want]
+                assert all(abs(x) <= big for row in got for x in row)
+        else:
+            assert (small.u, small.u_inv, small.v) == (exact.u, exact.u_inv, exact.v)
 
 
 _POLY = st.lists(st.integers(-30, 30), max_size=9).map(pnorm)
