@@ -24,7 +24,7 @@ from typing import Optional
 
 from . import intmat
 from .knotio import frac_str
-from .polyz import cyclotomic, peval, resultant
+from .polyz import cyclotomic, pdivmod, peval, resultant
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -279,18 +279,36 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
 
 def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
     """|prod over j=1..k-1 of Delta(zeta_k^j)|, computed exactly as the
-    absolute resultant of Delta with (t^k - 1)/(t - 1). Zero signals an
+    absolute resultant of Delta with f = (t^k - 1)/(t - 1). Zero signals an
     infinite quotient (Delta vanishes at some k-th root of unity).
+
+    When deg f = m >= n = deg Delta >= 1, f is first reduced mod Delta by
+    pseudo-division, c f = Q Delta + R with c = |a|^(m - n + 1), a = lc
+    Delta, so that only a resultant of degree at most n is left:
+    Res(Delta, f) = a^m prod f(alpha) over the roots of Delta, and
+    c f(alpha) = R(alpha), so |Res(Delta, f)| = |a|^(m - deg R)
+    |Res(Delta, R)| / c^n.
 
     Independent of cyclic_quotient: no Smith form, no matrix pencils.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    delta = alexander_polynomial(a)
+    delta = list(alexander_polynomial(a).coeffs)
     if k == 1:
         return 1
-    q = [1] * k  # 1 + t + ... + t^(k-1)
-    return abs(resultant(list(delta.coeffs), q))
+    f = [1] * k  # 1 + t + ... + t^(k-1)
+    m, n = k - 1, len(delta) - 1
+    if n == 0 or m < n:
+        return abs(resultant(delta, f))
+    _, rem = pdivmod(f, delta)
+    if not rem:
+        return 0
+    lead = abs(delta[-1])
+    c = lead ** (m - n + 1)
+    num = lead ** (m - len(rem) + 1) * abs(resultant(delta, rem))
+    out, r = divmod(num, c ** n)
+    assert r == 0, "the resultant of Delta and f is an integer"
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 """Exact integer matrix utilities and the integer number-theory helpers.
 
-Matrices are lists of lists (row major). Smith normal form tracks the row
-transform and its inverse so module structure (like a group action) can be
-transported to the normal-form basis. This module is the one home of the
-integer primitives the library shares: determinant, characteristic
-polynomial, modular matrix power, extended gcd, prime factorization and
-Euler's phi.
+Matrices are lists of lists (row major). The Smith normal form logs the
+row and column operations of its elimination and replays the log into the
+row transform, its inverse or the column transform on first read, so
+module structure (like a group action) can be transported to the
+normal-form basis, and a caller that reads only the diagonal builds no
+transform. This module is the one home of the integer primitives the
+library shares: determinant, characteristic polynomial, modular matrix
+power, extended gcd, prime factorization and Euler's phi.
 """
+
+from functools import cached_property
 
 
 def identity(n):
@@ -68,18 +72,28 @@ def det(mat):
     sign = 1
     prev = 1
     for k in range(n - 1):
-        if m[k][k] == 0:
+        rk = m[k]
+        if rk[k] == 0:
             for i in range(k + 1, n):
                 if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
+                    m[k], m[i] = m[i], rk
+                    rk = m[k]
                     sign = -sign
                     break
             else:
                 return 0
+        p = rk[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
+            ri = m[i]
+            c = ri[k]
+            if c:
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * p - c * rk[j]) // prev
+            elif p != prev:
+                for j in range(k + 1, n):
+                    ri[j] = ri[j] * p // prev
+            # a zero c with p == prev leaves the row as it is
+        prev = p
     return sign * m[n - 1][n - 1]
 
 
@@ -125,15 +139,56 @@ class SmithForm:
 
     Attributes: d (diagonal entries, nonnegative, each dividing the next),
     u, u_inv, v. Diagonal length is min(rows, cols); entries beyond the
-    rank are zero. With a modulus N the transforms are kept mod N, so
-    U * M * V = D and U * U_inv = I hold mod N (N = 0 means exactly).
+    rank are zero. The elimination logs its row and column operations, and
+    each transform is built by replaying the log on its first read, so a
+    caller pays only for the transforms it reads. With a modulus N the
+    transforms are kept mod N, so U * M * V = D and U * U_inv = I hold
+    mod N (N = 0 means exactly).
     """
 
-    def __init__(self, d, u, u_inv, v):
+    def __init__(self, d, rows, cols, row_ops, col_ops, modulus):
         self.d = d
-        self.u = u
-        self.u_inv = u_inv
-        self.v = v
+        self._rows = rows
+        self._cols = cols
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+        self._modulus = modulus
+
+    @cached_property
+    def u(self):
+        return _replay(self._rows, self._row_ops, self._modulus)
+
+    @cached_property
+    def u_inv(self):
+        return transpose(_replay(self._rows, self._row_ops, self._modulus, dual=True))
+
+    @cached_property
+    def v(self):
+        # column operations on V are row operations on V^t
+        return transpose(_replay(self._cols, self._col_ops, self._modulus))
+
+
+def _replay(size, ops, modulus, dual=False):
+    """The identity of the given size after the logged row operations:
+    ("swap", i, j), ("neg", i) and ("axpy", i, j, q) for row_i -= q*row_j.
+    With dual, each operation's inverse transpose is applied instead, which
+    builds (U^-1)^t. Only the row an axpy changes is reduced mod a nonzero
+    modulus; a negation is not reduced."""
+    out = identity(size)
+    for op in ops:
+        kind, i = op[0], op[1]
+        if kind == "swap":
+            j = op[2]
+            out[i], out[j] = out[j], out[i]
+        elif kind == "neg":
+            out[i] = [-a for a in out[i]]
+        else:
+            j, q = op[2], op[3]
+            if dual:
+                i, j, q = j, i, -q
+            row = [a - q * b for a, b in zip(out[i], out[j])]
+            out[i] = [a % modulus for a in row] if modulus else row
+    return out
 
 
 def smith_form(mat, rows=None, cols=None, modulus=0):
@@ -141,113 +196,77 @@ def smith_form(mat, rows=None, cols=None, modulus=0):
     the transforms mod it, so they stay its size instead of growing with
     every elimination step. Any multiple of the last nonzero d_i, such as
     |det| of a nonsingular square matrix, still gives the cokernel's
-    coordinates (U x)_i mod d_i."""
+    coordinates (U x)_i mod d_i.
+
+    The elimination runs on the matrix alone, on the block b = M[s:, s:]
+    that is still open, and logs each operation with its global indices
+    for SmithForm to replay."""
     if rows is None:
         rows = len(mat)
     if cols is None:
         cols = len(mat[0]) if mat else 0
-    m = [row[:] for row in mat]
-    u = identity(rows)
-    ui = identity(rows)
-    v = identity(cols)
-
-    def row_axpy(i, j, q):
-        # row_i -= q * row_j
-        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
-        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
-        for r in range(rows):
-            ui[r][j] += q * ui[r][i]
-        if modulus:
-            u[i] = [a % modulus for a in u[i]]
-            for r in range(rows):
-                ui[r][j] %= modulus
-
-    def row_swap(i, j):
-        m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            ui[r][i], ui[r][j] = ui[r][j], ui[r][i]
-
-    def row_neg(i):
-        m[i] = [-a for a in m[i]]
-        u[i] = [-a for a in u[i]]
-        for r in range(rows):
-            ui[r][i] = -ui[r][i]
-
-    def col_axpy(i, j, q):
-        # col_i -= q * col_j
-        for r in range(rows):
-            m[r][i] -= q * m[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-        if modulus:
-            for r in range(cols):
-                v[r][i] %= modulus
-
-    def col_swap(i, j):
-        for r in range(rows):
-            m[r][i], m[r][j] = m[r][j], m[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, rows):
-            for j in range(s, cols):
-                x = abs(m[i][j])
-                if x and (best is None or x < best[0]):
-                    best = (x, i, j)
-        return best
-
-    def near_quot(a, b):
-        # quotient rounding a/b to nearest (b > 0), remainder in [-b/2, b/2]
-        return (a + (b >> 1)) // b
-
+    b = [row[:] for row in mat]
+    row_ops, col_ops, diag = [], [], []
     s = 0
     while True:
-        piv = find_pivot(s)
-        if piv is None:
-            break
-        # reduce with the globally smallest pivot until row and column are
-        # clear; nearest-quotient remainders at least halve the pivot each
-        # round, which also keeps the transform entries small
-        while True:
-            _, pi, pj = find_pivot(s)
-            if pi != s:
-                row_swap(s, pi)
-            if pj != s:
-                col_swap(s, pj)
-            if m[s][s] < 0:
-                row_neg(s)
-            d = m[s][s]
-            changed = False
-            for i in range(s + 1, rows):
-                if m[i][s]:
-                    row_axpy(i, s, near_quot(m[i][s], d))
-                    changed = changed or m[i][s] != 0
-            for j in range(s + 1, cols):
-                if m[s][j]:
-                    col_axpy(j, s, near_quot(m[s][j], d))
-                    changed = changed or m[s][j] != 0
-            if not changed:
-                break
-        # enforce divisibility of the rest of the block by the pivot
-        d = m[s][s]
-        offender = None
-        for i in range(s + 1, rows):
-            for j in range(s + 1, cols):
-                if m[i][j] % d != 0:
-                    offender = i
+        # the globally smallest nonzero |entry| of the block, first in
+        # row-major order; nearest-quotient remainders at least halve it
+        # each round, which also keeps the transform entries small
+        best, pi = None, 0
+        for i, row in enumerate(b):
+            x = min(map(abs, filter(None, row)), default=None)
+            if x is not None and (best is None or x < best):
+                best, pi = x, i
+                if x == 1:
                     break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_axpy(s, offender, -1)   # row_s += row_offender
+        if best is None:
+            break
+        pj = next(j for j, x in enumerate(b[pi]) if x == best or x == -best)
+        if pi:
+            b[0], b[pi] = b[pi], b[0]
+            row_ops.append(("swap", s, s + pi))
+        if pj:
+            for row in b:
+                row[0], row[pj] = row[pj], row[0]
+            col_ops.append(("swap", s, s + pj))
+        p = b[0]
+        if p[0] < 0:
+            b[0] = p = [-x for x in p]
+            row_ops.append(("neg", s))
+        d = p[0]
+        h = d >> 1
+        for i in range(1, len(b)):
+            c = b[i][0]
+            if c:
+                q = (c + h) // d
+                b[i] = [x - q * y for x, y in zip(b[i], p)]
+                row_ops.append(("axpy", s + i, s, q))
+        # a column operation changes no other column's entry in the pivot
+        # row, so the round's column quotients all come from p
+        qs = [(x + h) // d if x else 0 for x in p]
+        qs[0] = 0
+        for j, q in enumerate(qs):
+            if p[j] and j:
+                col_ops.append(("axpy", s + j, s, q))
+        for i, row in enumerate(b):
+            c = row[0]
+            if c:
+                b[i] = [x - q * c for x, q in zip(row, qs)]
+        if any(row[0] for row in b[1:]) or any(b[0][1:]):
             continue
+        # enforce divisibility of the rest of the block by the pivot
+        off = None
+        if d != 1:
+            off = next((i for i in range(1, len(b)) if any(x % d for x in b[i])), None)
+        if off is not None:
+            b[0] = [x + y for x, y in zip(b[0], b[off])]
+            row_ops.append(("axpy", s, s + off, -1))   # row_s += row_off
+            continue
+        diag.append(d)
+        b = [row[1:] for row in b[1:]]
         s += 1
-
-    d = [m[i][i] for i in range(min(rows, cols))]
-    return SmithForm(d, u, ui, v)
+    diag += [0] * (min(rows, cols) - len(diag))
+    return SmithForm(diag, rows, cols, row_ops, col_ops, modulus)
 
 
 def invariant_factors(mat):

@@ -6,9 +6,11 @@ diagonalization instead of Descartes counting, brute-force iteration
 instead of order-finding, commutant dimensions instead of orbit criteria.
 """
 
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
+from knotsig.intmat import identity
 from knotsig.polyz import pnorm
 
 
@@ -229,8 +231,10 @@ def char_poly_at_x_by_interpolation(a, x):
 
 
 def _frac_det(m):
+    """Determinant by Gaussian elimination over Q (entries taken as
+    Fractions, so integer input stays exact)."""
     n = len(m)
-    m = [row[:] for row in m]
+    m = [[Fraction(x) for x in row] for row in m]
     det = Fraction(1)
     for c in range(n):
         piv = next((r for r in range(c, n) if m[r][c] != 0), None)
@@ -442,6 +446,127 @@ def cyclic_quotient_by_kronecker(pres, k):
     module = (FiniteLambdaModule.make(torsion, t_tor) if torsion
               else FiniteLambdaModule.trivial())
     return CyclicCoverHomology(module, len(free_idx))
+
+
+# --- Smith normal form with eagerly built transforms -------------------------
+
+EagerSmithForm = namedtuple("EagerSmithForm", "d u u_inv v")
+
+
+def smith_form_eager(mat, rows=None, cols=None, modulus=0):
+    """The Smith form of mat, with the three transforms built eagerly, step by
+    step alongside the elimination (the library logs the steps and replays
+    them on first read). d is always exact; a nonzero `modulus` keeps
+    the transforms mod it, so they stay its size instead of growing with
+    every elimination step. Any multiple of the last nonzero d_i, such as
+    |det| of a nonsingular square matrix, still gives the cokernel's
+    coordinates (U x)_i mod d_i."""
+    if rows is None:
+        rows = len(mat)
+    if cols is None:
+        cols = len(mat[0]) if mat else 0
+    m = [row[:] for row in mat]
+    u = identity(rows)
+    ui = identity(rows)
+    v = identity(cols)
+
+    def row_axpy(i, j, q):
+        # row_i -= q * row_j
+        m[i] = [a - q * b for a, b in zip(m[i], m[j])]
+        u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        for r in range(rows):
+            ui[r][j] += q * ui[r][i]
+        if modulus:
+            u[i] = [a % modulus for a in u[i]]
+            for r in range(rows):
+                ui[r][j] %= modulus
+
+    def row_swap(i, j):
+        m[i], m[j] = m[j], m[i]
+        u[i], u[j] = u[j], u[i]
+        for r in range(rows):
+            ui[r][i], ui[r][j] = ui[r][j], ui[r][i]
+
+    def row_neg(i):
+        m[i] = [-a for a in m[i]]
+        u[i] = [-a for a in u[i]]
+        for r in range(rows):
+            ui[r][i] = -ui[r][i]
+
+    def col_axpy(i, j, q):
+        # col_i -= q * col_j
+        for r in range(rows):
+            m[r][i] -= q * m[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+        if modulus:
+            for r in range(cols):
+                v[r][i] %= modulus
+
+    def col_swap(i, j):
+        for r in range(rows):
+            m[r][i], m[r][j] = m[r][j], m[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    def find_pivot(s):
+        best = None
+        for i in range(s, rows):
+            for j in range(s, cols):
+                x = abs(m[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        return best
+
+    def near_quot(a, b):
+        # quotient rounding a/b to nearest (b > 0), remainder in [-b/2, b/2]
+        return (a + (b >> 1)) // b
+
+    s = 0
+    while True:
+        piv = find_pivot(s)
+        if piv is None:
+            break
+        # reduce with the globally smallest pivot until row and column are
+        # clear; nearest-quotient remainders at least halve the pivot each
+        # round, which also keeps the transform entries small
+        while True:
+            _, pi, pj = find_pivot(s)
+            if pi != s:
+                row_swap(s, pi)
+            if pj != s:
+                col_swap(s, pj)
+            if m[s][s] < 0:
+                row_neg(s)
+            d = m[s][s]
+            changed = False
+            for i in range(s + 1, rows):
+                if m[i][s]:
+                    row_axpy(i, s, near_quot(m[i][s], d))
+                    changed = changed or m[i][s] != 0
+            for j in range(s + 1, cols):
+                if m[s][j]:
+                    col_axpy(j, s, near_quot(m[s][j], d))
+                    changed = changed or m[s][j] != 0
+            if not changed:
+                break
+        # enforce divisibility of the rest of the block by the pivot
+        d = m[s][s]
+        offender = None
+        for i in range(s + 1, rows):
+            for j in range(s + 1, cols):
+                if m[i][j] % d != 0:
+                    offender = i
+                    break
+            if offender is not None:
+                break
+        if offender is not None:
+            row_axpy(s, offender, -1)   # row_s += row_offender
+            continue
+        s += 1
+
+    d = [m[i][i] for i in range(min(rows, cols))]
+    return EagerSmithForm(d, u, ui, v)
 
 
 # --- polynomial gcd and division by Euclid over Q --------------------------

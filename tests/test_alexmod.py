@@ -14,7 +14,8 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
 from knotsig import intmat
 from knotsig.seifert import validate_seifert
 
-from conftest import FIGURE_EIGHT, SLICE4, TREFOIL, random_seifert, random_unimodular
+from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, random_interesting_seifert, random_seifert,
+                      random_unimodular)
 from oracles import (action_order_brute, cyclic_quotient_by_kronecker, frac_inverse,
                      is_invertible_by_factoring, lambda_modules_isomorphic_brute)
 
@@ -100,6 +101,25 @@ class TestCyclicQuotient:
                     assert hom.module.order() == res
                 else:
                     assert hom.free_rank > 0
+
+    def test_reduced_resultant_equals_sylvester(self):
+        # f = 1 + ... + t^(k-1) is reduced mod Delta before the resultant;
+        # polyz.resultant on the full (k - 1 + deg Delta) Sylvester matrix
+        # is the reference
+        from knotsig.polyz import resultant
+        rng = random.Random(23)
+        knots = [validate_seifert([[0, 1], [0, 0]]), TREFOIL, FIGURE_EIGHT, SLICE4]
+        knots += [random_interesting_seifert(rng, rng.choice([1, 2, 3])) for _ in range(12)]
+        seen = Counter()
+        for a in knots:
+            delta = list(alexander_polynomial(a).coeffs)
+            for k in range(1, 41):
+                want = abs(resultant(delta, [1] * k)) if k > 1 else 1
+                assert torsion_order_by_resultant(a, k) == want, (a.entries, k)
+                seen["unit delta"] += delta == [1]
+                seen["zero"] += want == 0
+                seen["non-monic"] += abs(delta[-1]) > 1 and k >= len(delta)
+        assert min(seen.values()) > 0 and len(seen) == 3, seen
 
 
 class TestCoverRoutes:

@@ -416,6 +416,33 @@ class TestGolden:
         assert classes[0] == classes[1] == [1, 1, 1, 3, 3, 3, 3, 3]
 
 
+    # a conjugate of the block sum of three trefoils: H_1 of its double
+    # cover is (Z/3)^3, so the linking form's gram matrix and the printed
+    # modules pin the bases that the Smith transforms U^-1 and V give
+    TREFOIL3 = {"name": "trefoil3", "seifert": [
+        [-2, 0, 0, 1, -1, 1], [-1, -1, 0, 0, 0, 0], [0, 0, -1, 1, 1, 1],
+        [0, -1, 0, -2, 0, -1], [-1, 0, 1, -1, -2, 0], [0, 0, 0, -1, 0, -2]]}
+    COVERS_TREFOIL3 = {
+        2: ('{"free_rank": 0, "k": 2, "linking": {"gram": [["2/3", "0", "0"], '
+            '["0", "0", "1/3"], ["0", "1/3", "1/3"]], "t": [[2, 0, 0], [0, 2, 0], '
+            '[0, 0, 2]], "torsion": [3, 3, 3]}, "linking_metabolizers": [], '
+            '"module": {"t": [[2, 0, 0], [0, 2, 0], [0, 0, 2]], "torsion": [3, 3, 3]}, '
+            '"resultant_order": 27, "torsion_order": 27}\n'),
+        3: ('{"free_rank": 0, "k": 3, "module": {"t": [[0, 1, 1, 1, 0, 0], '
+            '[0, 0, 1, 0, 0, 0], [0, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 0], '
+            '[0, 1, 1, 1, 0, 1], [1, 0, 0, 0, 1, 1]], "torsion": [2, 2, 2, 2, 2, 2]}, '
+            '"resultant_order": 64, "torsion_order": 64}\n'),
+        5: ('{"free_rank": 0, "k": 5, "module": {"t": [], "torsion": []}, '
+            '"resultant_order": 1, "torsion_order": 1}\n'),
+    }
+
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_covers_trefoil3(self, tmp_path, k):
+        knot = tmp_path / "trefoil3.json"
+        knot.write_text(json.dumps(self.TREFOIL3))
+        argv = ["covers", "--knot", str(knot), "--k", str(k)]
+        assert run_fresh(argv) == self.COVERS_TREFOIL3[k]
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ["invariants", "--knot", str(FIXTURES / "trefoil.json")],

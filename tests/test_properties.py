@@ -15,8 +15,9 @@ from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
                            palindromic_compact, pdeg, pdivides, pdivmod, peval,
                            pgcd, pmul, pnorm, squarefree_part, sturm_chain,
                            sturm_count)
-from knotsig.intmat import (det, euler_phi, identity, mat_mul, mat_pow_mod,
-                            prime_factorization, smith_form, xgcd)
+from knotsig.intmat import (det, euler_phi, identity, kron, mat_mul, mat_pow_mod,
+                            mat_sub, prime_factorization, smith_form, transpose,
+                            xgcd)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
                              sign_at_cos_turn, RealAlgebraic)
 
@@ -401,6 +402,123 @@ class TestIntegerPrimitives:
                 assert all(abs(x) <= big for row in got for x in row)
         else:
             assert (small.u, small.u_inv, small.v) == (exact.u, exact.u_inv, exact.v)
+
+
+def _cover_pencil(a, k):
+    """S (x) A - I (x) A^t, S the k-cycle shift: the 2gk x 2gk relation
+    matrix of the k-fold cover."""
+    ent = a.as_lists()
+    shift = [[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)]
+    return mat_sub(kron(shift, ent), kron(identity(k), transpose(ent)))
+
+
+# a genus-3 matrix whose k = 20 pencil (120 x 120) is nonsingular
+PENCIL_G3_K20 = _cover_pencil(random_interesting_seifert(random.Random(2), 3), 20)
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Up to 8 x 8: square or rectangular, dense or sparse, sometimes with a
+    row that is a multiple of another (singular)."""
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8)) if draw(st.booleans()) else rows
+    bound = draw(st.sampled_from([1, 3, 30, 1000]))
+    zero_share = draw(st.sampled_from([0.0, 0.5, 0.8]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    m = [[0 if rng.random() < zero_share else rng.randint(-bound, bound) for _ in range(cols)]
+         for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        m[-1] = [rng.choice([-2, 1, 3]) * x for x in m[0]]
+    return m
+
+
+class TestSmithForm:
+    """smith_form builds its transforms by replaying the elimination's log;
+    they must be exactly those of the eager elimination (oracles) and satisfy
+    the defining identities, exactly and mod |det|."""
+
+    @staticmethod
+    def assert_matches_eager_and_identities(m, modulus=0):
+        snf = smith_form(m, modulus=modulus)
+        ref = oracles.smith_form_eager(m, modulus=modulus)
+        assert snf.d == ref.d
+        assert snf.u == ref.u and snf.u_inv == ref.u_inv and snf.v == ref.v
+        rows, cols = len(m), len(m[0]) if m else 0
+        diag = [[snf.d[i] if i == j else 0 for j in range(cols)] for i in range(rows)]
+        red = (lambda x: x % modulus) if modulus else (lambda x: x)
+        for got, want in ((mat_mul(mat_mul(snf.u, m), snf.v), diag),
+                          (mat_mul(snf.u, snf.u_inv), identity(rows))):
+            assert [[red(x) for x in row] for row in got] == \
+                [[red(x) for x in row] for row in want]
+
+    @given(small_int_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_replayed_transforms_equal_eager(self, m):
+        self.assert_matches_eager_and_identities(m)
+        if m and len(m) == len(m[0]) and det(m):
+            self.assert_matches_eager_and_identities(m, modulus=abs(det(m)))
+
+    def test_cover_pencil(self):
+        big = abs(det(PENCIL_G3_K20))
+        assert big
+        self.assert_matches_eager_and_identities(PENCIL_G3_K20, modulus=big)
+        self.assert_matches_eager_and_identities(PENCIL_G3_K20)
+
+    def test_transforms_built_on_first_read_only(self):
+        snf = smith_form(PENCIL_G3_K20)
+        assert math.prod(snf.d) == abs(det(PENCIL_G3_K20))
+        assert not {"u", "u_inv", "v"} & set(vars(snf))
+        assert snf.u is snf.u and snf.u_inv is snf.u_inv and snf.v is snf.v
+        assert {"u", "u_inv", "v"} <= set(vars(snf))
+
+    def test_cyclic_quotient_reads_only_the_transforms_it_needs(self, monkeypatch):
+        from knotsig import alexander_module, cyclic_quotient, intmat
+        made = []
+
+        def recording(*args, **kwargs):
+            made.append(smith_form(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(intmat, "smith_form", recording)
+        a = random_interesting_seifert(random.Random(5), 3)
+        assert cyclic_quotient(alexander_module(a), 12).module.order() > 1
+        skew, rel = made
+        # u, v of the skew form give G; u, u_inv of R_k move t to its basis
+        assert set(vars(skew)) & {"u", "u_inv", "v"} == {"u", "v"}
+        assert set(vars(rel)) & {"u", "u_inv", "v"} == {"u", "u_inv"}
+
+
+class TestDeterminant:
+    """The fraction-free Bareiss det against Gaussian elimination over Q,
+    on its edge structure: row swaps, skipped rows and singular input."""
+
+    CASES = [
+        [[0, 1], [1, 0]],                                   # zero leading entry
+        [[0, 2, 1], [3, 0, 1], [1, 1, 0]],
+        [[0, 0, 1], [0, 1, 0], [1, 0, 0]],                  # swap at every step
+        [[1, 2, 3], [0, 4, 5], [0, 6, 7]],                  # pivot 1 = previous 1
+        [[3, 1, 2], [0, 1, 5], [0, 0, 7]],                  # minors 3, 3: skip at k = 1
+        [[2, 1, 1, 4], [0, 1, 0, 2], [0, 0, 1, 3], [5, 0, 0, 1]],
+        [[1, 2], [2, 4]],                                   # singular
+        [[0, 1, 2], [0, 3, 4], [0, 5, 6]],                  # zero column
+        [[1, 2, 3], [4, 5, 6], [7, 8, 9]],                  # singular, last pivot 0
+        [[1, 2, 3], [2, 4, 5], [3, 7, 1]],                  # swap after a step
+        [[2, 4, 1], [1, 2, 5], [3, 6, 7]],                  # zero column after a step
+        [[7]], [[0]], [],
+    ]
+
+    @pytest.mark.parametrize("m", CASES)
+    def test_edge_cases(self, m):
+        assert det(m) == oracles._frac_det(m)
+
+    def test_cover_pencil(self):
+        assert det(PENCIL_G3_K20) == oracles._frac_det(PENCIL_G3_K20) != 0
+
+    @given(small_int_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_random(self, m):
+        if m and len(m) == len(m[0]):
+            assert det(m) == oracles._frac_det(m)
 
 
 _POLY = st.lists(st.integers(-30, 30), max_size=9).map(pnorm)
