@@ -31,6 +31,6 @@ from .mbreps import (SemidirectElement, MonomialMatrix, MetabelianRep,
 from .resolve import (ResolutionStep, ResolutionReport, WitnessRecord,
                       PrimeDividesLeading, finite_alexander_quotient,
                       order_of_t, build_resolution, quotient_group_order)
-from .knotio import read_knot, knot_json_dict
+from .knotio import read_knot
 
 __all__ = [name for name in dir() if not name.startswith("_")]

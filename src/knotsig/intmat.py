@@ -7,7 +7,7 @@ module structure (like a group action) can be transported to the
 normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
 library shares: determinant, characteristic polynomial, modular matrix
-power, extended gcd, prime factorization and Euler's phi.
+power, prime factorization and Euler's phi.
 """
 
 from functools import cached_property
@@ -271,46 +271,6 @@ def smith_form(mat, rows=None, cols=None, modulus=0):
 
 def invariant_factors(mat):
     return [x for x in smith_form(mat).d if x != 0]
-
-
-def lattice_row_basis(vectors):
-    """Echelon basis of the integer row span of the given vectors (row
-    operations only, so the lattice they generate is preserved)."""
-    basis = {}  # leading index -> row
-    for vec in vectors:
-        v = list(vec)
-        while True:
-            j = next((i for i, x in enumerate(v) if x), None)
-            if j is None:
-                break
-            if j not in basis:
-                if v[j] < 0:
-                    v = [-x for x in v]
-                basis[j] = v
-                break
-            b = basis[j]
-            if v[j] % b[j] == 0:
-                q = v[j] // b[j]
-                v = [x - q * y for x, y in zip(v, b)]
-            else:
-                x, y, g = xgcd(b[j], v[j])
-                new = [x * p + y * q for p, q in zip(b, v)]
-                v = [(b[j] // g) * q - (v[j] // g) * p for p, q in zip(b, v)]
-                basis[j] = new
-    return [basis[j] for j in sorted(basis)]
-
-
-def xgcd(a, b):
-    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return x, y, g
 
 
 def prime_factorization(n):

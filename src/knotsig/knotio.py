@@ -21,10 +21,6 @@ def read_knot(path) -> SeifertMatrix:
     return validate_seifert(data["seifert"], name=data.get("name"))
 
 
-def knot_json_dict(a: SeifertMatrix):
-    return {"name": a.name or "", "seifert": [list(r) for r in a.entries]}
-
-
 def frac_str(x) -> str:
     return str(Fraction(x))
 

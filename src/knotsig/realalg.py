@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .intmat import euler_phi
-from .polyz import (_sgn, cyclotomic, padd, pdivides, peval, pgcd, pdeg,
-                    pmul, pnorm)
+from .polyz import (_sgn, cos_minimal_poly, pdivides, peval, pgcd, pdeg,
+                    pnorm)
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
@@ -226,11 +226,11 @@ def sign_at_cos_turn(q, turn):
     """Exact sign of q(cos(2*pi*turn)) for an integer polynomial q and a
     rational turn.
 
-    Zero is certified symbolically: clearing denominators in
-    q((t + 1/t)/2) yields an integer polynomial whose value at
-    exp(2*pi*i*turn) vanishes iff q does at the cosine, which reduces the
-    zero test to divisibility by a cyclotomic polynomial. Nonzero signs
-    come from certified cosine enclosures refined until decisive.
+    Zero is certified symbolically: cos(2*pi*j/d) is a root of the
+    irreducible psi_d = cos_minimal_poly(d) of degree phi(d)/2 (d not in
+    the rational-cosine table), so q vanishes there iff psi_d divides q.
+    Nonzero signs come from certified cosine enclosures refined until
+    decisive.
     """
     q = pnorm(list(q))
     if not q:
@@ -240,16 +240,9 @@ def sign_at_cos_turn(q, turn):
     if r is not None:
         return _sgn(peval(q, r))
     d = turn.denominator
-    n = pdeg(q)
-    # H(t) = 2^n * t^n * q((t + 1/t)/2), an integer polynomial
-    h = []
-    for i, c in enumerate(q):
-        h = padd(h, pmul([0] * (n - i) + [c * 2 ** (n - i)], _ppow_t2p1(i)))
-    if not h:
-        return 0
-    # the cyclotomic polynomial is only needed when its degree phi(d) is
-    # small enough to divide h; phi itself is cheap even for huge d
-    if euler_phi(d) <= pdeg(h) and pdivides(list(cyclotomic(d)), h):
+    # psi_d is only built when its degree is small enough to divide q;
+    # phi itself is cheap even for huge d
+    if euler_phi(d) // 2 <= pdeg(q) and pdivides(list(cos_minimal_poly(d)), q):
         return 0
     bits = 16
     for _ in range(MAX_REFINE):
@@ -261,12 +254,6 @@ def sign_at_cos_turn(q, turn):
             return -1
         bits *= 2
     raise PrecisionExhausted("sign of polynomial at root-of-unity cosine")
-
-
-@lru_cache(maxsize=None)
-def _ppow_t2p1(i):
-    """(t^2 + 1)^i as a coefficient tuple."""
-    return tuple(pmul(_ppow_t2p1(i - 1), [1, 0, 1])) if i else (1,)
 
 
 def simplest_between(lo, hi):

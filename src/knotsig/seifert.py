@@ -3,7 +3,7 @@
 A Seifert matrix is a square integer matrix A of even size 2g whose
 antisymmetrization A - A^t is unimodular. From it we derive the Alexander
 polynomial det(tA - A^t) (normalized so its value at t=1 is +1), the Arf
-invariant via a symplectic basis, and half-rank direct summands on which
+invariant from det(A + A^t) mod 8, and half-rank direct summands on which
 the bilinear form vanishes (the algebraic sliceness condition).
 """
 
@@ -55,9 +55,6 @@ class SeifertMatrix:
     @property
     def genus(self):
         return self.n // 2
-
-    def row(self, i):
-        return self.entries[i]
 
     def symmetrization(self):
         """A + A^t."""
@@ -205,74 +202,11 @@ def alexander_polynomial(a):
     return poly
 
 
-def symplectic_basis(skew):
-    """Symplectic basis of Z^n for a unimodular antisymmetric integer matrix.
-
-    Returns (es, fs) with es[i]^t * skew * fs[j] = delta_ij and all other
-    pairings zero, via integer symplectic reduction.
-    """
-    n = len(skew)
-
-    def pair(u, v):
-        return sum(u[i] * skew[i][j] * v[j] for i in range(n) for j in range(n))
-
-    basis = [[int(i == j) for j in range(n)] for i in range(n)]
-    es, fs = [], []
-    while basis:
-        v = basis.pop(0)
-        # find w in the span of the remaining basis with <v, w> = 1;
-        # unimodularity makes the pairing values of v with the remaining
-        # vectors have gcd 1
-        vals = [pair(v, w) for w in basis]
-        g, coeff = _gcd_combination(vals)
-        assert g == 1, "pairing must be unimodular on the remaining span"
-        w = [sum(c * bv[i] for c, bv in zip(coeff, basis)) for i in range(n)]
-        assert pair(v, w) == 1
-        es.append(v)
-        fs.append(w)
-        reduced = []
-        for u in basis:
-            a, b = pair(u, v), pair(u, w)
-            nu = [u[i] + a * w[i] - b * v[i] for i in range(n)]
-            if any(nu):
-                reduced.append(nu)
-        # the projections span the symplectic complement lattice but need
-        # not be independent (w lay in the old span): re-extract a basis
-        basis = intmat.lattice_row_basis(reduced)
-    return es, fs
-
-
-def _gcd_combination(vals):
-    """gcd of vals and integer coefficients realizing it."""
-    g = 0
-    coeff = [0] * len(vals)
-    for i, v in enumerate(vals):
-        if v == 0:
-            continue
-        if g == 0:
-            g = abs(v)
-            coeff = [0] * len(vals)
-            coeff[i] = 1 if v > 0 else -1
-            continue
-        x, y, g2 = intmat.xgcd(g, v)
-        coeff = [x * c for c in coeff]
-        coeff[i] += y
-        g = g2
-    return g, coeff
-
-
 def arf_invariant(a):
-    """Arf invariant in Z/2: sum of q(e_i) q(f_i) over a symplectic basis,
-    with the quadratic refinement q(x) = x^t A x mod 2."""
-    if a.n == 0:
-        return 0
-    es, fs = symplectic_basis(a.antisymmetrization())
-    ent = a.entries
-
-    def q(x):
-        return sum(x[i] * ent[i][j] * x[j] for i in range(a.n) for j in range(a.n)) % 2
-
-    return sum(q(e) * q(f) for e, f in zip(es, fs)) % 2
+    """Arf invariant in Z/2, by Levine's congruence: it is 0 exactly when
+    Delta(-1) = det(-A - A^t) = det(A + A^t) (the size is even) is
+    1 or 7 mod 8. The unknot's empty determinant is 1, so its Arf is 0."""
+    return int(intmat.det(a.symmetrization()) % 8 in (3, 5))
 
 
 @dataclass(frozen=True)
@@ -304,8 +238,11 @@ def find_seifert_metabolizer(a, search_bound, required=False):
     Returns None when no metabolizer exists within the bound (which does not
     prove nonexistence); with required=True raises SearchExhausted instead.
     Candidates are primitive vectors, enumerated by increasing max-norm with
-    sign normalized, extended greedily to direct summands.
+    sign normalized, extended greedily to direct summands. A search_bound
+    below 1 would try no candidate, so it raises ValueError.
     """
+    if search_bound < 1:
+        raise ValueError("metabolizer search bound must be >= 1, or no vector is tried")
     n = a.n
     g = n // 2
     if g == 0:

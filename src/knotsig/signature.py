@@ -15,8 +15,9 @@ determinations of integer polynomials at an algebraic x:
 
   * counts of positive/negative eigenvalues come from Descartes' rule,
     which is exact for real-rooted polynomials;
-  * zero coefficients are certified symbolically (cyclotomic divisibility
-    for rational turns, gcd with the defining polynomial at breakpoints);
+  * zero coefficients are certified symbolically (divisibility by the
+    cosine's minimal polynomial for rational turns, gcd with the defining
+    polynomial at breakpoints);
   * nonzero signs come from certified interval refinement.
 
 sigma_z is a step function, constant on the arcs between the unit-circle
@@ -34,13 +35,13 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import char_poly, euler_phi
-from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
+from .polyz import (_variations, cyclotomic, isolate_roots, pdeg,
                     pdivides, palindromic_compact, peval, pinterpolate,
                     psubst_scale, pprimitive, cos_minimal_poly,
                     squarefree_part)
 from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
-                      _cos_scaled, cos_turn_bounds, cos_turn_rational,
-                      sign_at_cos_turn, simplest_between)
+                      _cos_scaled, cos_turn_bounds, sign_at_cos_turn,
+                      simplest_between)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -136,12 +137,7 @@ def tl_signature_at(a: SeifertMatrix, z: UnitRootAngle) -> int:
     if a.n == 0 or z.numerator == 0:
         return 0
     coeffs = _char_poly_in_x(a)
-    turn = z.turn
-    r = cos_turn_rational(turn)
-    if r is not None:
-        signs = [_sgn(peval(list(c), r)) for c in coeffs]
-    else:
-        signs = [sign_at_cos_turn(list(c), turn) for c in coeffs]
+    signs = [sign_at_cos_turn(list(c), z.turn) for c in coeffs]
     return _signature_from_signs(signs)
 
 

@@ -3,7 +3,8 @@
 Every routine here recomputes a quantity by a different method than the
 library uses: cofactor expansion instead of interpolation, congruence
 diagonalization instead of Descartes counting, brute-force iteration
-instead of order-finding, commutant dimensions instead of orbit criteria.
+instead of order-finding, commutant dimensions instead of orbit criteria,
+an integer symplectic basis instead of Levine's det(A + A^t) mod 8.
 """
 
 from collections import namedtuple
@@ -614,3 +615,115 @@ def frac_squarefree_part(p):
     quot, rem = frac_pdivmod(p, frac_pgcd(p, deriv) or [1])
     assert not rem
     return _frac_primitive(quot)
+
+
+# --- Arf invariant from an integer symplectic basis -------------------------
+
+def xgcd(a, b):
+    """(x, y, g) with a*x + b*y = g = gcd(a, b) >= 0."""
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
+    while ng:
+        q = g // ng
+        x, nx = nx, x - q * nx
+        y, ny = ny, y - q * ny
+        g, ng = ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, g
+
+
+def lattice_row_basis(vectors):
+    """Echelon basis of the integer row span of the given vectors (row
+    operations only, so the lattice they generate is preserved)."""
+    basis = {}  # leading index -> row
+    for vec in vectors:
+        v = list(vec)
+        while True:
+            j = next((i for i, x in enumerate(v) if x), None)
+            if j is None:
+                break
+            if j not in basis:
+                if v[j] < 0:
+                    v = [-x for x in v]
+                basis[j] = v
+                break
+            b = basis[j]
+            if v[j] % b[j] == 0:
+                q = v[j] // b[j]
+                v = [x - q * y for x, y in zip(v, b)]
+            else:
+                x, y, g = xgcd(b[j], v[j])
+                new = [x * p + y * q for p, q in zip(b, v)]
+                v = [(b[j] // g) * q - (v[j] // g) * p for p, q in zip(b, v)]
+                basis[j] = new
+    return [basis[j] for j in sorted(basis)]
+
+
+def _gcd_combination(vals):
+    """gcd of vals and integer coefficients realizing it."""
+    g = 0
+    coeff = [0] * len(vals)
+    for i, v in enumerate(vals):
+        if v == 0:
+            continue
+        if g == 0:
+            g = abs(v)
+            coeff = [0] * len(vals)
+            coeff[i] = 1 if v > 0 else -1
+            continue
+        x, y, g2 = xgcd(g, v)
+        coeff = [x * c for c in coeff]
+        coeff[i] += y
+        g = g2
+    return g, coeff
+
+
+def symplectic_basis(skew):
+    """Symplectic basis of Z^n for a unimodular antisymmetric integer matrix.
+
+    Returns (es, fs) with es[i]^t * skew * fs[j] = delta_ij and all other
+    pairings zero, via integer symplectic reduction.
+    """
+    n = len(skew)
+
+    def pair(u, v):
+        return sum(u[i] * skew[i][j] * v[j] for i in range(n) for j in range(n))
+
+    basis = [[int(i == j) for j in range(n)] for i in range(n)]
+    es, fs = [], []
+    while basis:
+        v = basis.pop(0)
+        # find w in the span of the remaining basis with <v, w> = 1;
+        # unimodularity makes the pairing values of v with the remaining
+        # vectors have gcd 1
+        vals = [pair(v, w) for w in basis]
+        g, coeff = _gcd_combination(vals)
+        assert g == 1, "pairing must be unimodular on the remaining span"
+        w = [sum(c * bv[i] for c, bv in zip(coeff, basis)) for i in range(n)]
+        assert pair(v, w) == 1
+        es.append(v)
+        fs.append(w)
+        reduced = []
+        for u in basis:
+            a, b = pair(u, v), pair(u, w)
+            nu = [u[i] + a * w[i] - b * v[i] for i in range(n)]
+            if any(nu):
+                reduced.append(nu)
+        # the projections span the symplectic complement lattice but need
+        # not be independent (w lay in the old span): re-extract a basis
+        basis = lattice_row_basis(reduced)
+    return es, fs
+
+
+def arf_by_symplectic_basis(a):
+    """Arf invariant in Z/2: sum of q(e_i) q(f_i) over a symplectic basis,
+    with the quadratic refinement q(x) = x^t A x mod 2."""
+    if a.n == 0:
+        return 0
+    es, fs = symplectic_basis(a.antisymmetrization())
+    ent = a.entries
+
+    def q(x):
+        return sum(x[i] * ent[i][j] * x[j] for i in range(a.n) for j in range(a.n)) % 2
+
+    return sum(q(e) * q(f) for e, f in zip(es, fs)) % 2

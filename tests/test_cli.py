@@ -248,6 +248,13 @@ class TestErrors:
         assert code == 2
         assert "witness bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bound", ["-1", "0"])
+    def test_invariants_bound_below_one(self, capsys, bound):
+        code = main(["invariants", "--knot", str(FIXTURES / "trefoil.json"),
+                     "--bound", bound])
+        assert code == 2
+        assert "search bound" in capsys.readouterr().err
+
     def test_resolve_prime_divides_constant(self, capsys):
         code = main(["resolve", "--delta", "2,-1,1", "--p", "2", "--depth", "2"])
         assert code == 2
@@ -384,6 +391,21 @@ class TestGolden:
         '{"chi": [0, 0, 1, 1], "dim": 3, "w_den": 1, "w_num": 0}, '
         '{"chi": [0, 1, 0, 0], "dim": 3, "w_den": 1, "w_num": 0}, '
         '{"chi": [0, 1, 1, 0], "dim": 3, "w_den": 1, "w_num": 0}]\n')
+
+    INVARIANTS = {
+        "cinquefoil": '{"alexander": "t^4-t^3+t^2-t+1", "arf": 1, "genus": 2}\n',
+        "figure_eight": '{"alexander": "-t^2+3t-1", "arf": 1, "genus": 1}\n',
+        "slice_example": ('{"alexander": "t^4-2t^3+3t^2-2t+1", "arf": 0, "genus": 2, '
+                          '"metabolizer": [[1, 0, 0, 0], [0, 1, 0, 0]]}\n'),
+        "trefoil": '{"alexander": "t^2-t+1", "arf": 1, "genus": 1}\n',
+        "twist": '{"alexander": "2t^2-3t+2", "arf": 0, "genus": 1}\n',
+        "unknot": '{"alexander": "1", "arf": 0, "genus": 0, "metabolizer": []}\n',
+    }
+
+    @pytest.mark.parametrize("name", sorted(INVARIANTS))
+    def test_invariants(self, name):
+        argv = ["invariants", "--knot", str(FIXTURES / f"{name}.json")]
+        assert run_fresh(argv) == self.INVARIANTS[name]
 
     @pytest.mark.parametrize("module, m, expected", [
         ({"torsion": [3], "t": [[2]]}, 6, REPS_Z3),

@@ -16,13 +16,13 @@ from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
                            pgcd, pmul, pnorm, squarefree_part, sturm_chain,
                            sturm_count)
 from knotsig.intmat import (det, euler_phi, identity, kron, mat_mul, mat_pow_mod,
-                            mat_sub, prime_factorization, smith_form, transpose,
-                            xgcd)
+                            mat_sub, prime_factorization, smith_form, transpose)
 from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
                              sign_at_cos_turn, RealAlgebraic)
 
 import oracles
-from conftest import random_interesting_seifert
+from conftest import random_interesting_seifert, random_seifert
+from oracles import xgcd
 
 
 @st.composite
@@ -78,6 +78,33 @@ class TestAlexanderInvariants:
     @settings(max_examples=60, deadline=None)
     def test_arf_is_a_bit(self, a):
         assert arf_invariant(a) in (0, 1)
+
+
+@st.composite
+def seifert_up_to_genus(draw, genus_max=6):
+    """A Seifert matrix of genus 0..genus_max: random or biased toward
+    unit-circle Alexander roots, conjugated or not, or a block sum of two."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if genus_max >= 2 and draw(st.booleans()):
+        g = draw(st.integers(1, genus_max - 1))
+        return block_sum(draw(seifert_up_to_genus(genus_max=g)),
+                         draw(seifert_up_to_genus(genus_max=genus_max - g)))
+    genus = draw(st.integers(0, genus_max))
+    conjugate = draw(st.booleans())
+    if draw(st.booleans()):
+        return random_interesting_seifert(rng, genus, conjugate=conjugate)
+    return random_seifert(rng, genus, bound=draw(st.integers(1, 5)),
+                          conjugate=conjugate)
+
+
+class TestArfInvariant:
+    """Levine's det(A + A^t) mod 8 against the Arf sum over a symplectic
+    basis."""
+
+    @given(seifert_up_to_genus())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_symplectic_oracle(self, a):
+        assert arf_invariant(a) == oracles.arf_by_symplectic_basis(a)
 
 
 class TestCertifiedEnclosures:
@@ -348,7 +375,8 @@ class TestSignAtCosTurn:
 
 
 class TestIntegerPrimitives:
-    """The shared integer helpers of intmat against their definitions."""
+    """The shared integer helpers of intmat, and the oracles' xgcd, against
+    their definitions."""
 
     @given(st.integers(-10 ** 12, 10 ** 12), st.integers(-10 ** 12, 10 ** 12))
     @settings(max_examples=300, deadline=None)
