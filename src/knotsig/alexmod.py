@@ -33,10 +33,11 @@ class DegenerateForm(ValueError):
 
 
 class CapExceeded(RuntimeError):
-    """Enumeration would exceed the configured group-order cap."""
+    """Enumeration would exceed the configured cap; noun names what is
+    counted (a group order unless said otherwise)."""
 
-    def __init__(self, order, cap):
-        super().__init__(f"group order {order} exceeds cap {cap}")
+    def __init__(self, order, cap, noun="group order"):
+        super().__init__(f"{noun} {order} exceeds cap {cap}")
         self.order = order
         self.cap = cap
 

@@ -14,9 +14,7 @@ guaranteed. No floating point is used.
 from fractions import Fraction
 from functools import lru_cache
 
-from .intmat import euler_phi
-from .polyz import (_sgn, cos_minimal_poly, pdivides, peval, pgcd, pdeg,
-                    pnorm)
+from .polyz import _sgn, peval, pgcd, pdeg, pnorm
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
@@ -72,12 +70,6 @@ def _pi_scaled(p):
     return lo, hi
 
 
-def pi_bounds(bits):
-    """Rational lo < pi < hi with hi - lo <= 2**(1-bits) (Machin formula)."""
-    lo, hi = _pi_scaled(bits)
-    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
-
-
 def _cos_scaled(a, b, p):
     """Integers lo <= cos(2*pi*a/b) * 2**p <= hi for 0 <= a/b <= 1/2.
 
@@ -128,19 +120,6 @@ def cos_turn_bounds(turn, bits):
     lo, hi = Fraction(lo, 1 << p), Fraction(hi, 1 << p)
     _COS[turn] = (bits, lo, hi)
     return lo, hi
-
-
-#: Rational values of cos(2*pi*j/d); the only rational turns with rational
-#: cosine (Niven).
-_COS_RATIONAL = {1: Fraction(1), 2: Fraction(-1), 3: Fraction(-1, 2),
-                 4: Fraction(0), 6: Fraction(1, 2)}
-
-
-def cos_turn_rational(turn):
-    """cos(2*pi*turn) as an exact Fraction when it is rational, else None."""
-    turn = Fraction(turn)
-    d = turn.denominator
-    return _COS_RATIONAL.get(d)
 
 
 def poly_eval_interval(p, lo, hi):
@@ -220,64 +199,3 @@ class RealAlgebraic:
         if self.value is not None:
             return f"RealAlgebraic({self.value})"
         return f"RealAlgebraic(poly={self.poly}, ({self.lo}, {self.hi}))"
-
-
-def sign_at_cos_turn(q, turn):
-    """Exact sign of q(cos(2*pi*turn)) for an integer polynomial q and a
-    rational turn.
-
-    Zero is certified symbolically: cos(2*pi*j/d) is a root of the
-    irreducible psi_d = cos_minimal_poly(d) of degree phi(d)/2 (d not in
-    the rational-cosine table), so q vanishes there iff psi_d divides q.
-    Nonzero signs come from certified cosine enclosures refined until
-    decisive.
-    """
-    q = pnorm(list(q))
-    if not q:
-        return 0
-    turn = Fraction(turn)
-    r = cos_turn_rational(turn)
-    if r is not None:
-        return _sgn(peval(q, r))
-    d = turn.denominator
-    # psi_d is only built when its degree is small enough to divide q;
-    # phi itself is cheap even for huge d
-    if euler_phi(d) // 2 <= pdeg(q) and pdivides(list(cos_minimal_poly(d)), q):
-        return 0
-    bits = 16
-    for _ in range(MAX_REFINE):
-        lo, hi = cos_turn_bounds(turn, bits)
-        vlo, vhi = poly_eval_interval(q, lo, hi)
-        if vlo > 0:
-            return 1
-        if vhi < 0:
-            return -1
-        bits *= 2
-    raise PrecisionExhausted("sign of polynomial at root-of-unity cosine")
-
-
-def simplest_between(lo, hi):
-    """The rational with smallest denominator (then smallest numerator) in
-    the open interval (lo, hi). Requires lo < hi."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if not lo < hi:
-        raise ValueError("empty interval")
-    if lo < 0:
-        if hi > 0:
-            return Fraction(0)
-        return -simplest_between(-hi, -lo)
-
-    def rec(a, b):
-        # 0 <= a < b
-        n = a.numerator // a.denominator
-        if n + 1 < b:
-            return Fraction(n + 1)
-        frac_a = a - n
-        frac_b = b - n
-        if frac_a == 0:
-            # simplest in (0, frac_b): 1/q with smallest q
-            q = frac_b.denominator // frac_b.numerator + 1
-            return n + Fraction(1, q)
-        return n + 1 / rec(1 / frac_b, 1 / frac_a)
-
-    return rec(lo, hi)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Optional
 
-from .alexmod import FiniteLambdaModule
+from .alexmod import CapExceeded, FiniteLambdaModule, default_cap
 from .intmat import prime_factorization
 from .seifert import IntLaurentPoly
 
@@ -136,15 +136,21 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     k_i > i and k_(i-1) | k_i (any multiple of the exact order still acts
     trivially, so correctness is preserved). s_i defaults to i; a list
     s_schedule[i - 1] may be supplied instead. Witnesses default to all nonzero
-    (n, h) with |n| and the coefficients of h bounded by witness_bound;
-    an unseparated witness is recorded, not fatal (the depth may simply be
-    too small)."""
+    (n, h) with |n| and the coefficients of h bounded by witness_bound,
+    (2 * witness_bound + 1)^(deg + 1) - 1 of them, capped like every
+    enumeration (KNOTSIG_CAP, else 10**6); an explicit witness list is not
+    capped. An unseparated witness is recorded, not fatal (the depth may
+    simply be too small)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if witnesses is None and witness_bound < 1:
         raise ValueError("witness bound must be >= 1, or no witness is checked")
     delta = delta.canonical()
     deg = delta.degree
+    if witnesses is None:
+        count, cap = (2 * witness_bound + 1) ** (deg + 1) - 1, default_cap()
+        if count > cap:
+            raise CapExceeded(count, cap, "witness count")
 
     steps = []
     k_prev = 1

@@ -10,23 +10,22 @@ Faddeev-LeVerrier over Z at the nodes z = -n..n, each coefficient is
 recovered in z by exact Newton interpolation, and palindromy in z turns it
 into a polynomial in x = (z + 1/z)/2. Exact divisions and palindromy are
 asserted along the way. That one symbolic characteristic polynomial,
-computed once per matrix, turns every signature query into exact sign
-determinations of integer polynomials at an algebraic x:
-
-  * counts of positive/negative eigenvalues come from Descartes' rule,
-    which is exact for real-rooted polynomials;
-  * zero coefficients are certified symbolically (divisibility by the
-    cosine's minimal polynomial for rational turns, gcd with the defining
-    polynomial at breakpoints);
-  * nonzero signs come from certified interval refinement.
+computed once per matrix, turns every signature into the signs of its
+coefficients at x, and counts of positive/negative eigenvalues come from
+Descartes' rule, which is exact for real-rooted polynomials.
 
 sigma_z is a step function, constant on the arcs between the unit-circle
 roots of the Alexander polynomial. Those breakpoints are isolated exactly
 by Sturm bisection of the compactified polynomial in x = cos(theta); the
 ones at roots of unity are recognised from the cyclotomic factors Phi_d of
 the Alexander polynomial, searched only over the d with phi(d) <= its
-degree. Root-of-unity averages of sigma then reduce to counting grid
-points per arc and the circle integral reduces to certified arc measures.
+degree. Each arc is sampled at a rational x, where the coefficient signs
+are plain integer arithmetic. Only the breakpoints are algebraic: there
+zero coefficients are certified symbolically, by a gcd with the defining
+polynomial, and nonzero signs by certified interval refinement. Every
+signature at a root of unity is then a lookup in the step function,
+root-of-unity averages reduce to counting grid points per arc, and the
+circle integral reduces to certified arc measures.
 """
 
 from dataclasses import dataclass
@@ -35,13 +34,12 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import char_poly, euler_phi
-from .polyz import (_variations, cyclotomic, isolate_roots, pdeg,
+from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
                     pdivides, palindromic_compact, peval, pinterpolate,
                     psubst_scale, pprimitive, cos_minimal_poly,
                     squarefree_part)
 from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
-                      _cos_scaled, cos_turn_bounds, sign_at_cos_turn,
-                      simplest_between)
+                      _cos_scaled, cos_turn_bounds)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -113,18 +111,20 @@ def _char_poly_in_x(a: SeifertMatrix):
     return tuple(out)
 
 
-def _signature_from_signs(signs):
-    """Signature from the coefficient signs of a real-rooted monic
-    polynomial, zeros dropped. Descartes' rule is exact here; the identity
-    pos + neg + zeros = degree certifies it."""
-    n = len(signs) - 1
+def _signature_at_x(a: SeifertMatrix, sign_of) -> int:
+    """Signature at the circle points with cos(theta) = x, given sign_of(c),
+    the exact sign of c(x) for an integer polynomial c. The hemisphere is
+    irrelevant: the characteristic polynomial depends on x only. Descartes'
+    rule on its coefficient signs, zeros dropped, is exact since it is
+    real-rooted; the identity pos + neg + zeros = degree certifies it."""
+    signs = [sign_of(list(c)) for c in _char_poly_in_x(a)]
     m = 0
-    while m <= n and signs[m] == 0:
+    while signs[m] == 0:  # the leading coefficient is 1
         m += 1
     tail = signs[m:]
     pos = _variations(tail)
     neg = _variations([s if i % 2 == 0 else -s for i, s in enumerate(tail)])
-    assert pos + neg + m == n, "sign pattern inconsistent with real-rootedness"
+    assert pos + neg + m == a.n, "sign pattern inconsistent with real-rootedness"
     return pos - neg
 
 
@@ -133,22 +133,9 @@ def tl_signature_at(a: SeifertMatrix, z: UnitRootAngle) -> int:
 
     Zero eigenvalues contribute nothing, so the value is well defined even
     at singular points (the unit-circle roots of the Alexander polynomial).
+    A lookup in the (cached) step function.
     """
-    if a.n == 0 or z.numerator == 0:
-        return 0
-    coeffs = _char_poly_in_x(a)
-    signs = [sign_at_cos_turn(list(c), z.turn) for c in coeffs]
-    return _signature_from_signs(signs)
-
-
-def _signature_at_algebraic(a: SeifertMatrix, x: RealAlgebraic) -> int:
-    """Signature at the circle point with cos(theta) = x (hemisphere is
-    irrelevant: the characteristic polynomial depends on x only)."""
-    if a.n == 0:
-        return 0
-    coeffs = _char_poly_in_x(a)
-    signs = [x.sign_of_poly(list(c)) for c in coeffs]
-    return _signature_from_signs(signs)
+    return signature_function(a).value_at(z)
 
 
 # breakpoints --------------------------------------------------------------
@@ -420,36 +407,32 @@ class SignatureFunction:
 @lru_cache(maxsize=None)
 def signature_function(a: SeifertMatrix) -> SignatureFunction:
     """Compute the full signature step function: exact breakpoints, one
-    sampled value per open arc, and exact values at the breakpoints."""
+    sampled value per open arc, and exact values at the breakpoints.
+
+    sigma depends on x = cos(theta) alone, so every arc is sampled at a
+    rational x: an upper arc between the isolating intervals of its
+    breakpoints (they share at most endpoints, which are not roots), the
+    arc through theta = pi at x = -1, and the arc through z = 1 strictly
+    between the largest root and 1. Lower arcs and points mirror the upper
+    ones (sigma(conj z) = sigma(z)).
+    """
+    def at_rational(x):
+        return _signature_at_x(a, lambda c: _sgn(peval(c, x)))
+
     bps = _compute_breakpoints(a)
+    uppers = [bp.x for bp in bps[:len(bps) // 2]]  # decreasing x
+    upper_arcs = [at_rational((x_next.hi + x.lo) / 2)
+                  for x, x_next in zip(uppers, uppers[1:])]
+    through_pi = at_rational(Fraction(-1))
     if not bps:
-        sample = tl_signature_at(a, UnitRootAngle(1, 2)) if a.n else 0
-        return SignatureFunction(a, (), (sample,), ())
-    # refine turn enclosures until pairwise disjoint and below turn 1, so
-    # every arc, the one through z = 1 too, has a gap to sample from
-    width = Fraction(1, 64)
-    while True:
-        encl = [bp.turn_bounds(width) for bp in bps]
-        if encl[-1][1] < 1 and all(encl[i][1] < encl[i + 1][0]
-                                   for i in range(len(encl) - 1)):
-            break
-        width /= 16
-    arc_values = []
-    for i in range(len(bps)):
-        if i + 1 < len(bps):
-            gap = (encl[i][1], encl[i + 1][0])
-        else:
-            gap = (encl[i][1], Fraction(1))
-        t = simplest_between(gap[0], gap[1])
-        arc_values.append(tl_signature_at(a, UnitRootAngle(t.numerator, t.denominator)))
-    point_cache = {}
-    point_values = []
-    for bp in bps:
-        key = id(bp.x)
-        if key not in point_cache:
-            point_cache[key] = _signature_at_algebraic(a, bp.x)
-        point_values.append(point_cache[key])
-    return SignatureFunction(a, bps, arc_values, point_values)
+        return SignatureFunction(a, (), (through_pi,), ())
+    top = uppers[0]
+    while top.hi >= 1:
+        top.refine()
+    wrap = at_rational((top.hi + 1) / 2)
+    arc_values = upper_arcs + [through_pi] + upper_arcs[::-1] + [wrap]
+    upper_points = [_signature_at_x(a, x.sign_of_poly) for x in uppers]
+    return SignatureFunction(a, bps, arc_values, upper_points + upper_points[::-1])
 
 
 # eta invariants and approximation ------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from knotsig import SeifertMatrix, validate_seifert
+from knotsig.intmat import kron
 
 FIXTURE_DIR = Path(__file__).parent.parent / "fixtures"
 
@@ -84,6 +85,17 @@ def random_interesting_seifert(rng: random.Random, genus: int,
         pt = [[p[j][i] for j in range(n)] for i in range(n)]
         a = _mat_mul(_mat_mul(pt, a), p)
     return validate_seifert(a)
+
+
+def torus_seifert(p: int, q: int) -> SeifertMatrix:
+    """Seifert matrix -(S_p (x) S_q) of the torus knot T(p, q), where S_n is
+    the (n-1) x (n-1) matrix with 1 on the diagonal and -1 just above it:
+    the join (Sebastiani-Thom) form of x^p + y^q."""
+    def s(n):
+        return [[1 if j == i else -1 if j == i + 1 else 0 for j in range(n - 1)]
+                for i in range(n - 1)]
+    return validate_seifert([[-x for x in row] for row in kron(s(p), s(q))],
+                            name=f"T({p},{q})")
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = None):

@@ -4,15 +4,20 @@ Every routine here recomputes a quantity by a different method than the
 library uses: cofactor expansion instead of interpolation, congruence
 diagonalization instead of Descartes counting, brute-force iteration
 instead of order-finding, commutant dimensions instead of orbit criteria,
-an integer symplectic basis instead of Levine's det(A + A^t) mod 8.
+an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
+signs at certified cosine enclosures instead of signs at a rational
+cos(theta) inside each arc.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from knotsig.intmat import identity
-from knotsig.polyz import pnorm
+from knotsig.intmat import euler_phi, identity
+from knotsig.polyz import _sgn, cos_minimal_poly, pdeg, pdivides, peval, pnorm
+from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
+                             cos_turn_bounds, poly_eval_interval)
+from knotsig.signature import _signature_at_x
 
 
 # --- determinant of a polynomial matrix by cofactor expansion -------------
@@ -727,3 +732,67 @@ def arf_by_symplectic_basis(a):
         return sum(x[i] * ent[i][j] * x[j] for i in range(a.n) for j in range(a.n)) % 2
 
     return sum(q(e) * q(f) for e, f in zip(es, fs)) % 2
+
+
+# --- signatures at rational turns through cosine enclosures ----------------
+
+def pi_bounds(bits):
+    """Rational lo < pi < hi with hi - lo <= 2**(1-bits) (Machin formula)."""
+    lo, hi = _pi_scaled(bits)
+    return Fraction(lo, 1 << bits), Fraction(hi, 1 << bits)
+
+
+#: Rational values of cos(2*pi*j/d); the only rational turns with rational
+#: cosine (Niven).
+_COS_RATIONAL = {1: Fraction(1), 2: Fraction(-1), 3: Fraction(-1, 2),
+                 4: Fraction(0), 6: Fraction(1, 2)}
+
+
+def cos_turn_rational(turn):
+    """cos(2*pi*turn) as an exact Fraction when it is rational, else None."""
+    turn = Fraction(turn)
+    d = turn.denominator
+    return _COS_RATIONAL.get(d)
+
+
+def sign_at_cos_turn(q, turn):
+    """Exact sign of q(cos(2*pi*turn)) for an integer polynomial q and a
+    rational turn.
+
+    Zero is certified symbolically: cos(2*pi*j/d) is a root of the
+    irreducible psi_d = cos_minimal_poly(d) of degree phi(d)/2 (d not in
+    the rational-cosine table), so q vanishes there iff psi_d divides q.
+    Nonzero signs come from certified cosine enclosures refined until
+    decisive.
+    """
+    q = pnorm(list(q))
+    if not q:
+        return 0
+    turn = Fraction(turn)
+    r = cos_turn_rational(turn)
+    if r is not None:
+        return _sgn(peval(q, r))
+    d = turn.denominator
+    # psi_d is only built when its degree is small enough to divide q;
+    # phi itself is cheap even for huge d
+    if euler_phi(d) // 2 <= pdeg(q) and pdivides(list(cos_minimal_poly(d)), q):
+        return 0
+    bits = 16
+    for _ in range(MAX_REFINE):
+        lo, hi = cos_turn_bounds(turn, bits)
+        vlo, vhi = poly_eval_interval(q, lo, hi)
+        if vlo > 0:
+            return 1
+        if vhi < 0:
+            return -1
+        bits *= 2
+    raise PrecisionExhausted("sign of polynomial at root-of-unity cosine")
+
+
+def tl_signature_by_cos_enclosure(a, z):
+    """Signature at z = e^(2*pi*i*j/k) from the signs of the characteristic
+    coefficients at cos(2*pi*j/k) itself, with no step function: the route
+    the library took before it sampled arcs at rational cos(theta)."""
+    if z.numerator == 0:
+        return 0
+    return _signature_at_x(a, lambda c: sign_at_cos_turn(c, z.turn))

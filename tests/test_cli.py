@@ -255,6 +255,17 @@ class TestErrors:
         assert code == 2
         assert "search bound" in capsys.readouterr().err
 
+    def test_resolve_witnesses_over_cap(self, capsys, monkeypatch):
+        # degree 4 at bound 2: 5^5 - 1 = 3124 default witnesses
+        monkeypatch.setenv("KNOTSIG_CAP", "1000")
+        code = main(["resolve", "--delta", "1,-3,5,-3,1", "--p", "5", "--depth", "1",
+                     "--witness-bound", "2"])
+        assert code == 4
+        assert "witness count 3124 exceeds cap 1000" in capsys.readouterr().err
+        monkeypatch.setenv("KNOTSIG_CAP", "3124")
+        assert main(["resolve", "--delta", "1,-3,5,-3,1", "--p", "5", "--depth", "1",
+                     "--witness-bound", "2"]) == 0
+
     def test_resolve_prime_divides_constant(self, capsys):
         code = main(["resolve", "--delta", "2,-1,1", "--p", "2", "--depth", "2"])
         assert code == 2

@@ -17,12 +17,11 @@ from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
                            sturm_count)
 from knotsig.intmat import (det, euler_phi, identity, kron, mat_mul, mat_pow_mod,
                             mat_sub, prime_factorization, smith_form, transpose)
-from knotsig.realalg import (cos_turn_bounds, pi_bounds, simplest_between,
-                             sign_at_cos_turn, RealAlgebraic)
+from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
 from conftest import random_interesting_seifert, random_seifert
-from oracles import xgcd
+from oracles import pi_bounds, sign_at_cos_turn, xgcd
 
 
 @st.composite
@@ -50,7 +49,8 @@ class TestSignatureInvariants:
     @given(small_seifert(), angles())
     @settings(max_examples=80, deadline=None)
     def test_step_function_lookup_matches_pointwise(self, a, z):
-        assert signature_function(a).value_at(z) == tl_signature_at(a, z)
+        assert signature_function(a).value_at(z) == \
+            oracles.tl_signature_by_cos_enclosure(a, z)
 
     @given(small_seifert(), small_seifert(), angles())
     @settings(max_examples=60, deadline=None)
@@ -61,7 +61,7 @@ class TestSignatureInvariants:
     @given(small_seifert(), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_eta_sum_matches_direct(self, a, k):
-        direct = sum(tl_signature_at(a, UnitRootAngle.of(j, k))
+        direct = sum(oracles.tl_signature_by_cos_enclosure(a, UnitRootAngle.of(j, k))
                      for j in range(1, k + 1))
         assert eta_cyclic(a, k) == direct
 
@@ -95,6 +95,47 @@ def seifert_up_to_genus(draw, genus_max=6):
         return random_interesting_seifert(rng, genus, conjugate=conjugate)
     return random_seifert(rng, genus, bound=draw(st.integers(1, 5)),
                           conjugate=conjugate)
+
+
+@st.composite
+def seifert_with_doubles(draw):
+    """A conjugated genus 1..4 matrix biased toward unit-circle roots, or a
+    block sum K # K of one of genus 1..2, whose roots are all repeated."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    if draw(st.booleans()):
+        k = random_interesting_seifert(rng, draw(st.integers(1, 2)))
+        return block_sum(k, k)
+    return random_interesting_seifert(rng, draw(st.integers(1, 4)))
+
+
+class TestArcSamples:
+    """Every arc value against the congruence oracle at another rational
+    cos(theta) inside the arc, with no characteristic polynomial."""
+
+    @given(seifert_with_doubles(),
+           st.fractions(min_value=0, max_value=1, max_denominator=50)
+           .filter(lambda t: 0 < t < 1))
+    @settings(max_examples=80, deadline=None)
+    def test_arcs_against_congruence_oracle(self, a, t):
+        sf = signature_function(a)
+        u = len(sf.breakpoints) // 2
+        xs = [bp.x for bp in sf.breakpoints[:u]]  # decreasing cos(theta)
+        # the arc through theta = pi, the only arc without breakpoints
+        assert sf.arc_values[u - 1 if u else 0] == \
+            oracles.tl_signature_by_congruence(a, Fraction(-1))
+        if not u:
+            return
+        for i, (x, x_next) in enumerate(zip(xs, xs[1:])):
+            # isolating intervals share at most endpoints, none a root
+            sample = x_next.hi + t * (x.lo - x_next.hi)
+            assert sf.arc_values[i] == oracles.tl_signature_by_congruence(a, sample)
+        assert sf.arc_values[u - 1] == \
+            oracles.tl_signature_by_congruence(a, -1 + t * (xs[-1].lo + 1))
+        assert sf.arc_values[-1] == 0 == \
+            oracles.tl_signature_by_congruence(a, xs[0].hi + t * (1 - xs[0].hi))
+        # sigma(conj z) = sigma(z): the lower half mirrors the upper one
+        assert sf.arc_values[u:-1] == sf.arc_values[:u - 1][::-1]
+        assert sf.point_values[u:] == sf.point_values[:u][::-1]
 
 
 class TestArfInvariant:
@@ -131,20 +172,6 @@ class TestCertifiedEnclosures:
         ref = math.cos(2 * math.pi * float(turn))
         assert float(lo) - 1e-9 <= ref <= float(hi) + 1e-9
         assert hi - lo <= Fraction(1, 2 ** 38)
-
-    @given(st.fractions(min_value=-10, max_value=10, max_denominator=60),
-           st.fractions(min_value=-10, max_value=10, max_denominator=60))
-    @settings(max_examples=150, deadline=None)
-    def test_simplest_between(self, a, b):
-        if a == b:
-            return
-        lo, hi = min(a, b), max(a, b)
-        s = simplest_between(lo, hi)
-        assert lo < s < hi
-        # no fraction with a smaller denominator lies inside the interval
-        for den in range(1, s.denominator):
-            first = lo.numerator * den // lo.denominator + 1
-            assert not lo < Fraction(first, den) < hi
 
 
 class TestRootIsolation:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from knotsig import (IntLaurentPoly, PrimeDividesLeading, SemidirectElement,
+from knotsig import (CapExceeded, IntLaurentPoly, PrimeDividesLeading, SemidirectElement,
                      build_resolution, enumerate_irreps,
                      finite_alexander_quotient, order_of_t,
                      quotient_group_order, semidirect_mul)
@@ -139,6 +139,19 @@ class TestBuildResolution:
         # explicit witnesses make the bound irrelevant
         report = build_resolution(PHI6, 5, 2, witnesses=[(0, (1, 0))], witness_bound=bound)
         assert report.witnesses[0].separated_at == 1
+
+    def test_default_witnesses_capped(self, monkeypatch):
+        # PHI6 at bound 2: 5^3 - 1 = 124 default witnesses
+        monkeypatch.setenv("KNOTSIG_CAP", "123")
+        with pytest.raises(CapExceeded) as exc:
+            build_resolution(PHI6, 5, 1, witness_bound=2)
+        assert (exc.value.order, exc.value.cap) == (124, 123)
+        assert "witness count" in str(exc.value)
+        # explicit witness lists are not capped
+        many = [(n, (0, 0)) for n in range(1, 200)]
+        assert len(build_resolution(PHI6, 5, 1, witnesses=many).witnesses) == 199
+        monkeypatch.setenv("KNOTSIG_CAP", "124")
+        assert len(build_resolution(PHI6, 5, 1, witness_bound=2).witnesses) == 124
 
     def test_s_schedule_validation(self):
         with pytest.raises(ValueError):

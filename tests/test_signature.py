@@ -8,12 +8,13 @@ from knotsig import (UnitRootAngle, alexander_polynomial,
                      breakpoints, eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
-from knotsig.realalg import cos_turn_bounds, simplest_between
+from knotsig.realalg import cos_turn_bounds
 from knotsig.polyz import cyclotomic, pdivides
 from knotsig.signature import _char_poly_in_x, _root_of_unity_orders
 
-from conftest import random_interesting_seifert, random_seifert
-from oracles import tl_signature_by_congruence
+from conftest import TREFOIL, random_interesting_seifert, random_seifert, torus_seifert
+from oracles import (sign_at_cos_turn, tl_signature_by_congruence,
+                     tl_signature_by_cos_enclosure)
 
 
 def angle(j, k):
@@ -124,7 +125,8 @@ class TestSignatureFunction:
         sf = signature_function(trefoil)
         for k in (5, 6, 7, 12):
             for j in range(k):
-                assert sf.value_at(angle(j, k)) == tl_signature_at(trefoil, angle(j, k))
+                assert sf.value_at(angle(j, k)) == \
+                    tl_signature_by_cos_enclosure(trefoil, angle(j, k))
 
     def test_step_constancy_on_arcs(self):
         rng = random.Random(37)
@@ -132,7 +134,8 @@ class TestSignatureFunction:
             a = random_seifert(rng, rng.choice([1, 2]))
             sf = signature_function(a)
             for j in range(1, 40):
-                assert sf.value_at(angle(j, 40)) == tl_signature_at(a, angle(j, 40))
+                assert sf.value_at(angle(j, 40)) == \
+                    tl_signature_by_cos_enclosure(a, angle(j, 40))
 
 
 class TestEtaCyclic:
@@ -153,7 +156,8 @@ class TestEtaCyclic:
 
     def test_counting_agrees_with_direct_summation(self, trefoil):
         for k in (5, 6, 8, 360):
-            direct = sum(tl_signature_at(trefoil, angle(j, k)) for j in range(1, k + 1))
+            direct = sum(tl_signature_by_cos_enclosure(trefoil, angle(j, k))
+                         for j in range(1, k + 1))
             assert eta_cyclic(trefoil, k) == direct
 
     def test_counting_agrees_on_random_matrices(self):
@@ -161,7 +165,8 @@ class TestEtaCyclic:
         for _ in range(4):
             a = random_seifert(rng, rng.choice([1, 2]))
             for k in (7, 12, 30):
-                direct = sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1))
+                direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
+                             for j in range(1, k + 1))
                 assert eta_cyclic(a, k) == direct
 
     def test_ten_factorial_exact(self, trefoil):
@@ -267,7 +272,8 @@ class TestRicherFixtures:
         assert sf.arc_values == (2, 0, 2, 0)
         assert sf.point_values == (1, 1, 1, 1)
         for k in (6, 10, 12, 30):
-            direct = sum(tl_signature_at(mix, angle(j, k)) for j in range(1, k + 1))
+            direct = sum(tl_signature_by_cos_enclosure(mix, angle(j, k))
+                         for j in range(1, k + 1))
             assert eta_cyclic(mix, k) == direct
 
 
@@ -281,7 +287,8 @@ class TestCornerGeometry:
         sf = signature_function(a)
         assert sf.arc_values == (2, 0) and sf.point_values == (1, 1)
         for k in (7, 40, 353):
-            direct = sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1))
+            direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
+                         for j in range(1, k + 1))
             assert eta_cyclic(a, k) == direct
 
     def test_two_nearby_breakpoints(self):
@@ -292,7 +299,8 @@ class TestCornerGeometry:
         assert sf.arc_values == (2, 4, 2, 0)
         assert sf.point_values == (1, 3, 3, 1)
         for k in (11, 100):
-            direct = sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1))
+            direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
+                         for j in range(1, k + 1))
             assert eta_cyclic(a, k) == direct
         lo, hi = l2_eta_abelian(a, Fraction(1, 10 ** 9))
         assert hi - lo <= Fraction(1, 10 ** 9)
@@ -300,14 +308,15 @@ class TestCornerGeometry:
     @pytest.mark.parametrize("d", [104, 500])
     def test_breakpoint_within_a_64th_turn_of_one(self, d):
         # Alexander polynomial Dt^2 - (2D-1)t + D: x = 1 - 1/(2D), turn
-        # ~ 1/(2 pi sqrt(D)) < 1/64, so the first enclosure width leaves no
-        # gap between the last breakpoint and turn 1
+        # ~ 1/(2 pi sqrt(D)) < 1/64, so the wrap arc is sampled in a sliver
+        # of x and its turn enclosures must be narrow to count grid points
         a = validate_seifert([[d, 1], [0, 1]])
         sf = signature_function(a)
         assert sf.arc_values == (2, 0) and sf.point_values == (1, 1)
         assert sf.breakpoints[-1].turn_bounds(Fraction(1, 10 ** 6))[0] > Fraction(63, 64)
         for k in (7, 64, 100, 353):
-            direct = sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1))
+            direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
+                         for j in range(1, k + 1))
             assert eta_cyclic(a, k) == direct
         eps = Fraction(1, 10 ** 9)
         lo, hi = l2_eta_abelian(a, eps)
@@ -372,13 +381,32 @@ class TestCompactForm:
                 assert tl_signature_at(a, angle(j, k)) == expected
                 assert sf.value_at(angle(j, k)) == expected
         for j in range(24):
-            assert sf.value_at(angle(j, 24)) == tl_signature_at(a, angle(j, 24))
+            assert sf.value_at(angle(j, 24)) == tl_signature_by_cos_enclosure(a, angle(j, 24))
 
     def test_phi12_breakpoints(self):
         sf = signature_function(validate_seifert(self.PHI12))
         assert [bp.exact_turn for bp in sf.breakpoints] == \
             [Fraction(j, 12) for j in (1, 5, 7, 11)]
         assert sf.arc_values == (-2, 0, -2, 0)
+
+
+class TestTorusKnots:
+    """T(p, q) from conftest.torus_seifert against closed forms."""
+
+    def test_trefoil_is_t23(self):
+        assert torus_seifert(2, 3).entries == TREFOIL.entries
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (3, 4), (2, 7), (3, 5),
+                                      (2, 11), (3, 7), (4, 5)])
+    def test_l2_integral_closed_form(self, p, q):
+        # the circle integral of the Tristram-Levine signature of T(p, q)
+        # is -(p - 1/p)(q - 1/q)/3 (Collins 2010; Borodzik 2010)
+        a = torus_seifert(p, q)
+        assert a.n == (p - 1) * (q - 1)
+        expected = -(p - Fraction(1, p)) * (q - Fraction(1, q)) / 3
+        eps = Fraction(1, 10 ** 12)
+        lo, hi = l2_eta_abelian(a, eps)
+        assert lo <= expected <= hi and hi - lo <= eps
 
 
 class TestRootOfUnityOrders:
@@ -425,13 +453,5 @@ class TestDeterminantVanishing:
         sf = signature_function(trefoil)
         for bp in sf.breakpoints:
             assert bp.x.sign_of_poly(det_poly) == 0
-        from knotsig.realalg import sign_at_cos_turn
         for j, k in ((1, 5), (1, 4), (2, 7), (1, 12)):
             assert sign_at_cos_turn(det_poly, Fraction(j, k)) != 0
-
-    def test_simplest_between(self):
-        assert simplest_between(Fraction(1, 10), Fraction(1, 2)) == Fraction(1, 3)
-        assert simplest_between(Fraction(5, 12), Fraction(7, 12)) == Fraction(1, 2)
-        assert simplest_between(Fraction(-1, 3), Fraction(1, 7)) == 0
-        s = simplest_between(Fraction(355, 1130), Fraction(356, 1130))
-        assert Fraction(355, 1130) < s < Fraction(356, 1130)
