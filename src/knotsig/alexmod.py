@@ -13,7 +13,6 @@ further exact oracle, the resultant of the Alexander polynomial with
 x^t (A + A^t)^(-1) y mod 1.
 """
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,25 +24,12 @@ from typing import Optional
 from . import intmat
 from .knotio import frac_str
 from .polyz import cyclotomic, pdivmod, peval, resultant
-from .seifert import SeifertMatrix, alexander_polynomial
+from .seifert import (CapExceeded, SeifertMatrix, alexander_polynomial,
+                      default_cap)
 
 
 class DegenerateForm(ValueError):
     """The symmetrized matrix is singular; the would-be finite form is not."""
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration would exceed the configured cap; noun names what is
-    counted (a group order unless said otherwise)."""
-
-    def __init__(self, order, cap, noun="group order"):
-        super().__init__(f"{noun} {order} exceeds cap {cap}")
-        self.order = order
-        self.cap = cap
-
-
-def default_cap():
-    return int(os.environ.get("KNOTSIG_CAP", "1000000"))
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ row transform, its inverse or the column transform on first read, so
 module structure (like a group action) can be transported to the
 normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
-library shares: determinant, characteristic polynomial, modular matrix
-power, prime factorization and Euler's phi.
+library shares: determinant, signature of a symmetric matrix,
+characteristic polynomial, modular matrix power, prime factorization and
+Euler's phi.
 """
 
 from functools import cached_property
@@ -95,6 +96,47 @@ def det(mat):
             # a zero c with p == prev leaves the row as it is
         prev = p
     return sign * m[n - 1][n - 1]
+
+
+def congruence_signature(mat):
+    """Signature of a symmetric integer matrix, by fraction-free symmetric
+    Gaussian elimination: Bareiss with diagonal pivots.
+
+    After each pivot the open block holds the Schur complement times the
+    last pivot, which is the leading principal minor of a symmetric
+    permutation of the matrix, so every division is exact; that is
+    asserted. The Schur pivot is the quotient of consecutive minors, and
+    its sign is counted. A block with a zero diagonal and a nonzero
+    entry b_ij gets the congruence u_i += u_j, which makes b_ii = 2*b_ij;
+    applied to the whole matrix it changes no minor of the pivots taken,
+    so exactness is kept. A zero block contributes nothing."""
+    b = [list(row) for row in mat]
+    sig = 0
+    prev = 1
+    while b:
+        piv = next((i for i, row in enumerate(b) if row[i]), None)
+        if piv is None:
+            pair = next(((i, j) for i, row in enumerate(b)
+                         for j, x in enumerate(row) if x), None)
+            if pair is None:
+                break
+            piv, j = pair
+            b[piv] = [x + y for x, y in zip(b[piv], b[j])]
+            for row in b:
+                row[piv] += row[j]
+        p = b[piv][piv]
+        sig += 1 if (p > 0) == (prev > 0) else -1
+        prow = b.pop(piv)
+        del prow[piv]
+        col = [row.pop(piv) for row in b]
+        # the block stays symmetric: update the upper triangle, mirror it
+        for i, (row, c) in enumerate(zip(b, col)):
+            for j in range(i, len(b)):
+                q, r = divmod(p * row[j] - c * prow[j], prev)
+                assert r == 0, "Bareiss division must be exact"
+                row[j] = b[j][i] = q
+        prev = p
+    return sig
 
 
 def mat_pow_mod(m, e, mod):

@@ -175,6 +175,19 @@ class RealAlgebraic:
                 raise PrecisionExhausted("interval refinement stalled")
         return self.lo, self.hi
 
+    def compare(self, r):
+        """Exact sign of r - alpha for a rational r, without refining: the
+        isolating interval decides it, or, for r inside it, one sign of the
+        squarefree polynomial (its only root there is alpha)."""
+        if self.value is not None:
+            return _sgn(r - self.value)
+        if r <= self.lo:
+            return -1
+        if r >= self.hi:
+            return 1
+        s = _sgn(peval(self.poly, r))
+        return 0 if s == 0 else -1 if s == self._sign_lo else 1
+
     def sign_of_poly(self, q):
         """Exact sign of q(alpha) for an integer polynomial q."""
         q = pnorm(list(q))

@@ -7,6 +7,7 @@ invariant from det(A + A^t) mod 8, and half-rank direct summands on which
 the bilinear form vanishes (the algebraic sliceness condition).
 """
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,6 +32,20 @@ class OddSize(ValueError):
 
 class NotUnimodular(ValueError):
     """det(A - A^t) is not 1."""
+
+
+class CapExceeded(RuntimeError):
+    """Enumeration would exceed the configured cap; noun names what is
+    counted (a group order unless said otherwise)."""
+
+    def __init__(self, order, cap, noun="group order"):
+        super().__init__(f"{noun} {order} exceeds cap {cap}")
+        self.order = order
+        self.cap = cap
+
+
+def default_cap():
+    return int(os.environ.get("KNOTSIG_CAP", "1000000"))
 
 
 class SearchExhausted(RuntimeError):
@@ -239,7 +254,9 @@ def find_seifert_metabolizer(a, search_bound, required=False):
     prove nonexistence); with required=True raises SearchExhausted instead.
     Candidates are primitive vectors, enumerated by increasing max-norm with
     sign normalized, extended greedily to direct summands. A search_bound
-    below 1 would try no candidate, so it raises ValueError.
+    below 1 would try no candidate, so it raises ValueError. Each candidate
+    the backtracking tries is a step, and more than default_cap() steps
+    raise CapExceeded.
     """
     if search_bound < 1:
         raise ValueError("metabolizer search bound must be >= 1, or no vector is tried")
@@ -265,10 +282,16 @@ def find_seifert_metabolizer(a, search_bound, required=False):
                                   tuple(abs(x) for x in v[::-1]), v[::-1]))
         cands.extend(layer)
 
+    cap, steps = default_cap(), 0
+
     def extend(chosen, start):
+        nonlocal steps
         if len(chosen) == g:
             return tuple(chosen)
         for idx in range(start, len(cands)):
+            steps += 1
+            if steps > cap:
+                raise CapExceeded(steps, cap, noun="metabolizer search steps")
             v = cands[idx]
             if not _isotropic_with(a, chosen, v):
                 continue

@@ -2,41 +2,48 @@
 
 For a Seifert matrix A and z on the unit circle, sigma_z is the signature
 of the Hermitian matrix H(z) = (1-z)A + (1-conj(z))A^t. Writing z = x + iy
-this matrix is (1-x)(A+A^t) - iy(A-A^t), and its characteristic polynomial
-has coefficients that are integer polynomials in x alone. They are found
-in integer arithmetic only: z*H(z) = (z-z^2)A + (z-1)A^t is an integer
-matrix at integer z, its characteristic polynomial comes from
-Faddeev-LeVerrier over Z at the nodes z = -n..n, each coefficient is
-recovered in z by exact Newton interpolation, and palindromy in z turns it
-into a polynomial in x = (z + 1/z)/2. Exact divisions and palindromy are
-asserted along the way. That one symbolic characteristic polynomial,
-computed once per matrix, turns every signature into the signs of its
-coefficients at x, and counts of positive/negative eigenvalues come from
-Descartes' rule, which is exact for real-rooted polynomials.
+this matrix is (1-x)S - iyT with S = A + A^t and T = A - A^t, so sigma
+depends on x = cos(theta) alone.
 
 sigma_z is a step function, constant on the arcs between the unit-circle
-roots of the Alexander polynomial. Those breakpoints are isolated exactly
-by Sturm bisection of the compactified polynomial in x = cos(theta); the
-ones at roots of unity are recognised from the cyclotomic factors Phi_d of
-the Alexander polynomial, searched only over the d with phi(d) <= its
-degree. Each arc is sampled at a rational x, where the coefficient signs
-are plain integer arithmetic. Only the breakpoints are algebraic: there
-zero coefficients are certified symbolically, by a gcd with the defining
-polynomial, and nonzero signs by certified interval refinement. Every
-signature at a root of unity is then a lookup in the step function,
+roots of the Alexander polynomial. Those breakpoints are the roots in
+(-1, 1) of its compactification G in x, isolated exactly by Sturm
+bisection; the ones at roots of unity are recognised from the cyclotomic
+factors Phi_d of the Alexander polynomial, searched only over the d with
+phi(d) <= its degree.
+
+Each arc is sampled at the dyadic x = p/q of least denominator strictly
+between its two roots, found by placing candidates against the roots with
+one sign of the squarefree G each, so no breakpoint is refined. There the
+realification of H is congruent to the rational form
+[[P, T], [-T, P/(1-x^2)]], P = (1-x)S, of twice the signature; scaled by
+q(q+p) > 0 it is an integer matrix, and its signature comes from
+fraction-free symmetric elimination (intmat.congruence_signature).
+
+At a simple root of G, det H vanishes to first order and the eigenvalues
+are analytic in theta (Rellich), so exactly one crosses zero: the adjacent
+arc values differ by 2, which is asserted, and the value at the root is
+their mean. Only a multiple root of G is evaluated directly, through the
+characteristic polynomial of H as integer polynomials in x
+(_char_poly_in_x), whose coefficient signs at the algebraic point are
+certified by a gcd with the defining polynomial or by interval
+refinement, and counted by Descartes' rule.
+
+Every signature at a root of unity is then a lookup in the step function,
 root-of-unity averages reduce to counting grid points per arc, and the
 circle integral reduces to certified arc measures.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .intmat import char_poly, euler_phi
-from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pdeg,
-                    pdivides, palindromic_compact, peval, pinterpolate,
-                    psubst_scale, pprimitive, cos_minimal_poly,
+from .intmat import char_poly, congruence_signature, euler_phi
+from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pderiv,
+                    pdeg, pdivides, palindromic_compact, peval, pgcd,
+                    pinterpolate, psubst_scale, pprimitive, cos_minimal_poly,
                     squarefree_part)
 from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
                       _cos_scaled, cos_turn_bounds)
@@ -80,6 +87,10 @@ class UnitRootAngle:
 def _char_poly_in_x(a: SeifertMatrix):
     """Coefficients c_0..c_n of det(lambda*I - M(x)) as integer polynomials
     in x, where M(x) = (1-x)(A+A^t) - iy(A-A^t) = H(z) for z = x + iy.
+
+    signature_function needs them only at multiple roots of G, where the
+    mean of the adjacent arcs need not be the value; the test oracles use
+    them at cosines of roots of unity.
 
     H(z) = (1-z)A + (1-1/z)A^t, so B_z = z*H(z) = (z-z^2)A + (z-1)A^t is an
     integer matrix at every integer z, and c_(n-k)(B_z) = z^k c_(n-k)(H(z)).
@@ -176,24 +187,28 @@ class _TurnTracker:
     """Certified enclosure of arccos(x)/(2*pi) in (0, 1/2) for an algebraic
     x in (-1, 1) with irrational turn, refined by bisection against
     certified cosine enclosures. The enclosure is the dyadic interval
-    [num, num + 1] / 2^depth, held as the two integers."""
+    [num, num + 1] / 2^depth, held as one pair of integers: a thread reads
+    and replaces the pair whole, so threads sharing a step function never
+    see the num of one depth with another depth."""
 
-    __slots__ = ("x", "num", "depth")
+    __slots__ = ("x", "state")
 
     def __init__(self, x):
         self.x = x
-        self.num, self.depth = 0, 1
+        self.state = (0, 1)  # (num, depth)
 
     def bounds(self, width):
-        while width * (1 << self.depth) < 1:
-            if self.depth > MAX_REFINE:
+        num, depth = self.state
+        while width * (1 << depth) < 1:
+            if depth > MAX_REFINE:
                 raise PrecisionExhausted("turn enclosure refinement stalled")
-            mid = 2 * self.num + 1
-            self.depth += 1
+            mid = 2 * num + 1
+            depth += 1
             # cos decreasing: cos(mid) > x means mid < turn
-            self.num = mid if self._cos_exceeds_x(mid, 1 << self.depth) else mid - 1
-        den = 1 << self.depth
-        return Fraction(self.num, den), Fraction(self.num + 1, den)
+            num = mid if self._cos_exceeds_x(mid, 1 << depth) else mid - 1
+            self.state = (num, depth)
+        den = 1 << depth
+        return Fraction(num, den), Fraction(num + 1, den)
 
     def _cos_exceeds_x(self, a, b):
         """Whether cos(2*pi*a/b) > x for 0 < a/b < 1/2, comparing the
@@ -236,11 +251,14 @@ def breakpoints(a: SeifertMatrix):
 
 
 def _compute_breakpoints(a: SeifertMatrix):
+    """The breakpoints, upper then lower, and a squarefree polynomial whose
+    roots are the multiple roots of G."""
     delta = alexander_polynomial(a)
     if delta.degree == 0:
-        return []
+        return [], [1]
     g = _alexander_x_polynomial(delta)
     gsf = squarefree_part(g)
+    repeated = pgcd(gsf, pderiv(g))  # its roots: the multiple roots of G
     assert peval(gsf, 1) != 0 and peval(gsf, -1) != 0
     intervals = isolate_roots(gsf, Fraction(-1), Fraction(1))
     orders = _root_of_unity_orders(delta)
@@ -255,7 +273,7 @@ def _compute_breakpoints(a: SeifertMatrix):
     for c in reversed(uppers):
         ex = 1 - c.exact_turn if c.exact_turn is not None else None
         lowers.append(CirclePoint(c.x, "lower", exact_turn=ex, tracker=c._tracker))
-    return uppers + lowers
+    return uppers + lowers, repeated
 
 
 def _match_root_of_unity(x, orders):
@@ -308,6 +326,9 @@ class SignatureFunction:
         # the arc through z = 1 carries the value 0: the function is
         # continuous off the breakpoints and the matrix at z = 1 is zero
         assert arc_values[-1] == 0, "arc through z=1 must vanish"
+        self._exact = {bp.exact_turn: i for i, bp in enumerate(self.breakpoints)
+                       if bp.exact_turn is not None}
+        self._grid_bounds = {}  # k -> (bounds, their lower ends)
 
     def value_at(self, z: UnitRootAngle) -> int:
         """Evaluate the step function at a rational turn, using the stored
@@ -317,22 +338,25 @@ class SignatureFunction:
         if not self.breakpoints:
             return self.arc_values[0]
         turn = z.turn
-        exact = {bp.exact_turn: i for i, bp in enumerate(self.breakpoints)
-                 if bp.exact_turn is not None}
-        if turn in exact:
-            return self.point_values[exact[turn]]
-        bounds = self._separating_bounds_for_grid(z.denominator)
-        for i, (lo, hi) in enumerate(bounds):
-            if turn <= lo:
-                # at or before the enclosure: strictly below the breakpoint
-                return self.arc_values[i - 1] if i else self.arc_values[-1]
-            if turn < hi:
-                raise AssertionError("grid point inside a separated enclosure")
-        return self.arc_values[-1]
+        i = self._exact.get(turn)
+        if i is not None:
+            return self.point_values[i]
+        bounds, los = self._separating_bounds_for_grid(z.denominator)
+        # a grid turn lies at or below the enclosure of every breakpoint
+        # above it and at or above the others, so the first enclosure that
+        # starts at or after it is that of the next breakpoint
+        i = bisect_left(los, turn)
+        assert i == 0 or bounds[i - 1][1] <= turn, \
+            "grid point inside a separated enclosure"
+        return self.arc_values[i - 1]
 
     def _separating_bounds_for_grid(self, k):
         """Turn enclosures for all breakpoints, each refined until it
-        contains no multiple of 1/k (except exactly at a rational turn)."""
+        contains no multiple of 1/k (except exactly at a rational turn),
+        and their lower ends; computed once per k."""
+        cached = self._grid_bounds.get(k)
+        if cached is not None:
+            return cached
         out = []
         for bp in self.breakpoints:
             if bp.exact_turn is not None:
@@ -346,7 +370,8 @@ class SignatureFunction:
                     out.append((lo, hi))
                     break
                 width /= 16
-        return out
+        cached = self._grid_bounds[k] = (out, [lo for lo, _ in out])
+        return cached
 
     def eta_sum(self, k: int) -> int:
         """Sum of the signature over all k-th roots of unity (j = 1..k),
@@ -357,7 +382,7 @@ class SignatureFunction:
             return 0
         if not self.breakpoints:
             return (k - 1) * self.arc_values[0]
-        bounds = self._separating_bounds_for_grid(k)
+        bounds, _ = self._separating_bounds_for_grid(k)
         below = []      # number of j in 1..k with j/k strictly below the turn
         on_grid = []
         for bp, (lo, hi) in zip(self.breakpoints, bounds):
@@ -404,34 +429,104 @@ class SignatureFunction:
         return out
 
 
+def _simplest_dyadic(lo, hi):
+    """The dyadic m/2^k in the open interval (lo, hi) with the least k, and
+    the least m at that k."""
+    k = 0
+    while True:
+        m = (lo.numerator << k) // lo.denominator + 1
+        if m * hi.denominator < hi.numerator << k:
+            return Fraction(m, 1 << k)
+        k += 1
+
+
+def _dyadic_between(below, above):
+    """The dyadic of least denominator strictly between two real algebraic
+    numbers below < above; above = None stands for 1.
+
+    The search starts from the outer endpoints of the two isolating
+    intervals. A candidate is placed against each root by
+    RealAlgebraic.compare, which reads the sign of the squarefree
+    polynomial and refines nothing. A candidate on the wrong side of a root
+    becomes the new bound. The interval's least denominator then grows, so
+    the search ends, at the simplest dyadic of the arc itself."""
+    lo, hi = below.lo, Fraction(1) if above is None else above.hi
+    while True:
+        d = _simplest_dyadic(lo, hi)
+        if below.compare(d) <= 0:
+            lo = d
+        elif above is not None and above.compare(d) >= 0:
+            hi = d
+        else:
+            return d
+
+
+def _arc_value(s, t, x):
+    """sigma at the circle points with cos(theta) = x, for a rational x in
+    [-1, 1), from the symmetric S = A + A^t and skew T = A - A^t.
+
+    At x = -1 the matrix is 2S. Elsewhere it is P - iyT, P = (1-x)S,
+    y^2 = 1 - x^2, whose realification is congruent to the real form
+    [[P, T], [-T, P/(1-x^2)]] of twice the signature. At x = p/q that form
+    times q(q+p) > 0 has the integer blocks (q^2-p^2)S, q(q+p)T and q^2 S."""
+    if x == -1:
+        return congruence_signature(s)
+    p, q = x.numerator, x.denominator
+    u, v, w = q * q - p * p, q * (q + p), q * q
+    form = ([[u * a for a in srow] + [v * b for b in trow]
+             for srow, trow in zip(s, t)]
+            + [[-v * b for b in trow] + [w * a for a in srow]
+               for srow, trow in zip(s, t)])
+    doubled = congruence_signature(form)
+    assert doubled % 2 == 0, "a realified Hermitian form has even signature"
+    return doubled // 2
+
+
+def _root_of_divisor(x, q):
+    """Whether x is a root of q, a divisor of the squarefree polynomial that
+    x is isolated for: q has at most that one root in the isolating
+    interval, a simple one, so it changes sign there exactly when it has."""
+    if pdeg(q) < 1:
+        return False
+    if x.value is not None:
+        return peval(q, x.value) == 0
+    return _sgn(peval(q, x.lo)) != _sgn(peval(q, x.hi))
+
+
 @lru_cache(maxsize=None)
 def signature_function(a: SeifertMatrix) -> SignatureFunction:
     """Compute the full signature step function: exact breakpoints, one
     sampled value per open arc, and exact values at the breakpoints.
 
     sigma depends on x = cos(theta) alone, so every arc is sampled at a
-    rational x: an upper arc between the isolating intervals of its
-    breakpoints (they share at most endpoints, which are not roots), the
-    arc through theta = pi at x = -1, and the arc through z = 1 strictly
-    between the largest root and 1. Lower arcs and points mirror the upper
+    rational x by an integer congruence signature: an upper arc at the
+    simplest dyadic between its two breakpoints, the arc through
+    theta = pi at x = -1, and the arc through z = 1 at the simplest dyadic
+    between the largest root and 1. At a simple root of G one eigenvalue
+    crosses zero (Rellich), so the adjacent arcs differ by exactly 2 and
+    the point value is their mean; only a multiple root of G takes the
+    characteristic polynomial route. Lower arcs and points mirror the upper
     ones (sigma(conj z) = sigma(z)).
     """
-    def at_rational(x):
-        return _signature_at_x(a, lambda c: _sgn(peval(c, x)))
-
-    bps = _compute_breakpoints(a)
-    uppers = [bp.x for bp in bps[:len(bps) // 2]]  # decreasing x
-    upper_arcs = [at_rational((x_next.hi + x.lo) / 2)
-                  for x, x_next in zip(uppers, uppers[1:])]
-    through_pi = at_rational(Fraction(-1))
+    s, t = a.symmetrization(), a.antisymmetrization()
+    bps, repeated = _compute_breakpoints(a)
+    through_pi = _arc_value(s, t, Fraction(-1))
     if not bps:
         return SignatureFunction(a, (), (through_pi,), ())
-    top = uppers[0]
-    while top.hi >= 1:
-        top.refine()
-    wrap = at_rational((top.hi + 1) / 2)
+    uppers = [bp.x for bp in bps[:len(bps) // 2]]  # decreasing x
+    upper_arcs = [_arc_value(s, t, _dyadic_between(x_next, x))
+                  for x, x_next in zip(uppers, uppers[1:])]
+    wrap = _arc_value(s, t, _dyadic_between(uppers[0], None))
+    # around[i] and around[i + 1] are the arcs on either side of uppers[i]
+    around = [wrap] + upper_arcs + [through_pi]
+    upper_points = []
+    for x, before, after in zip(uppers, around, around[1:]):
+        if _root_of_divisor(x, repeated):
+            upper_points.append(_signature_at_x(a, x.sign_of_poly))
+        else:
+            assert abs(before - after) == 2, "a simple root moves one eigenvalue"
+            upper_points.append((before + after) // 2)
     arc_values = upper_arcs + [through_pi] + upper_arcs[::-1] + [wrap]
-    upper_points = [_signature_at_x(a, x.sign_of_poly) for x in uppers]
     return SignatureFunction(a, bps, arc_values, upper_points + upper_points[::-1])
 
 

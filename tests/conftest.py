@@ -98,6 +98,21 @@ def torus_seifert(p: int, q: int) -> SeifertMatrix:
                             name=f"T({p},{q})")
 
 
+def mirror(a: SeifertMatrix) -> SeifertMatrix:
+    """-A^t, the Seifert matrix of -K (the mirror image with reversed
+    orientation), the concordance inverse: knotsig.block_sum(a, mirror(a))
+    is the slice knot K # -K."""
+    return validate_seifert([[-a.entries[j][i] for j in range(a.n)]
+                             for i in range(a.n)])
+
+
+def conjugate(rng: random.Random, a: SeifertMatrix) -> SeifertMatrix:
+    """P^t A P for P = random_unimodular(rng, a.n): the same knot."""
+    p = random_unimodular(rng, a.n)
+    pt = [[p[j][i] for j in range(a.n)] for i in range(a.n)]
+    return validate_seifert(_mat_mul(_mat_mul(pt, a.as_lists()), p))
+
+
 def random_unimodular(rng: random.Random, n: int, steps: int = None):
     """Product of random elementary transvections and swaps."""
     m = [[1 if i == j else 0 for j in range(n)] for i in range(n)]

@@ -6,7 +6,8 @@ diagonalization instead of Descartes counting, brute-force iteration
 instead of order-finding, commutant dimensions instead of orbit criteria,
 an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
 signs at certified cosine enclosures instead of signs at a rational
-cos(theta) inside each arc.
+cos(theta) inside each arc, Litherland's lattice-point count for torus
+knots instead of any matrix.
 """
 
 from collections import namedtuple
@@ -132,6 +133,24 @@ def tl_signature_by_congruence(a, x):
     doubled = symmetric_signature(big)
     assert doubled % 2 == 0
     return doubled // 2
+
+
+def torus_signature_by_lattice_count(p, q, turn):
+    """Tristram-Levine signature of the torus knot T(p, q) at
+    exp(2*pi*i*turn), 0 < turn < 1, by Litherland's lattice-point count
+    ("Signatures of iterated torus knots", 1979). Over 1 <= i < p and
+    1 <= j < q, a point s = i/p + j/q with turn < s < turn + 1 counts -1
+    and any other +1; that sign gives T(2, 3) the trefoil's -2 at z = -1.
+    A turn with s - turn an integer is a breakpoint, where the count does
+    not apply."""
+    turn = Fraction(turn)
+    total = 0
+    for i in range(1, p):
+        for j in range(1, q):
+            s = Fraction(i, p) + Fraction(j, q)
+            assert (s - turn).denominator != 1, "turn at a breakpoint"
+            total += -1 if turn < s < turn + 1 else 1
+    return total
 
 
 # --- commutant dimension of a monomial representation ----------------------

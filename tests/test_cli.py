@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from knotsig.cli import main
+
+from conftest import random_seifert
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -265,6 +268,16 @@ class TestErrors:
         monkeypatch.setenv("KNOTSIG_CAP", "3124")
         assert main(["resolve", "--delta", "1,-3,5,-3,1", "--p", "5", "--depth", "1",
                      "--witness-bound", "2"]) == 0
+
+    def test_metabolizer_search_over_cap(self, capsys, tmp_path, monkeypatch):
+        # uncapped, bound 2 backtracks for seconds on this genus-3 matrix
+        a = random_seifert(random.Random(1), 3)
+        knot = tmp_path / "g3.json"
+        knot.write_text(json.dumps({"seifert": a.as_lists()}))
+        monkeypatch.setenv("KNOTSIG_CAP", "1000")
+        code = main(["invariants", "--knot", str(knot), "--bound", "2"])
+        assert code == 4
+        assert "metabolizer search steps 1001 exceeds cap 1000" in capsys.readouterr().err
 
     def test_resolve_prime_divides_constant(self, capsys):
         code = main(["resolve", "--delta", "2,-1,1", "--p", "2", "--depth", "2"])

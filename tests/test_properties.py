@@ -15,8 +15,9 @@ from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
                            palindromic_compact, pdeg, pdivides, pdivmod, peval,
                            pgcd, pmul, pnorm, squarefree_part, sturm_chain,
                            sturm_count)
-from knotsig.intmat import (det, euler_phi, identity, kron, mat_mul, mat_pow_mod,
-                            mat_sub, prime_factorization, smith_form, transpose)
+from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron,
+                            mat_mul, mat_pow_mod, mat_sub, prime_factorization,
+                            smith_form, transpose)
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
@@ -136,6 +137,50 @@ class TestArcSamples:
         # sigma(conj z) = sigma(z): the lower half mirrors the upper one
         assert sf.arc_values[u:-1] == sf.arc_values[:u - 1][::-1]
         assert sf.point_values[u:] == sf.point_values[:u][::-1]
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Random symmetric integer matrices up to 9 x 9: a plain one, one with
+    an all-zero diagonal, a singular one (B^t D B with B of lower rank) or
+    one with a zero diagonal block."""
+    n = draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(["plain", "zero_diagonal", "singular", "zero_block"]))
+    entries = st.integers(-4, 4)
+    if kind == "singular" and n:
+        r = draw(st.integers(0, n - 1))
+        b = [[draw(entries) for _ in range(n)] for _ in range(r)]
+        d = [draw(entries) for _ in range(r)]
+        return [[sum(b[k][i] * d[k] * b[k][j] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    if kind == "zero_diagonal":
+        for i in range(n):
+            m[i][i] = 0
+    elif kind == "zero_block":
+        z = draw(st.integers(0, n))
+        for i in range(z):
+            for j in range(z):
+                m[i][j] = 0
+    return m
+
+
+class TestCongruenceSignature:
+    @given(symmetric_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_against_rational_elimination(self, m):
+        assert congruence_signature(m) == oracles.symmetric_signature(m)
+
+    def test_edge_cases(self):
+        assert congruence_signature([]) == 0
+        assert congruence_signature([[0]]) == 0
+        assert congruence_signature([[0, 1], [1, 0]]) == 0  # hyperbolic plane
+        assert congruence_signature([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 0
+        assert congruence_signature([[-3]]) == -1
+        assert congruence_signature([[2, 1], [1, 2]]) == 2
 
 
 class TestArfInvariant:

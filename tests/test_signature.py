@@ -8,12 +8,17 @@ from knotsig import (UnitRootAngle, alexander_polynomial,
                      breakpoints, eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
+from knotsig.knotio import read_knot
 from knotsig.realalg import cos_turn_bounds
-from knotsig.polyz import cyclotomic, pdivides
-from knotsig.signature import _char_poly_in_x, _root_of_unity_orders
+from knotsig.polyz import (cyclotomic, pdivides, peval, squarefree_part,
+                           sturm_chain, sturm_count)
+from knotsig.signature import (_alexander_x_polynomial, _char_poly_in_x,
+                               _dyadic_between, _root_of_unity_orders)
 
-from conftest import TREFOIL, random_interesting_seifert, random_seifert, torus_seifert
+from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
+                      random_interesting_seifert, random_seifert, torus_seifert)
 from oracles import (sign_at_cos_turn, tl_signature_by_congruence,
+                     torus_signature_by_lattice_count,
                      tl_signature_by_cos_enclosure)
 
 
@@ -168,6 +173,15 @@ class TestEtaCyclic:
                 direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
                              for j in range(1, k + 1))
                 assert eta_cyclic(a, k) == direct
+
+    def test_lookup_loop_sums_to_eta(self):
+        # each lookup reuses the separating bounds cached for its k
+        a = random_interesting_seifert(random.Random(5), 4)
+        sf = signature_function(a)
+        assert any(bp.exact_turn is None for bp in sf.breakpoints)
+        k = 5040
+        assert sum(tl_signature_at(a, angle(j, k)) for j in range(1, k + 1)) == \
+            sf.eta_sum(k)
 
     def test_ten_factorial_exact(self, trefoil):
         # 6 | 10!, so the average recovers the integral exactly: the arc
@@ -356,6 +370,29 @@ class TestTurnTracker:
                 seen += 1
         assert seen >= 8
 
+    def test_refinement_interleaved_inside_a_comparison(self, monkeypatch):
+        # threads share a cached step function: another refinement of the
+        # same tracker may run while one waits on a cosine comparison
+        from knotsig.realalg import RealAlgebraic
+        from knotsig.signature import _TurnTracker
+        x = signature_function(validate_seifert([[500, 1], [0, 1]])).breakpoints[0].x
+        fine, coarse = Fraction(1, 2 ** 40), Fraction(1, 2 ** 20)
+        expected = _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi)).bounds(fine)
+        compare = _TurnTracker._cos_exceeds_x
+        nested = []
+
+        def interleaved(self, a, b):
+            if not nested:
+                nested.append(None)
+                nested[0] = self.bounds(coarse)
+            return compare(self, a, b)
+
+        monkeypatch.setattr(_TurnTracker, "_cos_exceeds_x", interleaved)
+        tracker = _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi))
+        assert tracker.bounds(fine) == expected
+        lo, hi = nested[0]
+        assert lo <= expected[0] and expected[1] <= hi
+
 
 class TestCompactForm:
     """Alexander polynomials with zero coefficients, whose compact form in
@@ -409,6 +446,36 @@ class TestTorusKnots:
         assert lo <= expected <= hi and hi - lo <= eps
 
 
+class TestLitherland:
+    """Arc values of torus knots of genus 12-15 against Litherland's
+    lattice-point count, at turns j/k with k prime to pq, which are never
+    breakpoints (those are the i/p + j/q mod 1)."""
+
+    def test_sign_pinned_on_trefoil(self):
+        assert torus_signature_by_lattice_count(2, 3, Fraction(1, 2)) == -2 == \
+            tl_signature_at(TREFOIL, angle(1, 2))
+        for j in range(1, 13):
+            if j != 2 and j != 10:
+                assert torus_signature_by_lattice_count(2, 3, Fraction(j, 12)) == \
+                    tl_signature_at(TREFOIL, angle(j, 12))
+
+    @staticmethod
+    def check(a, p, q):
+        sf = signature_function(a)
+        assert len(sf.breakpoints) == a.n  # Delta has simple roots only
+        for k in (11, 13, 101):
+            for j in range(1, k):
+                assert sf.value_at(angle(j, k)) == \
+                    torus_signature_by_lattice_count(p, q, Fraction(j, k)), (j, k)
+
+    @pytest.mark.parametrize("p, q", [(5, 7), (6, 7), (4, 9)])
+    def test_arcs(self, p, q):
+        self.check(torus_seifert(p, q), p, q)
+
+    def test_conjugate(self):
+        self.check(conjugate(random.Random(7), torus_seifert(5, 7)), 5, 7)
+
+
 class TestRootOfUnityOrders:
     """The search skips every d with phi(d) > deg Delta; the reference is
     the full definition: every d <= 4 deg^2 + 6 with Phi_d | Delta."""
@@ -455,3 +522,107 @@ class TestDeterminantVanishing:
             assert bp.x.sign_of_poly(det_poly) == 0
         for j, k in ((1, 5), (1, 4), (2, 7), (1, 12)):
             assert sign_at_cos_turn(det_poly, Fraction(j, k)) != 0
+
+
+class TestArcSampling:
+    """The sample x of every arc: a dyadic, not a root of G, strictly
+    between the arc's two roots, and the simplest such dyadic. Checked by
+    Sturm counts of the squarefree G, with no use of the isolating
+    intervals."""
+
+    @staticmethod
+    def samples(sf):
+        uppers = [bp.x for bp in sf.breakpoints[:len(sf.breakpoints) // 2]]
+        return ([_dyadic_between(x_next, x) for x, x_next in zip(uppers, uppers[1:])]
+                + [_dyadic_between(uppers[0], None)] if uppers else [])
+
+    def check(self, a):
+        sf = signature_function(a)
+        xs = self.samples(sf)
+        if not xs:
+            return
+        g = _alexander_x_polynomial(alexander_polynomial(a))
+        chain = sturm_chain(squarefree_part(g))
+        # arc i lies below the upper roots 0..i; the wrap arc below none
+        for above, x in zip(list(range(1, len(xs))) + [0], xs):
+            assert x.denominator & (x.denominator - 1) == 0, "a dyadic"
+            assert -1 < x < 1 and peval(g, x) != 0
+            assert sturm_count(chain, x, 1) == above
+            if x.denominator > 1:
+                # neither neighbour of the same level lies in the arc, so no
+                # dyadic of a lower level does either
+                step = Fraction(1, x.denominator)
+                lo, hi = x - step, x + step
+                assert peval(g, lo) == 0 or sturm_count(chain, lo, x) > 0
+                assert hi >= 1 or peval(g, hi) == 0 or sturm_count(chain, x, hi) > 0
+
+    def test_fixtures(self):
+        exact = 0
+        for path in sorted(FIXTURE_DIR.glob("*.json")):
+            a = read_knot(path)
+            self.check(a)
+            exact += sum(bp.x.value is not None
+                         for bp in signature_function(a).breakpoints)
+        # the trefoil's Phi6 root x = 1/2 is held as an exact value
+        assert exact > 0
+
+    def test_random(self):
+        rng = random.Random(1213)
+        for genus in (1, 2, 3, 4, 5, 6):
+            for _ in range(3):
+                self.check(random_interesting_seifert(rng, genus))
+            self.check(random_seifert(rng, genus))
+
+
+class TestPointValues:
+    """Point values at simple roots are the mean of the adjacent arcs; only
+    multiple roots of G take the characteristic polynomial route."""
+
+    @staticmethod
+    def char_poly_calls():
+        info = _char_poly_in_x.cache_info()
+        return info.hits + info.misses
+
+    def test_no_char_poly_for_squarefree_g(self):
+        rng = random.Random(1217)
+        tried = 0
+        for genus in (1, 2, 3, 4):
+            for _ in range(4):
+                a = random_interesting_seifert(rng, genus)
+                g = _alexander_x_polynomial(alexander_polynomial(a))
+                if squarefree_part(g) != g:
+                    continue
+                before = self.char_poly_calls()
+                sf = signature_function.__wrapped__(a)  # uncached
+                assert self.char_poly_calls() == before
+                tried += len(sf.breakpoints)
+        assert tried > 0
+
+    def test_multiple_roots_take_char_poly(self):
+        k = random_interesting_seifert(random.Random(3), 2)
+        assert signature_function(k).breakpoints
+        before = self.char_poly_calls()
+        signature_function.__wrapped__(block_sum(k, k))
+        assert self.char_poly_calls() > before
+
+    def test_slice_sum_vanishes(self):
+        # K # -K is slice: its step function is 0, points included. Its
+        # Delta is a square, so every breakpoint takes the fallback.
+        rng = random.Random(1223)
+        with_points = 0
+        for genus in (1, 1, 2, 2, 2):
+            k = random_interesting_seifert(rng, genus)
+            a = conjugate(rng, block_sum(k, mirror(k)))
+            sf = signature_function(a)
+            assert set(sf.arc_values) <= {0} and set(sf.point_values) <= {0}
+            with_points += len(sf.breakpoints)
+        assert with_points > 0
+
+    @pytest.mark.parametrize("p, q", [(2, 5), (3, 4), (3, 5)])
+    def test_torus_points_against_enclosure_oracle(self, p, q):
+        a = torus_seifert(p, q)
+        sf = signature_function(a)
+        for bp, value in zip(sf.breakpoints, sf.point_values):
+            t = bp.exact_turn
+            assert value == tl_signature_by_cos_enclosure(
+                a, angle(t.numerator, t.denominator))
