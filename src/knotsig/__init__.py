@@ -8,9 +8,8 @@ pure, so the whole API is safe to use concurrently.
 
 from .seifert import (SeifertMatrix, IntLaurentPoly, Metabolizer,
                       MalformedMatrix, NotSquare, OddSize, NotUnimodular,
-                      SearchExhausted, validate_seifert, block_sum,
-                      alexander_polynomial, arf_invariant,
-                      find_seifert_metabolizer)
+                      validate_seifert, block_sum, alexander_polynomial,
+                      arf_invariant, find_seifert_metabolizer)
 from .signature import (UnitRootAngle, CirclePoint, SignatureFunction,
                         ApproxRow, tl_signature_at, breakpoints,
                         signature_function, l2_eta_abelian, eta_cyclic,

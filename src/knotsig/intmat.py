@@ -233,7 +233,7 @@ def _replay(size, ops, modulus, dual=False):
     return out
 
 
-def smith_form(mat, rows=None, cols=None, modulus=0):
+def smith_form(mat, modulus=0):
     """The Smith form of mat. d is always exact; a nonzero `modulus` keeps
     the transforms mod it, so they stay its size instead of growing with
     every elimination step. Any multiple of the last nonzero d_i, such as
@@ -243,10 +243,7 @@ def smith_form(mat, rows=None, cols=None, modulus=0):
     The elimination runs on the matrix alone, on the block b = M[s:, s:]
     that is still open, and logs each operation with its global indices
     for SmithForm to replay."""
-    if rows is None:
-        rows = len(mat)
-    if cols is None:
-        cols = len(mat[0]) if mat else 0
+    rows, cols = len(mat), len(mat[0]) if mat else 0
     b = [row[:] for row in mat]
     row_ops, col_ops, diag = [], [], []
     s = 0

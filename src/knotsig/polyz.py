@@ -275,6 +275,15 @@ def palindromic_compact(p, m=None):
     return pnorm(w)
 
 
+def cos_compact(p):
+    """For an integer polynomial p palindromic of even degree 2m, the
+    primitive G with p(t) = c * t^m * G((t + 1/t)/2), c a constant. A root
+    e^(i*theta) of p gives the root cos(theta) of G, so the unit-circle
+    roots of p are the roots of G in [-1, 1], and a palindromic divisor of
+    p gives a divisor of G."""
+    return pprimitive(psubst_scale(palindromic_compact(list(p)), 2))
+
+
 @lru_cache(maxsize=None)
 def cos_minimal_poly(d):
     """Integer polynomial (squarefree, not necessarily monic) whose roots
@@ -283,8 +292,7 @@ def cos_minimal_poly(d):
         return (-1, 1)
     if d == 2:
         return (1, 1)
-    w = palindromic_compact(list(cyclotomic(d)))
-    return tuple(pprimitive(psubst_scale(w, 2)))
+    return tuple(cos_compact(cyclotomic(d)))
 
 
 # Resultants ---------------------------------------------------------------

@@ -188,6 +188,16 @@ class RealAlgebraic:
         s = _sgn(peval(self.poly, r))
         return 0 if s == 0 else -1 if s == self._sign_lo else 1
 
+    def is_root_of(self, q):
+        """Whether alpha is a root of q, a divisor of the defining
+        polynomial: q has at most that one root in the isolating interval,
+        a simple one, so q changes sign there exactly when it has."""
+        if pdeg(q) < 1:
+            return False
+        if self.value is not None:
+            return peval(q, self.value) == 0
+        return peval(q, self.lo) * peval(q, self.hi) < 0
+
     def sign_of_poly(self, q):
         """Exact sign of q(alpha) for an integer polynomial q."""
         q = pnorm(list(q))
@@ -195,9 +205,7 @@ class RealAlgebraic:
             return 0
         if self.value is not None:
             return _sgn(peval(q, self.value))
-        g = pgcd(list(self.poly), q)
-        if pdeg(g) >= 1 and peval(g, self.lo) * peval(g, self.hi) < 0:
-            # the unique root of self.poly in the interval is also a root of q
+        if self.is_root_of(pgcd(list(self.poly), q)):
             return 0
         for _ in range(MAX_REFINE):
             vlo, vhi = poly_eval_interval(q, self.lo, self.hi)

@@ -48,14 +48,6 @@ def default_cap():
     return int(os.environ.get("KNOTSIG_CAP", "1000000"))
 
 
-class SearchExhausted(RuntimeError):
-    """No metabolizer was found within the coefficient bound."""
-
-    def __init__(self, bound):
-        super().__init__(f"no metabolizer with coefficients bounded by {bound}")
-        self.bound = bound
-
-
 @dataclass(frozen=True)
 class SeifertMatrix:
     """Validated Seifert matrix; entries are row-major tuples."""
@@ -246,17 +238,16 @@ def _isotropic_with(a, chosen, v):
     return True
 
 
-def find_seifert_metabolizer(a, search_bound, required=False):
+def find_seifert_metabolizer(a, search_bound):
     """Search for a Metabolizer with basis coefficients bounded by
     search_bound in max-norm.
 
     Returns None when no metabolizer exists within the bound (which does not
-    prove nonexistence); with required=True raises SearchExhausted instead.
-    Candidates are primitive vectors, enumerated by increasing max-norm with
-    sign normalized, extended greedily to direct summands. A search_bound
-    below 1 would try no candidate, so it raises ValueError. Each candidate
-    the backtracking tries is a step, and more than default_cap() steps
-    raise CapExceeded.
+    prove nonexistence). Candidates are primitive vectors, enumerated by
+    increasing max-norm with sign normalized, extended greedily to direct
+    summands. A search_bound below 1 would try no candidate, so it raises
+    ValueError. Each candidate the backtracking tries is a step, and more
+    than default_cap() steps raise CapExceeded.
     """
     if search_bound < 1:
         raise ValueError("metabolizer search bound must be >= 1, or no vector is tried")
@@ -305,6 +296,4 @@ def find_seifert_metabolizer(a, search_bound, required=False):
     got = extend([], 0)
     if got is not None:
         return Metabolizer(tuple(tuple(v) for v in got))
-    if required:
-        raise SearchExhausted(search_bound)
     return None

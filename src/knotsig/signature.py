@@ -7,17 +7,23 @@ depends on x = cos(theta) alone.
 
 sigma_z is a step function, constant on the arcs between the unit-circle
 roots of the Alexander polynomial. Those breakpoints are the roots in
-(-1, 1) of its compactification G in x, isolated exactly by Sturm
-bisection; the ones at roots of unity are recognised from the cyclotomic
-factors Phi_d of the Alexander polynomial, searched only over the d with
-phi(d) <= its degree.
+(-1, 1) of its compactification G in x (polyz.cos_compact), isolated
+exactly by Sturm bisection. The ones at roots of unity come from the
+cyclotomic factors Phi_d of the Alexander polynomial, searched only over
+the d with phi(d) <= its degree. The same compaction takes Phi_d to
+psi_d = cos_minimal_poly(d), so psi_d divides G, and its roots are the
+cos(2*pi*j/d) for j coprime to d, 0 < j < d/2, decreasing as j grows.
+So, in order of decreasing x, the i-th breakpoint that is a root of psi_d
+(one sign change of psi_d over its isolating interval) has the exact turn
+j/d for the i-th such j: no cosine is evaluated and no interval refined.
 
 Each arc is sampled at the dyadic x = p/q of least denominator strictly
 between its two roots, found by placing candidates against the roots with
 one sign of the squarefree G each, so no breakpoint is refined. There the
 realification of H is congruent to the rational form
-[[P, T], [-T, P/(1-x^2)]], P = (1-x)S, of twice the signature; scaled by
-q(q+p) > 0 it is an integer matrix, and its signature comes from
+[[P, T], [-T, P/(1-x^2)]], P = (1-x)S, of twice the signature; congruent
+by diag(I, (1+x)I) and scaled by q > 0 it is the integer matrix
+[[(q-p)S, (q+p)T], [-(q+p)T, (q+p)S]], and its signature comes from
 fraction-free symmetric elimination (intmat.congruence_signature).
 
 At a simple root of G, det H vanishes to first order and the eigenvalues
@@ -29,9 +35,12 @@ characteristic polynomial of H as integer polynomials in x
 certified by a gcd with the defining polynomial or by interval
 refinement, and counted by Descartes' rule.
 
-Every signature at a root of unity is then a lookup in the step function,
-root-of-unity averages reduce to counting grid points per arc, and the
-circle integral reduces to certified arc measures.
+Every breakpoint is then placed against the k-th roots of unity by one
+count, the number of j in 1..k with j/k below its turn: exact for a
+rational turn, and from a turn enclosure with no multiple of 1/k inside
+for an irrational one. A signature at a root of unity is a bisection in
+those counts, a root-of-unity average is a sum over their differences,
+and the circle integral reduces to certified arc measures.
 """
 
 from bisect import bisect_left
@@ -41,12 +50,12 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import char_poly, congruence_signature, euler_phi
-from .polyz import (_sgn, _variations, cyclotomic, isolate_roots, pderiv,
-                    pdeg, pdivides, palindromic_compact, peval, pgcd,
-                    pinterpolate, psubst_scale, pprimitive, cos_minimal_poly,
+from .polyz import (_variations, cos_compact, cos_minimal_poly, cyclotomic,
+                    isolate_roots, palindromic_compact, pderiv, pdeg,
+                    pdivides, peval, pgcd, pinterpolate, psubst_scale,
                     squarefree_part)
 from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
-                      _cos_scaled, cos_turn_bounds)
+                      _cos_scaled)
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -227,14 +236,6 @@ class _TurnTracker:
         raise PrecisionExhausted("cosine comparison stalled")
 
 
-def _alexander_x_polynomial(delta):
-    """Compactification of a palindromic Alexander polynomial: the integer
-    polynomial G with delta(t) = t^m * G((t + 1/t)/2) up to the 2^j scale,
-    whose roots in (-1, 1) are the cos(theta) of the unit-circle roots."""
-    w = palindromic_compact(list(delta.coeffs))
-    return pprimitive(psubst_scale(w, 2))
-
-
 def _root_of_unity_orders(delta):
     """All d with the d-th cyclotomic polynomial dividing delta."""
     coeffs = list(delta.coeffs)
@@ -256,49 +257,30 @@ def _compute_breakpoints(a: SeifertMatrix):
     delta = alexander_polynomial(a)
     if delta.degree == 0:
         return [], [1]
-    g = _alexander_x_polynomial(delta)
+    g = cos_compact(delta.coeffs)
     gsf = squarefree_part(g)
     repeated = pgcd(gsf, pderiv(g))  # its roots: the multiple roots of G
     assert peval(gsf, 1) != 0 and peval(gsf, -1) != 0
-    intervals = isolate_roots(gsf, Fraction(-1), Fraction(1))
-    orders = _root_of_unity_orders(delta)
-    uppers = []
-    for lo, hi in intervals:
-        x = RealAlgebraic.root_of(gsf, lo, hi)
-        exact = _match_root_of_unity(x, orders)
-        tracker = None if exact is not None else _TurnTracker(x)
-        uppers.append(CirclePoint(x, "upper", exact_turn=exact, tracker=tracker))
-    uppers.sort(key=lambda c: -c.x.lo)  # increasing theta = decreasing x
+    # increasing theta = decreasing x
+    xs = [RealAlgebraic.root_of(gsf, lo, hi)
+          for lo, hi in reversed(isolate_roots(gsf, Fraction(-1), Fraction(1)))]
+    turns = [None] * len(xs)
+    for d in _root_of_unity_orders(delta):
+        # psi_d | G; its roots, by decreasing x, are at the turns j/d
+        psi = cos_minimal_poly(d)
+        roots = [i for i, x in enumerate(xs) if x.is_root_of(psi)]
+        js = [j for j in range(1, d // 2 + 1) if gcd(j, d) == 1]
+        assert len(roots) == len(js), "psi_d has phi(d)/2 roots in (-1, 1)"
+        for i, j in zip(roots, js):
+            turns[i] = Fraction(j, d)
+    uppers = [CirclePoint(x, "upper", exact_turn=t,
+                          tracker=_TurnTracker(x) if t is None else None)
+              for x, t in zip(xs, turns)]
     lowers = []
     for c in reversed(uppers):
         ex = 1 - c.exact_turn if c.exact_turn is not None else None
         lowers.append(CirclePoint(c.x, "lower", exact_turn=ex, tracker=c._tracker))
     return uppers + lowers, repeated
-
-
-def _match_root_of_unity(x, orders):
-    """If x = cos(2*pi*j/d) for some admissible d, return the exact turn
-    j/d in (0, 1/2); otherwise None."""
-    for d in orders:
-        psi = list(cos_minimal_poly(d))
-        if x.sign_of_poly(psi) != 0:
-            continue
-        cands = [j for j in range(1, d // 2 + 1) if gcd(j, d) == 1]
-        bits = 16
-        while True:
-            lo, hi = x.lo, x.hi
-            alive = []
-            for j in cands:
-                clo, chi = cos_turn_bounds(Fraction(j, d), bits)
-                if not (chi < lo or clo > hi):
-                    alive.append(j)
-            if len(alive) == 1:
-                return Fraction(alive[0], d)
-            assert alive, "a cosine conjugate must land in the interval"
-            cands = alive
-            x.bounds(Fraction(1, 1 << bits))
-            bits *= 2
-    return None
 
 
 # the signature step function ----------------------------------------------
@@ -326,9 +308,7 @@ class SignatureFunction:
         # the arc through z = 1 carries the value 0: the function is
         # continuous off the breakpoints and the matrix at z = 1 is zero
         assert arc_values[-1] == 0, "arc through z=1 must vanish"
-        self._exact = {bp.exact_turn: i for i, bp in enumerate(self.breakpoints)
-                       if bp.exact_turn is not None}
-        self._grid_bounds = {}  # k -> (bounds, their lower ends)
+        self._grids = {}  # k -> _grid(k)
 
     def value_at(self, z: UnitRootAngle) -> int:
         """Evaluate the step function at a rational turn, using the stored
@@ -337,41 +317,34 @@ class SignatureFunction:
             return 0
         if not self.breakpoints:
             return self.arc_values[0]
-        turn = z.turn
-        i = self._exact.get(turn)
-        if i is not None:
-            return self.point_values[i]
-        bounds, los = self._separating_bounds_for_grid(z.denominator)
-        # a grid turn lies at or below the enclosure of every breakpoint
-        # above it and at or above the others, so the first enclosure that
-        # starts at or after it is that of the next breakpoint
-        i = bisect_left(los, turn)
-        assert i == 0 or bounds[i - 1][1] <= turn, \
-            "grid point inside a separated enclosure"
+        j = z.numerator
+        below, on_grid = self._grid(z.denominator)
+        i = bisect_left(below, j)  # the breakpoints at or below j/k
+        if i and on_grid[i - 1] and below[i - 1] == j - 1:
+            return self.point_values[i - 1]
         return self.arc_values[i - 1]
 
-    def _separating_bounds_for_grid(self, k):
-        """Turn enclosures for all breakpoints, each refined until it
-        contains no multiple of 1/k (except exactly at a rational turn),
-        and their lower ends; computed once per k."""
-        cached = self._grid_bounds.get(k)
-        if cached is not None:
-            return cached
-        out = []
-        for bp in self.breakpoints:
-            if bp.exact_turn is not None:
-                out.append((bp.exact_turn, bp.exact_turn))
-                continue
-            width = Fraction(1, 4 * k)
-            while True:
+    def _grid(self, k):
+        """Each breakpoint against the k-th roots of unity: below[i], the
+        number of j in 1..k with j/k strictly below its turn, and
+        on_grid[i], whether the turn is a multiple of 1/k. below[i] is
+        ceil(k*hi) - 1 for the upper end hi of a turn enclosure with no
+        multiple of 1/k strictly inside, which an exact turn is at once;
+        computed once per k."""
+        grid = self._grids.get(k)
+        if grid is None:
+            below, on_grid = [], []
+            for bp in self.breakpoints:
+                width = Fraction(1, 4 * k)
                 lo, hi = bp.turn_bounds(width)
-                j0 = lo.numerator * k // lo.denominator + 1  # floor(k*lo) + 1
-                if j0 >= hi * k:
-                    out.append((lo, hi))
-                    break
-                width /= 16
-        cached = self._grid_bounds[k] = (out, [lo for lo, _ in out])
-        return cached
+                while lo.numerator * k // lo.denominator + 1 < hi * k:
+                    width /= 16
+                    lo, hi = bp.turn_bounds(width)
+                below.append(-(-hi.numerator * k // hi.denominator) - 1)
+                t = bp.exact_turn
+                on_grid.append(t is not None and k % t.denominator == 0)
+            grid = self._grids[k] = (below, on_grid)
+        return grid
 
     def eta_sum(self, k: int) -> int:
         """Sum of the signature over all k-th roots of unity (j = 1..k),
@@ -382,36 +355,15 @@ class SignatureFunction:
             return 0
         if not self.breakpoints:
             return (k - 1) * self.arc_values[0]
-        bounds, _ = self._separating_bounds_for_grid(k)
-        below = []      # number of j in 1..k with j/k strictly below the turn
-        on_grid = []
-        for bp, (lo, hi) in zip(self.breakpoints, bounds):
-            if bp.exact_turn is not None:
-                t = bp.exact_turn
-                hit = k % t.denominator == 0
-                kt = k * t
-                below.append((kt.numerator - 1) // kt.denominator)
-                on_grid.append(hit)
-            else:
-                below.append(lo.numerator * k // lo.denominator)
-                on_grid.append(False)
-        m = len(self.breakpoints)
-        total = 0
-        counted = 0
-        for i in range(m - 1):
-            cnt = below[i + 1] - below[i] - (1 if on_grid[i] else 0)
-            total += self.arc_values[i] * cnt
-            counted += cnt
-        wrap = (k - 1) - below[m - 1] - (1 if on_grid[m - 1] else 0) + below[0]
-        total += self.arc_values[-1] * wrap
-        counted += wrap
-        for hit, pv in zip(on_grid, self.point_values):
-            if hit:
-                total += pv
-                counted += 1
-        counted += 1  # j = k, the point z = 1, value 0
-        assert counted == k, "grid accounting must cover every root of unity"
-        return total
+        below, on_grid = self._grid(k)
+        # arc i holds the grid points above breakpoint i (itself excluded
+        # when on the grid) and below the next; the wrap arc ends at the
+        # first breakpoint one turn on, less j = k (z = 1, value 0)
+        ends = below[1:] + [k - 1 + below[0]]
+        counts = [e - b - hit for b, e, hit in zip(below, ends, on_grid)]
+        assert min(counts) >= 0, "breakpoint counts must not decrease"
+        return (sum(v * c for v, c in zip(self.arc_values, counts))
+                + sum(v for v, hit in zip(self.point_values, on_grid) if hit))
 
     def arc_measures(self, width):
         """Certified (lo, hi) bounds for the normalized Haar measure of each
@@ -467,30 +419,20 @@ def _arc_value(s, t, x):
 
     At x = -1 the matrix is 2S. Elsewhere it is P - iyT, P = (1-x)S,
     y^2 = 1 - x^2, whose realification is congruent to the real form
-    [[P, T], [-T, P/(1-x^2)]] of twice the signature. At x = p/q that form
-    times q(q+p) > 0 has the integer blocks (q^2-p^2)S, q(q+p)T and q^2 S."""
+    [[P, T], [-T, P/(1-x^2)]] of twice the signature. At x = p/q its
+    congruence by diag(I, (1+x)I), times q > 0, is the integer form with
+    blocks (q-p)S, (q+p)T, -(q+p)T and (q+p)S."""
     if x == -1:
         return congruence_signature(s)
     p, q = x.numerator, x.denominator
-    u, v, w = q * q - p * p, q * (q + p), q * q
+    u, v = q - p, q + p
     form = ([[u * a for a in srow] + [v * b for b in trow]
              for srow, trow in zip(s, t)]
-            + [[-v * b for b in trow] + [w * a for a in srow]
+            + [[-v * b for b in trow] + [v * a for a in srow]
                for srow, trow in zip(s, t)])
     doubled = congruence_signature(form)
     assert doubled % 2 == 0, "a realified Hermitian form has even signature"
     return doubled // 2
-
-
-def _root_of_divisor(x, q):
-    """Whether x is a root of q, a divisor of the squarefree polynomial that
-    x is isolated for: q has at most that one root in the isolating
-    interval, a simple one, so it changes sign there exactly when it has."""
-    if pdeg(q) < 1:
-        return False
-    if x.value is not None:
-        return peval(q, x.value) == 0
-    return _sgn(peval(q, x.lo)) != _sgn(peval(q, x.hi))
 
 
 @lru_cache(maxsize=None)
@@ -521,7 +463,7 @@ def signature_function(a: SeifertMatrix) -> SignatureFunction:
     around = [wrap] + upper_arcs + [through_pi]
     upper_points = []
     for x, before, after in zip(uppers, around, around[1:]):
-        if _root_of_divisor(x, repeated):
+        if x.is_root_of(repeated):
             upper_points.append(_signature_at_x(a, x.sign_of_poly))
         else:
             assert abs(before - after) == 2, "a simple root moves one eigenvalue"

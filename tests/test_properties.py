@@ -11,9 +11,10 @@ from hypothesis import given, settings, strategies as st
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
                      tl_signature_at, validate_seifert)
-from knotsig.polyz import (cos_minimal_poly, cyclotomic, isolate_roots, padd,
-                           palindromic_compact, pdeg, pdivides, pdivmod, peval,
-                           pgcd, pmul, pnorm, squarefree_part, sturm_chain,
+from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
+                           isolate_roots, padd, palindromic_compact, pdeg,
+                           pdivides, pdivmod, peval, pgcd, pmul, pnorm,
+                           pprimitive, squarefree_part, sturm_chain,
                            sturm_count)
 from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron,
                             mat_mul, mat_pow_mod, mat_sub, prime_factorization,
@@ -259,6 +260,25 @@ class TestRootIsolation:
                 if abs(approx) > Fraction(1, 2 ** 20):
                     assert sign == (approx > 0) - (approx < 0)
 
+    def test_is_root_of_divisors(self):
+        # the roots of psi_5 psi_7 psi_12 psi_6 are the cos(2 pi j/d); each
+        # is a root of exactly one factor, which is found without refining
+        orders = (5, 7, 12, 6)
+        p = [1]
+        for d in orders:
+            p = pmul(p, list(cos_minimal_poly(d)))
+        found = {d: 0 for d in orders}
+        for lo, hi in isolate_roots(p, Fraction(-1), Fraction(1)):
+            alpha = RealAlgebraic.root_of(p, lo, hi)
+            hits = [d for d in orders if alpha.is_root_of(cos_minimal_poly(d))]
+            assert len(hits) == 1 and (alpha.lo, alpha.hi) == (lo, hi)
+            assert not alpha.is_root_of([3]) and not alpha.is_root_of([])
+            found[hits[0]] += 1
+            alpha.bounds(Fraction(1, 2 ** 30))  # x = 1/2 becomes an exact value
+            assert [d for d in orders if alpha.is_root_of(cos_minimal_poly(d))] == hits
+            assert alpha.sign_of_poly(cos_minimal_poly(hits[0])) == 0
+        assert found == {d: euler_phi(d) // 2 for d in orders}
+
 
 class TestConcurrency:
     def test_parallel_queries_match_sequential(self):
@@ -415,6 +435,21 @@ class TestPalindromicCompact:
             psi = list(cos_minimal_poly(d))
             assert len(psi) - 1 == euler_phi(d) // 2
             assert sign_at_cos_turn(psi, Fraction(1, d)) == 0
+
+    def test_cos_compact_keeps_divisors(self):
+        # the compaction is multiplicative up to content, so Phi_d | Delta
+        # gives psi_d | G
+        for d in range(3, 40):
+            assert tuple(cos_compact(cyclotomic(d))) == cos_minimal_poly(d)
+        rng = random.Random(1301)
+        for _ in range(40):
+            f, g = ([rng.randint(-3, 3) for _ in range(3)] for _ in range(2))
+            f, g = f + f[-2::-1], g + g[-2::-1]  # palindromic of degree 4
+            if not f[0] or not g[0]:
+                continue
+            fg = cos_compact(pmul(f, g))
+            assert fg == pprimitive(pmul(cos_compact(f), cos_compact(g)))
+            assert pdivides(cos_compact(f), fg)
 
     def test_rejects_non_palindromic(self):
         for p, m in (([1, 2], None), ([1, 2, 3], None), ([1, 0, 1], 0),
@@ -666,3 +701,37 @@ class TestPseudoDivision:
                 if d % e == 0:
                     prod_ = pmul(prod_, list(cyclotomic(e)))
             assert prod_ == [-1] + [0] * (d - 1) + [1], d
+
+
+class TestNoFloatingPoint:
+    """The library computes with integers and rationals only: no float
+    literal, no use of the name float, and from math only the exact integer
+    functions."""
+
+    EXACT_MATH = {"comb", "gcd", "isqrt", "lcm", "prod"}
+
+    def test_library_sources(self):
+        import ast
+        from pathlib import Path
+        import knotsig
+        sources = sorted(Path(knotsig.__file__).parent.glob("*.py"))
+        assert len(sources) > 5
+        for path in sources:
+            tree = ast.parse(path.read_text(), filename=str(path))
+            math_names = set()
+            for node in ast.walk(tree):
+                where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+                if isinstance(node, ast.Constant):
+                    assert not isinstance(node.value, (float, complex)), where
+                elif isinstance(node, ast.Name):
+                    assert node.id != "float", where
+                elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                    assert {a.name for a in node.names} <= self.EXACT_MATH, where
+                elif isinstance(node, ast.Import):
+                    math_names |= {a.asname or a.name for a in node.names
+                                   if a.name == "math"}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id in math_names):
+                    assert node.attr in self.EXACT_MATH, f"{path.name}:{node.lineno}"

@@ -10,10 +10,10 @@ from knotsig import (UnitRootAngle, alexander_polynomial,
                      factorial_schedule)
 from knotsig.knotio import read_knot
 from knotsig.realalg import cos_turn_bounds
-from knotsig.polyz import (cyclotomic, pdivides, peval, squarefree_part,
-                           sturm_chain, sturm_count)
-from knotsig.signature import (_alexander_x_polynomial, _char_poly_in_x,
-                               _dyadic_between, _root_of_unity_orders)
+from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, pdivides,
+                           peval, squarefree_part, sturm_chain, sturm_count)
+from knotsig.signature import (_char_poly_in_x, _dyadic_between,
+                               _root_of_unity_orders)
 
 from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
                       random_interesting_seifert, random_seifert, torus_seifert)
@@ -541,7 +541,7 @@ class TestArcSampling:
         xs = self.samples(sf)
         if not xs:
             return
-        g = _alexander_x_polynomial(alexander_polynomial(a))
+        g = cos_compact(alexander_polynomial(a).coeffs)
         chain = sturm_chain(squarefree_part(g))
         # arc i lies below the upper roots 0..i; the wrap arc below none
         for above, x in zip(list(range(1, len(xs))) + [0], xs):
@@ -589,7 +589,7 @@ class TestPointValues:
         for genus in (1, 2, 3, 4):
             for _ in range(4):
                 a = random_interesting_seifert(rng, genus)
-                g = _alexander_x_polynomial(alexander_polynomial(a))
+                g = cos_compact(alexander_polynomial(a).coeffs)
                 if squarefree_part(g) != g:
                     continue
                 before = self.char_poly_calls()
@@ -626,3 +626,52 @@ class TestPointValues:
             t = bp.exact_turn
             assert value == tl_signature_by_cos_enclosure(
                 a, angle(t.numerator, t.denominator))
+
+
+class TestExactTurns:
+    """Breakpoints at roots of unity get their turns from the order of the
+    roots of psi_d alone: no isolating interval is refined, and every lookup
+    at an exact turn is its point value."""
+
+    TORUS = [(5, 7), (6, 7), (4, 9)]
+
+    @pytest.mark.parametrize("p, q", TORUS)
+    def test_torus_turns(self, p, q):
+        # the roots of Delta are the e^(2 pi i j/pq) with p, q not dividing j
+        bps = signature_function(torus_seifert(p, q)).breakpoints
+        uppers = bps[:len(bps) // 2]
+        assert all(bp.exact_turn is not None for bp in uppers)
+        assert [bp.exact_turn for bp in uppers] == \
+            sorted(Fraction(j, p * q) for j in range(1, (p * q + 1) // 2)
+                   if j % p and j % q)
+
+    def test_isolating_intervals_untouched(self):
+        knots = [torus_seifert(p, q) for p, q in self.TORUS]
+        knots += [read_knot(path) for path in sorted(FIXTURE_DIR.glob("*.json"))]
+        checked = 0
+        for a in knots:
+            g = cos_compact(alexander_polynomial(a).coeffs)
+            if not g or squarefree_part(g) != g:
+                continue
+            sf = signature_function.__wrapped__(a)  # uncached: no earlier refinement
+            ivs = isolate_roots(g, Fraction(-1), Fraction(1))[::-1]
+            uppers = sf.breakpoints[:len(sf.breakpoints) // 2]
+            assert [(bp.x.lo, bp.x.hi) for bp in uppers] == ivs
+            assert all(bp.x.value is None for bp in uppers)
+            checked += bool(uppers)
+        assert checked == 6  # three torus knots, trefoil, cinquefoil, twist
+
+    def test_lookups_at_exact_turns(self):
+        t34 = torus_seifert(3, 4)
+        knots = [(p * q, torus_seifert(p, q)) for p, q in self.TORUS]
+        knots += [(12, conjugate(random.Random(1307), block_sum(t34, mirror(t34)))),
+                  (12, block_sum(t34, t34))]  # K # -K is all 0, K # K is not
+        for pq, a in knots:
+            sf = signature_function(a)
+            assert sf.breakpoints
+            for bp, value in zip(sf.breakpoints, sf.point_values):
+                t = bp.exact_turn
+                assert sf.value_at(angle(t.numerator, t.denominator)) == value
+            for k in (pq, 2 * pq):
+                assert sf.eta_sum(k) == sum(sf.value_at(angle(j, k))
+                                            for j in range(1, k + 1))
