@@ -131,7 +131,7 @@ class FiniteLambdaModule:
     def is_periodic(self, m):
         """Whether t^m is the identity on the module, from one modular power."""
         r = self.rank
-        return not r or _t_power_matrix(self, m) == tuple(
+        return not r or _t_power(self, m) == tuple(
             tuple(int(i == j) for j in range(r)) for i in range(r))
 
     def t_power_matrix(self, e):
@@ -196,12 +196,16 @@ def _action_order(module):
     return order
 
 
-@lru_cache(maxsize=None)
-def _t_power_matrix(module, e):
+def _t_power(module, e):
     # t^e mod d_r, then row i mod d_i: exact because d_i | d_r and t is a
     # well-defined endomorphism
     power = intmat.mat_pow_mod(module.t_matrix, e, module.torsion[-1])
     return tuple(tuple(x % d for x in row) for row, d in zip(power, module.torsion))
+
+
+# only the reduced exponents t_power_matrix serves: the trial powers of
+# _action_order's minimisation are computed once each and not kept
+_t_power_matrix = lru_cache(maxsize=None)(_t_power)
 
 
 @dataclass(frozen=True)

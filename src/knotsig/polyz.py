@@ -3,7 +3,9 @@
 Polynomials are plain lists (or tuples) of coefficients, lowest degree
 first, with no trailing zeros; the zero polynomial is the empty list.
 Everything here is exact and integer: division is pseudo-division over
-Z, and the only rationals are the bisection points of isolate_roots.
+Z, and a sign at a rational point num/den is the sign of the homogeneous
+integer sum of c_i * num^i * den^(d-i) (psign), so the bisection points of
+isolate_roots are the only Fractions and no Fraction is multiplied.
 """
 
 from fractions import Fraction
@@ -51,6 +53,18 @@ def peval(p, x):
     for c in reversed(p):
         acc = acc * x + c
     return acc
+
+
+def psign(p, num, den=1):
+    """Sign of p(num/den) for den > 0, from the integer
+    den^d * p(num/den) = sum of c_i * num^i * den^(d-i) by homogeneous Horner."""
+    acc, scale = 0, 1
+    for c in reversed(p):
+        acc *= num
+        if c:
+            acc += c * scale
+        scale *= den
+    return (acc > 0) - (acc < 0)
 
 
 def pderiv(p):
@@ -182,9 +196,10 @@ def _variations(signs):
 
 
 def sturm_count(chain, a, b):
-    """Number of distinct real roots in (a, b], for a < b with f(a) != 0."""
-    va = _variations([_sgn(peval(p, a)) for p in chain])
-    vb = _variations([_sgn(peval(p, b)) for p in chain])
+    """Number of distinct real roots in (a, b], for rationals a < b with
+    f(a) != 0."""
+    va = _variations([psign(p, a.numerator, a.denominator) for p in chain])
+    vb = _variations([psign(p, b.numerator, b.denominator) for p in chain])
     return va - vb
 
 
@@ -204,7 +219,11 @@ def isolate_roots(p, lo, hi):
     if pdeg(p) < 1:
         return []
     lo, hi = Fraction(lo), Fraction(hi)
-    if peval(p, lo) == 0 or peval(p, hi) == 0:
+
+    def sign(x):
+        return psign(p, x.numerator, x.denominator)
+
+    if sign(lo) == 0 or sign(hi) == 0:
         raise ValueError("endpoints must not be roots")
     chain = sturm_chain(p)
     out = []
@@ -213,7 +232,7 @@ def isolate_roots(p, lo, hi):
         # A point in (a, b) that is not a root of p; tries a few fractions.
         for k in range(1, pdeg(p) + 3):
             m = a + (b - a) * Fraction(k, pdeg(p) + 3)
-            if peval(p, m) != 0:
+            if sign(m) != 0:
                 return m
         raise AssertionError("no non-root split point found")
 
@@ -222,7 +241,7 @@ def isolate_roots(p, lo, hi):
         a, b, cnt = stack.pop()
         if cnt == 0:
             continue
-        if cnt == 1 and peval(p, a) * peval(p, b) < 0:
+        if cnt == 1 and sign(a) * sign(b) < 0:
             out.append((a, b))
             continue
         m = split_point(a, b)

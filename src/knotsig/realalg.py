@@ -8,13 +8,17 @@ Machin's formula for pi and the Taylor series of the cosine are summed in
 scaled integers with directed rounding, every term rounded down in the
 lower sum and up in the upper sum, and one unit in the last place covers
 the alternating remainder. So every returned bound is mathematically
-guaranteed. No floating point is used.
+guaranteed. An isolating interval is refined, and a polynomial signed on
+it, in integers over one common denominator (polyz.psign, integer
+interval Horner); Fractions appear only where the endpoints are stored.
+No floating point is used.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from .polyz import _sgn, peval, pgcd, pdeg, pnorm
+from .polyz import _sgn, pgcd, pdeg, pnorm, psign
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
@@ -122,19 +126,34 @@ def cos_turn_bounds(turn, bits):
     return lo, hi
 
 
-def poly_eval_interval(p, lo, hi):
-    """Interval Horner evaluation of an integer polynomial on [lo, hi]."""
-    alo = ahi = Fraction(0)
-    for c in reversed(p):
-        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
-        alo, ahi = min(cands) + c, max(cands) + c
-    return alo, ahi
+def _sign_at(p, x):
+    """Sign of the integer polynomial p at a rational x."""
+    return psign(p, x.numerator, x.denominator)
+
+
+def _interval_sign(q, a, b, den):
+    """The sign of q on [a/den, b/den] when interval Horner certifies one,
+    else 0. Each partial Horner value is carried times a power of den, so
+    the endpoints enter as the integers a and b and nothing is divided."""
+    lo = hi = 0
+    scale = 1
+    for c in reversed(q):
+        cands = (lo * a, lo * b, hi * a, hi * b)
+        lo, hi = min(cands) + c * scale, max(cands) + c * scale
+        scale *= den
+    return 1 if lo > 0 else -1 if hi < 0 else 0
 
 
 class RealAlgebraic:
     """A real algebraic number: either an exact rational, or the unique root
     of a squarefree integer polynomial inside an isolating interval with a
-    sign change at the endpoints."""
+    sign change at the endpoints.
+
+    Refinement bisects on integers: lo = a/den and hi = b/den over one
+    common denominator, the midpoint (a + b)/(2 den) signed by polyz.psign,
+    and lo, hi written back as reduced Fractions once at the end. The
+    midpoints are the rationals (lo + hi)/2, so the enclosures are exactly
+    those of a Fraction bisection."""
 
     __slots__ = ("poly", "lo", "hi", "value", "_sign_lo")
 
@@ -143,37 +162,57 @@ class RealAlgebraic:
         self.lo = lo
         self.hi = hi
         self.value = value
-        self._sign_lo = None if value is not None else _sgn(peval(self.poly, lo))
+        self._sign_lo = None if value is not None else _sign_at(self.poly, lo)
 
     @classmethod
     def root_of(cls, poly, lo, hi):
         lo, hi = Fraction(lo), Fraction(hi)
-        slo, shi = _sgn(peval(poly, lo)), _sgn(peval(poly, hi))
-        if slo * shi >= 0:
+        if _sign_at(poly, lo) * _sign_at(poly, hi) >= 0:
             raise ValueError("not an isolating interval with a sign change")
         return cls(poly, lo, hi)
 
-    def refine(self):
-        if self.value is not None:
-            return
-        mid = (self.lo + self.hi) / 2
-        s = _sgn(peval(self.poly, mid))
+    def _scaled(self):
+        """(a, b, den) with lo = a/den and hi = b/den."""
+        lo, hi = self.lo, self.hi
+        den = lcm(lo.denominator, hi.denominator)
+        return (lo.numerator * (den // lo.denominator),
+                hi.numerator * (den // hi.denominator), den)
+
+    def _halve(self, a, b, den):
+        """The half of a/den < alpha < b/den that holds alpha, as a triple
+        over the denominator 2 den; None when the midpoint is alpha, which
+        then becomes the exact value."""
+        mid, den = a + b, 2 * den
+        s = psign(self.poly, mid, den)
         if s == 0:
-            self.value = mid
-            self.lo = self.hi = mid
-        elif s == self._sign_lo:
-            self.lo = mid
-        else:
-            self.hi = mid
+            self.value = self.lo = self.hi = Fraction(mid, den)
+            return None
+        if s == self._sign_lo:
+            return mid, 2 * b, den
+        return 2 * a, mid, den
+
+    def _store(self, a, b, den):
+        """Write lo = a/den, hi = b/den back, unless another thread has
+        stored a tighter interval meanwhile; return the new pair."""
+        lo, hi = Fraction(a, den), Fraction(b, den)
+        if hi - lo < self.hi - self.lo:
+            self.lo, self.hi = lo, hi
+        return lo, hi
 
     def bounds(self, width):
-        steps = 0
-        while self.hi - self.lo > width:
-            self.refine()
-            steps += 1
-            if steps > MAX_REFINE:
-                raise PrecisionExhausted("interval refinement stalled")
-        return self.lo, self.hi
+        """(lo, hi) with hi - lo <= width, bisecting until it holds."""
+        if self.value is not None or self.hi - self.lo <= width:
+            return self.lo, self.hi
+        w_num, w_den = width.numerator, width.denominator
+        cell = self._scaled()
+        for _ in range(MAX_REFINE):
+            cell = self._halve(*cell)
+            if cell is None:
+                return self.lo, self.hi
+            a, b, den = cell
+            if (b - a) * w_den <= w_num * den:
+                return self._store(a, b, den)
+        raise PrecisionExhausted("interval refinement stalled")
 
     def compare(self, r):
         """Exact sign of r - alpha for a rational r, without refining: the
@@ -185,7 +224,7 @@ class RealAlgebraic:
             return -1
         if r >= self.hi:
             return 1
-        s = _sgn(peval(self.poly, r))
+        s = _sign_at(self.poly, r)
         return 0 if s == 0 else -1 if s == self._sign_lo else 1
 
     def is_root_of(self, q):
@@ -195,25 +234,30 @@ class RealAlgebraic:
         if pdeg(q) < 1:
             return False
         if self.value is not None:
-            return peval(q, self.value) == 0
-        return peval(q, self.lo) * peval(q, self.hi) < 0
+            return _sign_at(q, self.value) == 0
+        return _sign_at(q, self.lo) * _sign_at(q, self.hi) < 0
 
     def sign_of_poly(self, q):
-        """Exact sign of q(alpha) for an integer polynomial q."""
+        """Exact sign of q(alpha) for an integer polynomial q: zero by a gcd
+        with the defining polynomial, otherwise the sign of q on the
+        isolating interval once interval Horner decides it, bisecting
+        until then."""
         q = pnorm(list(q))
         if not q:
             return 0
         if self.value is not None:
-            return _sgn(peval(q, self.value))
+            return _sign_at(q, self.value)
         if self.is_root_of(pgcd(list(self.poly), q)):
             return 0
+        cell = self._scaled()
         for _ in range(MAX_REFINE):
-            vlo, vhi = poly_eval_interval(q, self.lo, self.hi)
-            if vlo > 0:
-                return 1
-            if vhi < 0:
-                return -1
-            self.refine()
+            s = _interval_sign(q, *cell)
+            if s:
+                self._store(*cell)
+                return s
+            cell = self._halve(*cell)
+            if cell is None:
+                return _sign_at(q, self.value)
         raise PrecisionExhausted("sign of polynomial at algebraic point")
 
     def __repr__(self):

@@ -17,7 +17,7 @@ from math import gcd
 from knotsig.intmat import euler_phi, identity
 from knotsig.polyz import _sgn, cos_minimal_poly, pdeg, pdivides, peval, pnorm
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
-                             cos_turn_bounds, poly_eval_interval)
+                             cos_turn_bounds)
 from knotsig.signature import _signature_at_x
 
 
@@ -751,6 +751,56 @@ def arf_by_symplectic_basis(a):
         return sum(x[i] * ent[i][j] * x[j] for i in range(a.n) for j in range(a.n)) % 2
 
     return sum(q(e) * q(f) for e, f in zip(es, fs)) % 2
+
+
+# --- Fraction bisection and interval Horner --------------------------------
+
+def poly_eval_interval(p, lo, hi):
+    """Interval Horner evaluation of an integer polynomial on the rational
+    interval [lo, hi], in Fractions."""
+    alo = ahi = Fraction(0)
+    for c in reversed(p):
+        cands = (alo * lo, alo * hi, ahi * lo, ahi * hi)
+        alo, ahi = min(cands) + c, max(cands) + c
+    return alo, ahi
+
+
+def bisect_by_fractions(poly, lo, hi, width):
+    """(lo, hi) after halving the isolating interval (lo, hi) of a root of
+    the squarefree poly at (lo + hi)/2 until hi - lo <= width, with Fraction
+    midpoints and Horner values; a midpoint at the root ends it as (m, m)."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    sign_lo = _sgn(peval(poly, lo))
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        s = _sgn(peval(poly, mid))
+        if s == 0:
+            return mid, mid
+        if s == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def turn_cell_by_bisection(poly, lo, hi, depth):
+    """The num with arccos(x)/(2*pi) in (num, num + 1)/2^depth, for the root
+    x of poly isolated by (lo, hi) whose turn is irrational: one halving per
+    bit, each midpoint's cosine enclosure (cos_turn_bounds) separated from
+    an x enclosure by bisect_by_fractions."""
+    num = 0
+    for k in range(1, depth + 1):
+        mid = 2 * num + 1
+        bits = k + 16
+        while True:
+            clo, chi = cos_turn_bounds(Fraction(mid, 1 << k), bits)
+            lo, hi = bisect_by_fractions(poly, lo, hi, Fraction(1, 1 << bits))
+            if clo > hi or chi < lo:
+                break
+            bits *= 2
+        # cos decreasing on [0, 1/2]: cos(mid) > x means mid < turn
+        num = mid if clo > hi else mid - 1
+    return num
 
 
 # --- signatures at rational turns through cosine enclosures ----------------

@@ -251,6 +251,18 @@ class TestActionOrder:
         # the order of 2 mod 1000003 is 1000002: found without a million steps
         assert FiniteLambdaModule.make((1000003,), [[2]]).action_order() == 1000002
 
+    def test_trial_powers_stay_out_of_the_cache(self):
+        # the minimisation tests dozens of t^(M/q) on (3367,)^4; only the
+        # powers t_power_matrix serves, reduced mod the order, are kept
+        from knotsig.alexmod import _t_power_matrix
+        m = _random_module(random.Random(3367), (3367,) * 4)
+        before = _t_power_matrix.cache_info().currsize
+        order = m.action_order()
+        assert _t_power_matrix.cache_info().currsize == before
+        assert m.t_power_matrix(order + 5) == m.t_power_matrix(5)
+        assert m.t_pow_apply((1, 0, 0, 0), order) == (1, 0, 0, 0)
+        assert _t_power_matrix.cache_info().currsize == before + 2
+
     def test_trivial(self):
         assert FiniteLambdaModule.trivial().action_order() == 1
         assert FiniteLambdaModule.make((2, 2), [[1, 0], [0, 1]]).action_order() == 1

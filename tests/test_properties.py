@@ -14,7 +14,7 @@ from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
 from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
                            isolate_roots, padd, palindromic_compact, pdeg,
                            pdivides, pdivmod, peval, pgcd, pmul, pnorm,
-                           pprimitive, squarefree_part, sturm_chain,
+                           pprimitive, psign, squarefree_part, sturm_chain,
                            sturm_count)
 from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron,
                             mat_mul, mat_pow_mod, mat_sub, prime_factorization,
@@ -278,6 +278,66 @@ class TestRootIsolation:
             assert [d for d in orders if alpha.is_root_of(cos_minimal_poly(d))] == hits
             assert alpha.sign_of_poly(cos_minimal_poly(hits[0])) == 0
         assert found == {d: euler_phi(d) // 2 for d in orders}
+
+
+class TestIntegerRefinement:
+    """Signs and bisection on integers (psign, RealAlgebraic) against the
+    Fraction routes of the oracles, which they must match exactly."""
+
+    @given(st.lists(st.integers(-50, 50), max_size=8), st.integers(-10 ** 6, 10 ** 6),
+           st.integers(1, 10 ** 6), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_psign_against_fraction_horner(self, coeffs, num, den, vanish):
+        p = pnorm(coeffs)
+        if vanish:  # a root at num/den, and so a zero sign
+            p = pmul(p or [1], [-num, den])
+        want = peval(p, Fraction(num, den))
+        assert psign(p, num, den) == (want > 0) - (want < 0)
+        assert psign(p, num) == psign(p, num, 1)
+
+    @staticmethod
+    def _roots(rng, count):
+        """Squarefree polynomials with their isolating intervals in (-1, 1),
+        dyadic and other rational roots among them, so that a midpoint can
+        land on the root."""
+        polys = [[-1, 4], [1, 0, -4], pmul([-1, 8], [-2, 0, 1]), pmul([1, 3], [-3, 8])]
+        while len(polys) < count:
+            p = squarefree_part(pnorm([rng.randint(-6, 6) for _ in range(rng.randint(2, 7))]))
+            if pdeg(p) >= 1 and peval(p, -1) and peval(p, 1):
+                polys.append(p)
+        return [(p, lo, hi) for p in polys for lo, hi in isolate_roots(p, -1, 1)]
+
+    def test_bounds_against_fraction_bisection(self):
+        widths = [Fraction(1, 2 ** k) for k in range(0, 90, 7)] + [Fraction(3, 1000), Fraction(1, 10 ** 20)]
+        for p, lo, hi in self._roots(random.Random(83), 40):
+            walked = RealAlgebraic.root_of(p, lo, hi)
+            for w in sorted(widths, reverse=True):
+                want = oracles.bisect_by_fractions(p, lo, hi, w)
+                assert RealAlgebraic.root_of(p, lo, hi).bounds(w) == want
+                assert walked.bounds(w) == want
+                assert (walked.lo, walked.hi) == want
+
+    def test_sign_of_poly_against_fraction_interval_horner(self):
+        rng = random.Random(89)
+        seen = 0
+        for p, lo, hi in self._roots(rng, 40):
+            # a nearby polynomial: its root, if any, lies close to alpha
+            q = padd(p, [rng.choice([-1, 1])] + [0] * rng.randint(0, 3))
+            if pgcd(p, q) != [1]:
+                continue
+            alpha = RealAlgebraic.root_of(p, lo, hi)
+            a, b = lo, hi
+            while True:
+                vlo, vhi = oracles.poly_eval_interval(q, a, b)
+                if vlo > 0 or vhi < 0:
+                    break
+                a, b = oracles.bisect_by_fractions(p, a, b, (b - a) / 2)
+                # a midpoint at a rational root: then the sign is q's there
+            assert alpha.sign_of_poly(q) == (1 if vlo > 0 else -1)
+            assert (alpha.lo, alpha.hi) == (a, b)
+            assert (alpha.value == a) == (a == b)
+            seen += a == b
+        assert seen >= 2
 
 
 class TestConcurrency:

@@ -393,6 +393,117 @@ class TestTurnTracker:
         lo, hi = nested[0]
         assert lo <= expected[0] and expected[1] <= hi
 
+    # Alexander polynomial D t^4 + (1 - 2D) t^2 + D = D (t^2 - 1)^2 + t^2
+    # for D = 100 and 500: cos(theta) = +-sqrt(1 - 1/(4D)), turns within
+    # 0.008 of 0 and of 1/2, where sin(2*pi*t) in Newton's step is small
+    SQUARED = ([[-4, 1, -3, 0], [0, 0, -5, 0], [0, 5, 0, 1], [0, 0, 0, -1]],
+               [[-5, 1, -3, 0], [0, 0, -5, 0], [0, 5, 0, 1], [0, 0, 0, -4]])
+
+    @classmethod
+    def _irrational_xs(cls):
+        rng = random.Random(67)
+        mats = [validate_seifert([[d, 1], [0, 1]]) for d in (2, 7, 100, 500)]
+        mats += [validate_seifert(m) for m in cls.SQUARED]
+        mats += [random_interesting_seifert(rng, rng.choice([2, 3])) for _ in range(4)]
+        xs = []
+        for a in mats:
+            sf = signature_function(a)
+            xs += [bp.x for bp in sf.breakpoints[:len(sf.breakpoints) // 2]
+                   if bp.exact_turn is None]
+        return xs
+
+    @staticmethod
+    def _fresh(x):
+        from knotsig.realalg import RealAlgebraic
+        from knotsig.signature import _TurnTracker
+        return _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi))
+
+    def test_jump_matches_bisection(self):
+        # the Newton-guessed cell at each depth is the one plain bisection
+        # (oracles.turn_cell_by_bisection, Fraction x, cos_turn_bounds) reaches
+        from oracles import turn_cell_by_bisection
+        xs = self._irrational_xs()
+        turns = []
+        for x in xs:
+            top = turn_cell_by_bisection(x.poly, x.lo, x.hi, 300)
+            for depth in (20, 21, 64, 141, 200, 300):
+                num = top >> (300 - depth)
+                want = (Fraction(num, 1 << depth), Fraction(num + 1, 1 << depth))
+                assert self._fresh(x).bounds(Fraction(1, 1 << depth)) == want
+            turns.append(Fraction(top, 1 << 300))
+        assert len(xs) >= 10
+        assert min(turns) < Fraction(1, 100) and max(turns) > Fraction(49, 100)
+
+    def test_wrong_guess_falls_back_to_bisection(self, monkeypatch):
+        from knotsig.signature import _TurnTracker
+        xs = self._irrational_xs()
+        width = Fraction(1, 2 ** 150)
+        want = [self._fresh(x).bounds(width) for x in xs]
+        guess = _TurnTracker._guess
+        for wrong in (lambda g: g + 1, lambda g: g - 1, lambda g: g ^ 4):
+            def off(self, num, depth, target, wrong=wrong):
+                g = wrong(guess(self, num, depth, target))
+                first = num << (target - depth)
+                return min(max(g, first), first + (1 << (target - depth)) - 1)
+            monkeypatch.setattr(_TurnTracker, "_guess", off)
+            assert [self._fresh(x).bounds(width) for x in xs] == want
+
+    def test_guess_is_certified_in_few_cosines(self, monkeypatch):
+        # a guess that silently fails keeps every result and loses the
+        # speed: one tracker to 2^-200 must take at most 40 kernel calls,
+        # where bisection alone takes about 200
+        from knotsig import signature
+        kernel, calls = signature._cos_scaled, []
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(signature, "_cos_scaled", counted)
+        for x in self._irrational_xs():
+            calls.clear()
+            self._fresh(x).bounds(Fraction(1, 2 ** 200))
+            assert len(calls) <= 40, (x, len(calls))
+
+    def test_threads_sharing_trackers(self):
+        # every thread gets the fresh single-threaded cell, whatever the
+        # others did to the shared tracker state and x interval meanwhile
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+        from knotsig.polyz import psign
+        xs = self._irrational_xs()
+        depths = (150, 5, 64, 21, 200, 11, 90)
+        want = {(i, d): self._fresh(x).bounds(Fraction(1, 2 ** d))
+                for i, x in enumerate(xs) for d in depths}
+        shared = [self._fresh(x) for x in xs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = {key: pool.submit(shared[key[0]].bounds, Fraction(1, 2 ** key[1]))
+                           for key in want}
+                got = {key: f.result(timeout=120) for key, f in futures.items()}
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        for t in shared:
+            x = t.x
+            if x.value is None:
+                assert psign(x.poly, x.lo.numerator, x.lo.denominator) * \
+                    psign(x.poly, x.hi.numerator, x.hi.denominator) < 0
+
+    def test_enclosures_do_not_depend_on_earlier_queries(self):
+        a = validate_seifert([[7, 1], [0, 1]])
+        bp = signature_function(a).breakpoints[0]
+        fresh = [self._fresh(bp.x).bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)]
+        bp.turn_bounds(Fraction(1, 2 ** 120))
+        assert [bp.turn_bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)] == fresh
+        signature_function.cache_clear()
+        first = l2_eta_abelian(a, Fraction(1, 10 ** 6))
+        assert first[0].denominator == 2 ** 21
+        l2_eta_abelian(a, Fraction(1, 10 ** 30))
+        assert l2_eta_abelian(a, Fraction(1, 10 ** 6)) == first
+
 
 class TestCompactForm:
     """Alexander polynomials with zero coefficients, whose compact form in
