@@ -2,8 +2,10 @@
 
 Everything is computed in exact arithmetic: integer linear algebra,
 rational intervals certified by explicit remainder bounds, and symbolic
-zero tests. All public objects are immutable values and every function is
-pure, so the whole API is safe to use concurrently.
+zero tests. Results are values that do not change, apart from the
+refinement state of a RealAlgebraic (its isolating interval and its turn
+cell). That state only tightens and is replaced whole, which is why
+sharing it across threads is safe.
 """
 
 from .seifert import (SeifertMatrix, IntLaurentPoly, Metabolizer,

@@ -11,7 +11,10 @@ the alternating remainder. So every returned bound is mathematically
 guaranteed. An isolating interval is refined, and a polynomial signed on
 it, in integers over one common denominator (polyz.psign, integer
 interval Horner); Fractions appear only where the endpoints are stored.
-No floating point is used.
+The turn arccos(alpha)/(2*pi) of an algebraic alpha in (-1, 1) is held
+as a dyadic cell (RealAlgebraic.turn_cell), whose ends are certified by
+comparing alpha with the kernel's cosines, so every comparison between
+a cosine and alpha is made in this module. No floating point is used.
 """
 
 from fractions import Fraction
@@ -28,6 +31,14 @@ MAX_REFINE = 2000
 #: computed at the scale 2**(bits + GUARD), where the rounding of every
 #: series term and of pi stays far below the 2**(2 - bits) width contract.
 GUARD = 16
+
+#: Depth up to which RealAlgebraic.turn_cell bisects before it guesses.
+_BISECT_DEPTH = 10
+
+#: Cap on the Newton steps of one turn-cell guess (it converges in about
+#: log2 of the depth; a guess that has not settled by then is simply not
+#: certified).
+_NEWTON_STEPS = 24
 
 
 class PrecisionExhausted(RuntimeError):
@@ -107,23 +118,14 @@ def _cos_scaled(a, b, p):
     return max(lo - 1, -one), min(hi + 1, one)
 
 
-#: Per-turn cache: turn -> (bits, lo, hi) of the most precise enclosure.
-_COS = {}
-
-
 def cos_turn_bounds(turn, bits):
     """Certified (lo, hi) with lo <= cos(2*pi*turn) <= hi, hi-lo <= 2**(2-bits)."""
     turn = Fraction(turn)
-    cached = _COS.get(turn)
-    if cached is not None and cached[0] >= bits:
-        return cached[1], cached[2]
     b = turn.denominator
     a = turn.numerator % b  # reduce mod 1 into [0, 1), then into [0, 1/2]
     p = bits + GUARD
     lo, hi = _cos_scaled(min(a, b - a), b, p)
-    lo, hi = Fraction(lo, 1 << p), Fraction(hi, 1 << p)
-    _COS[turn] = (bits, lo, hi)
-    return lo, hi
+    return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
 
 
 def _sign_at(p, x):
@@ -153,9 +155,14 @@ class RealAlgebraic:
     common denominator, the midpoint (a + b)/(2 den) signed by polyz.psign,
     and lo, hi written back as reduced Fractions once at the end. The
     midpoints are the rationals (lo + hi)/2, so the enclosures are exactly
-    those of a Fraction bisection."""
+    those of a Fraction bisection.
 
-    __slots__ = ("poly", "lo", "hi", "value", "_sign_lo")
+    For alpha in (-1, 1) with irrational turn, turn_cell(depth) also holds
+    the dyadic cell of arccos(alpha)/(2*pi) in (0, 1/2) as one pair
+    (num, depth). The interval and the cell only tighten, and the pair is
+    read and replaced whole, so threads may share one RealAlgebraic."""
+
+    __slots__ = ("poly", "lo", "hi", "value", "_sign_lo", "_turn")
 
     def __init__(self, poly, lo, hi, value=None):
         self.poly = tuple(poly) if poly is not None else None
@@ -163,6 +170,7 @@ class RealAlgebraic:
         self.hi = hi
         self.value = value
         self._sign_lo = None if value is not None else _sign_at(self.poly, lo)
+        self._turn = (0, 1)  # (num, depth) of the turn cell
 
     @classmethod
     def root_of(cls, poly, lo, hi):
@@ -259,6 +267,89 @@ class RealAlgebraic:
             if cell is None:
                 return _sign_at(q, self.value)
         raise PrecisionExhausted("sign of polynomial at algebraic point")
+
+    def turn_cell(self, depth):
+        """The integer c with c/2^depth < arccos(alpha)/(2*pi) < (c+1)/2^depth,
+        for alpha in (-1, 1) with irrational turn (a precondition, not
+        checked), whatever was asked before: a deeper cell held from an
+        earlier call is shifted down to the asked depth.
+
+        Reaching a new depth D bisects against certified cosine enclosures
+        up to depth 10, then guesses the cell at depth D by fixed-point
+        Newton on cos(2*pi*t) = alpha. The guess is never trusted: the cell
+        [g, g + 1] / 2^D is kept only when two kernel comparisons certify
+        cos(2*pi*g/2^D) > alpha and not cos(2*pi*(g + 1)/2^D) > alpha. The
+        turn is irrational, so it is then the one cell at depth D that
+        bisection would reach; otherwise bisection goes on to depth D."""
+        if depth > MAX_REFINE:
+            raise PrecisionExhausted("turn enclosure refinement stalled")
+        num, held = self._turn
+        if held < depth:
+            num, held = self._turn_refine(num, held, depth)
+        return num >> (held - depth)
+
+    def _turn_refine(self, num, depth, target):
+        """The turn cell at depth target inside the cell (num, depth)."""
+        while depth < min(target, _BISECT_DEPTH):
+            num, depth = self._turn_halve(num, depth)
+        if depth < target:
+            g = self._turn_guess(num, depth, target)
+            b = 1 << target
+            if self._cos_exceeds(g, b) and not self._cos_exceeds(g + 1, b):
+                num, depth = g, target
+                self._turn = (num, depth)
+        while depth < target:
+            num, depth = self._turn_halve(num, depth)
+        return num, depth
+
+    def _turn_halve(self, num, depth):
+        mid = 2 * num + 1
+        depth += 1
+        # cos decreasing: cos(mid) > alpha means mid < turn
+        num = mid if self._cos_exceeds(mid, 1 << depth) else mid - 1
+        self._turn = (num, depth)
+        return num, depth
+
+    def _turn_guess(self, num, depth, target):
+        """A cell g at depth target inside (num, depth), from Newton's
+        t <- t + (cos(2*pi*t) - alpha) / (2*pi*sin(2*pi*t)) on integers
+        t * 2^p, p = target + GUARD, with cos from the kernel and
+        sin(2*pi*t) = cos(2*pi*(1/4 - t))."""
+        p = target + GUARD
+        one = 1 << p
+        xlo, _ = self.bounds(Fraction(1, one))
+        x = (xlo.numerator << p) // xlo.denominator
+        two_pi = sum(_pi_scaled(p))  # 2*pi * 2^p, to within 2 units
+        lo, hi = num << (p - depth), ((num + 1) << (p - depth)) - 1
+        t = (lo + hi) // 2
+        for _ in range(_NEWTON_STEPS):
+            cos = sum(_cos_scaled(t, one, p)) // 2
+            sin = sum(_cos_scaled(abs((one >> 2) - t), one, p)) // 2
+            if sin <= 0:
+                break
+            step = ((cos - x) << (2 * p)) // (two_pi * sin)
+            t = min(max(t + step, lo), hi)
+            if abs(step) <= 1 << (GUARD // 2):
+                break
+        return t >> GUARD
+
+    def _cos_exceeds(self, a, b):
+        """Whether cos(2*pi*a/b) > alpha for 0 <= a/b <= 1/2, comparing the
+        kernel's integer bounds on cos * 2^p with alpha by cross
+        multiplication. The first try resolves cos to the bits of b and 8
+        more."""
+        bits = b.bit_length() + 8
+        for _ in range(MAX_REFINE):
+            p = bits + GUARD
+            clo, chi = _cos_scaled(a, b, p)
+            xlo, xhi = self.lo, self.hi
+            if clo * xhi.denominator > xhi.numerator << p:
+                return True
+            if chi * xlo.denominator < xlo.numerator << p:
+                return False
+            self.bounds(Fraction(1, 1 << bits))
+            bits *= 2
+        raise PrecisionExhausted("cosine comparison stalled")
 
     def __repr__(self):
         if self.value is not None:

@@ -38,10 +38,9 @@ refinement, and counted by Descartes' rule.
 Every breakpoint is then placed against the k-th roots of unity by one
 count, the number of j in 1..k with j/k below its turn: exact for a
 rational turn, and from a turn enclosure with no multiple of 1/k inside
-for an irrational one. Such an enclosure is the dyadic cell of the asked
-width, bisected against the integer cosine kernel to depth 10 and then
-guessed at the asked depth by fixed-point Newton on cos(2*pi*t) = x; the
-guess is kept only when two kernel comparisons certify it (_TurnTracker).
+for an irrational one. Such an enclosure is the dyadic turn cell of the
+asked width, which realalg certifies against its integer cosine kernel
+(RealAlgebraic.turn_cell); a lower point's cell mirrors the upper one's.
 A signature at a root of unity is a bisection in those counts, a
 root-of-unity average is a sum over their differences, and the circle
 integral reduces to certified arc measures.
@@ -58,8 +57,7 @@ from .polyz import (_variations, cos_compact, cos_minimal_poly, cyclotomic,
                     isolate_roots, palindromic_compact, pderiv, pdeg,
                     pdivides, peval, pgcd, pinterpolate, psubst_scale,
                     squarefree_part)
-from .realalg import (GUARD, MAX_REFINE, PrecisionExhausted, RealAlgebraic,
-                      _cos_scaled, _pi_scaled)
+from .realalg import PrecisionExhausted, RealAlgebraic
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -174,13 +172,12 @@ class CirclePoint:
     requested width.
     """
 
-    __slots__ = ("x", "hemisphere", "exact_turn", "_tracker")
+    __slots__ = ("x", "hemisphere", "exact_turn")
 
-    def __init__(self, x, hemisphere, exact_turn=None, tracker=None):
+    def __init__(self, x, hemisphere, exact_turn=None):
         self.x = x
         self.hemisphere = hemisphere  # "upper" or "lower"
         self.exact_turn = exact_turn
-        self._tracker = tracker
 
     def turn_bounds(self, width):
         """Certified rational (lo, hi) enclosing theta/(2*pi), width <= width:
@@ -188,22 +185,15 @@ class CirclePoint:
         the same whatever was asked before."""
         if self.exact_turn is not None:
             return (self.exact_turn, self.exact_turn)
-        lo, hi = self._tracker.bounds(width)
-        if self.hemisphere == "upper":
-            return lo, hi
-        return 1 - hi, 1 - lo
+        depth = _depth_for(width)
+        num = self.x.turn_cell(depth)
+        if self.hemisphere == "lower":
+            num = (1 << depth) - 1 - num
+        return Fraction(num, 1 << depth), Fraction(num + 1, 1 << depth)
 
     def __repr__(self):
         t = self.exact_turn if self.exact_turn is not None else self.turn_bounds(Fraction(1, 1024))
         return f"CirclePoint(turn~{t}, {self.hemisphere})"
-
-
-#: Depth up to which _TurnTracker bisects before it guesses the cell.
-_BISECT_DEPTH = 10
-
-#: Cap on the Newton steps of one guess (it converges in about log2 of the
-#: depth; a guess that has not settled by then is simply not certified).
-_NEWTON_STEPS = 24
 
 
 def _depth_for(width):
@@ -213,103 +203,6 @@ def _depth_for(width):
         raise PrecisionExhausted("turn enclosure of width <= 0")
     cells = -(-width.denominator // width.numerator)  # ceil(1 / width)
     return max(1, (cells - 1).bit_length())
-
-
-class _TurnTracker:
-    """Certified enclosure of arccos(x)/(2*pi) in (0, 1/2) for an algebraic
-    x in (-1, 1) with irrational turn. The enclosure is a dyadic cell
-    [num, num + 1] / 2^depth, and bounds(width) returns the cell at the
-    least depth D of width <= width, whatever was asked before: a deeper
-    cell held from an earlier query is shifted down to depth D.
-
-    Reaching depth D bisects against certified cosine enclosures up to
-    depth 10, then guesses the cell at depth D by fixed-point Newton on
-    cos(2*pi*t) = x. The guess is never trusted: the cell [g, g + 1] / 2^D
-    is kept only when two kernel comparisons certify cos(2*pi*g/2^D) > x
-    and not cos(2*pi*(g + 1)/2^D) > x. The turn is irrational, so it is
-    then the one cell at depth D that bisection would reach; otherwise
-    bisection goes on to depth D. The state is one pair (num, depth): a
-    thread reads and replaces the pair whole, so threads sharing a step
-    function never see the num of one depth with another depth."""
-
-    __slots__ = ("x", "state")
-
-    def __init__(self, x):
-        self.x = x
-        self.state = (0, 1)  # (num, depth)
-
-    def bounds(self, width):
-        target = _depth_for(width)
-        if target > MAX_REFINE:
-            raise PrecisionExhausted("turn enclosure refinement stalled")
-        num, depth = self.state
-        if depth < target:
-            num, depth = self._refine(num, depth, target)
-        num >>= depth - target
-        den = 1 << target
-        return Fraction(num, den), Fraction(num + 1, den)
-
-    def _refine(self, num, depth, target):
-        """The cell at depth target inside the cell (num, depth)."""
-        while depth < min(target, _BISECT_DEPTH):
-            num, depth = self._halve(num, depth)
-        if depth < target:
-            g = self._guess(num, depth, target)
-            b = 1 << target
-            if self._cos_exceeds_x(g, b) and not self._cos_exceeds_x(g + 1, b):
-                num, depth = g, target
-                self.state = (num, depth)
-        while depth < target:
-            num, depth = self._halve(num, depth)
-        return num, depth
-
-    def _halve(self, num, depth):
-        mid = 2 * num + 1
-        depth += 1
-        # cos decreasing: cos(mid) > x means mid < turn
-        num = mid if self._cos_exceeds_x(mid, 1 << depth) else mid - 1
-        self.state = (num, depth)
-        return num, depth
-
-    def _guess(self, num, depth, target):
-        """A cell g at depth target inside (num, depth), from Newton's
-        t <- t + (cos(2*pi*t) - x) / (2*pi*sin(2*pi*t)) on integers
-        t * 2^p, p = target + GUARD, with cos from the kernel and
-        sin(2*pi*t) = cos(2*pi*(1/4 - t))."""
-        p = target + GUARD
-        one = 1 << p
-        xlo, _ = self.x.bounds(Fraction(1, one))
-        x = (xlo.numerator << p) // xlo.denominator
-        two_pi = sum(_pi_scaled(p))  # 2*pi * 2^p, to within 2 units
-        lo, hi = num << (p - depth), ((num + 1) << (p - depth)) - 1
-        t = (lo + hi) // 2
-        for _ in range(_NEWTON_STEPS):
-            cos = sum(_cos_scaled(t, one, p)) // 2
-            sin = sum(_cos_scaled(abs((one >> 2) - t), one, p)) // 2
-            if sin <= 0:
-                break
-            step = ((cos - x) << (2 * p)) // (two_pi * sin)
-            t = min(max(t + step, lo), hi)
-            if abs(step) <= 1 << (GUARD // 2):
-                break
-        return t >> GUARD
-
-    def _cos_exceeds_x(self, a, b):
-        """Whether cos(2*pi*a/b) > x for 0 <= a/b <= 1/2, comparing the
-        kernel's integer bounds on cos * 2^p with x by cross multiplication.
-        The first try resolves cos to the bits of b and 8 more."""
-        bits = b.bit_length() + 8
-        for _ in range(MAX_REFINE):
-            p = bits + GUARD
-            clo, chi = _cos_scaled(a, b, p)
-            xlo, xhi = self.x.lo, self.x.hi
-            if clo * xhi.denominator > xhi.numerator << p:
-                return True
-            if chi * xlo.denominator < xlo.numerator << p:
-                return False
-            self.x.bounds(Fraction(1, 1 << bits))
-            bits *= 2
-        raise PrecisionExhausted("cosine comparison stalled")
 
 
 def _root_of_unity_orders(delta):
@@ -349,13 +242,9 @@ def _compute_breakpoints(a: SeifertMatrix):
         assert len(roots) == len(js), "psi_d has phi(d)/2 roots in (-1, 1)"
         for i, j in zip(roots, js):
             turns[i] = Fraction(j, d)
-    uppers = [CirclePoint(x, "upper", exact_turn=t,
-                          tracker=_TurnTracker(x) if t is None else None)
-              for x, t in zip(xs, turns)]
-    lowers = []
-    for c in reversed(uppers):
-        ex = 1 - c.exact_turn if c.exact_turn is not None else None
-        lowers.append(CirclePoint(c.x, "lower", exact_turn=ex, tracker=c._tracker))
+    uppers = [CirclePoint(x, "upper", exact_turn=t) for x, t in zip(xs, turns)]
+    lowers = [CirclePoint(x, "lower", exact_turn=None if t is None else 1 - t)
+              for x, t in zip(reversed(xs), reversed(turns))]
     return uppers + lowers, repeated
 
 
@@ -427,8 +316,6 @@ class SignatureFunction:
         computed by exact arc counting."""
         if k < 1:
             raise ValueError("k must be positive")
-        if self.matrix.n == 0:
-            return 0
         if not self.breakpoints:
             return (k - 1) * self.arc_values[0]
         below, on_grid = self._grid(k)
@@ -570,20 +457,18 @@ def l2_eta_abelian(a: SeifertMatrix, eps):
         raise ValueError("eps must be positive")
     sf = signature_function(a)
     weight = sum(abs(v) + 1 for v in sf.arc_values)
+    # each arc measure is at most 2 * width wide, so hi - lo <= eps / 2
     width = eps / (4 * weight)
-    while True:
-        measures = sf.arc_measures(width)
-        lo = hi = Fraction(0)
-        for v, (mlo, mhi) in zip(sf.arc_values, measures):
-            if v >= 0:
-                lo += v * mlo
-                hi += v * mhi
-            else:
-                lo += v * mhi
-                hi += v * mlo
-        if hi - lo <= eps:
-            return lo, hi
-        width /= 16
+    lo = hi = Fraction(0)
+    for v, (mlo, mhi) in zip(sf.arc_values, sf.arc_measures(width)):
+        if v >= 0:
+            lo += v * mlo
+            hi += v * mhi
+        else:
+            lo += v * mhi
+            hi += v * mlo
+    assert hi - lo <= eps
+    return lo, hi
 
 
 @dataclass(frozen=True)

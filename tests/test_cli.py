@@ -258,6 +258,22 @@ class TestErrors:
         assert code == 2
         assert "search bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("command, flag, message", [
+        ("eta-cyclic", "--k", "k must be positive"),
+        ("covers", "--k", "k must be positive"),
+        ("reps", "--m", "m must be positive"),
+    ])
+    def test_count_below_one(self, capsys, tmp_path, command, flag, message, value):
+        if command == "reps":
+            mod = tmp_path / "mod.json"
+            mod.write_text('{"torsion": [3], "t": [[2]]}')
+            argv = [command, "--module", str(mod)]
+        else:
+            argv = [command, "--knot", str(FIXTURES / "trefoil.json")]
+        assert main(argv + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_resolve_witnesses_over_cap(self, capsys, monkeypatch):
         # degree 4 at bound 2: 5^5 - 1 = 3124 default witnesses
         monkeypatch.setenv("KNOTSIG_CAP", "1000")

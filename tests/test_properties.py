@@ -795,3 +795,20 @@ class TestNoFloatingPoint:
                         and isinstance(node.value, ast.Name)
                         and node.value.id in math_names):
                     assert node.attr in self.EXACT_MATH, f"{path.name}:{node.lineno}"
+
+
+class TestRealalgBoundary:
+    """Every cosine comparison is made inside realalg: signature uses only
+    its public names, so the kernel's scale and guard bits stay private."""
+
+    def test_signature_imports_no_private_realalg_name(self):
+        import ast
+        from pathlib import Path
+        import knotsig
+        path = Path(knotsig.__file__).parent / "signature.py"
+        imported = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "realalg":
+                imported |= {a.name for a in node.names}
+        assert "RealAlgebraic" in imported
+        assert not [name for name in imported if name.startswith("_")]

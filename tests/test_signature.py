@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotsig import (UnitRootAngle, alexander_polynomial,
+from knotsig import (CirclePoint, UnitRootAngle, alexander_polynomial,
                      approximation_table, block_sum,
                      breakpoints, eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
                      signature_function, tl_signature_at, validate_seifert,
@@ -343,7 +343,6 @@ class TestTurnTracker:
 
     def test_enclosures_against_mpmath(self):
         import mpmath
-        from knotsig import realalg
         rng = random.Random(61)
         mats = [validate_seifert([[500, 1], [0, 1]]), validate_seifert([[2, 1], [0, 5]])]
         mats += [random_interesting_seifert(rng, rng.choice([1, 2, 3])) for _ in range(8)]
@@ -353,9 +352,7 @@ class TestTurnTracker:
             for bp in signature_function(a).breakpoints:
                 if bp.exact_turn is not None:
                     continue
-                cached = len(realalg._COS)
                 lo, hi = bp.turn_bounds(width)
-                assert len(realalg._COS) == cached, "tracker midpoints stay out of the cache"
                 assert hi - lo <= width
                 assert (hi - lo).numerator == 1 and lo.denominator & (lo.denominator - 1) == 0
                 xlo, _ = bp.x.bounds(Fraction(1, 2 ** 220))
@@ -372,24 +369,22 @@ class TestTurnTracker:
 
     def test_refinement_interleaved_inside_a_comparison(self, monkeypatch):
         # threads share a cached step function: another refinement of the
-        # same tracker may run while one waits on a cosine comparison
+        # same turn cell may run while one waits on a cosine comparison
         from knotsig.realalg import RealAlgebraic
-        from knotsig.signature import _TurnTracker
         x = signature_function(validate_seifert([[500, 1], [0, 1]])).breakpoints[0].x
         fine, coarse = Fraction(1, 2 ** 40), Fraction(1, 2 ** 20)
-        expected = _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi)).bounds(fine)
-        compare = _TurnTracker._cos_exceeds_x
+        expected = self._fresh(x).turn_bounds(fine)
+        compare = RealAlgebraic._cos_exceeds
         nested = []
 
         def interleaved(self, a, b):
             if not nested:
                 nested.append(None)
-                nested[0] = self.bounds(coarse)
+                nested[0] = CirclePoint(self, "upper").turn_bounds(coarse)
             return compare(self, a, b)
 
-        monkeypatch.setattr(_TurnTracker, "_cos_exceeds_x", interleaved)
-        tracker = _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi))
-        assert tracker.bounds(fine) == expected
+        monkeypatch.setattr(RealAlgebraic, "_cos_exceeds", interleaved)
+        assert self._fresh(x).turn_bounds(fine) == expected
         lo, hi = nested[0]
         assert lo <= expected[0] and expected[1] <= hi
 
@@ -415,8 +410,7 @@ class TestTurnTracker:
     @staticmethod
     def _fresh(x):
         from knotsig.realalg import RealAlgebraic
-        from knotsig.signature import _TurnTracker
-        return _TurnTracker(RealAlgebraic(x.poly, x.lo, x.hi))
+        return CirclePoint(RealAlgebraic(x.poly, x.lo, x.hi), "upper")
 
     def test_jump_matches_bisection(self):
         # the Newton-guessed cell at each depth is the one plain bisection
@@ -429,58 +423,58 @@ class TestTurnTracker:
             for depth in (20, 21, 64, 141, 200, 300):
                 num = top >> (300 - depth)
                 want = (Fraction(num, 1 << depth), Fraction(num + 1, 1 << depth))
-                assert self._fresh(x).bounds(Fraction(1, 1 << depth)) == want
+                assert self._fresh(x).turn_bounds(Fraction(1, 1 << depth)) == want
             turns.append(Fraction(top, 1 << 300))
         assert len(xs) >= 10
         assert min(turns) < Fraction(1, 100) and max(turns) > Fraction(49, 100)
 
     def test_wrong_guess_falls_back_to_bisection(self, monkeypatch):
-        from knotsig.signature import _TurnTracker
+        from knotsig.realalg import RealAlgebraic
         xs = self._irrational_xs()
         width = Fraction(1, 2 ** 150)
-        want = [self._fresh(x).bounds(width) for x in xs]
-        guess = _TurnTracker._guess
+        want = [self._fresh(x).turn_bounds(width) for x in xs]
+        guess = RealAlgebraic._turn_guess
         for wrong in (lambda g: g + 1, lambda g: g - 1, lambda g: g ^ 4):
             def off(self, num, depth, target, wrong=wrong):
                 g = wrong(guess(self, num, depth, target))
                 first = num << (target - depth)
                 return min(max(g, first), first + (1 << (target - depth)) - 1)
-            monkeypatch.setattr(_TurnTracker, "_guess", off)
-            assert [self._fresh(x).bounds(width) for x in xs] == want
+            monkeypatch.setattr(RealAlgebraic, "_turn_guess", off)
+            assert [self._fresh(x).turn_bounds(width) for x in xs] == want
 
     def test_guess_is_certified_in_few_cosines(self, monkeypatch):
         # a guess that silently fails keeps every result and loses the
-        # speed: one tracker to 2^-200 must take at most 40 kernel calls,
+        # speed: one turn cell to 2^-200 must take at most 40 kernel calls,
         # where bisection alone takes about 200
-        from knotsig import signature
-        kernel, calls = signature._cos_scaled, []
+        from knotsig import realalg
+        kernel, calls = realalg._cos_scaled, []
 
         def counted(*args):
             calls.append(args)
             return kernel(*args)
 
-        monkeypatch.setattr(signature, "_cos_scaled", counted)
+        monkeypatch.setattr(realalg, "_cos_scaled", counted)
         for x in self._irrational_xs():
             calls.clear()
-            self._fresh(x).bounds(Fraction(1, 2 ** 200))
+            self._fresh(x).turn_bounds(Fraction(1, 2 ** 200))
             assert len(calls) <= 40, (x, len(calls))
 
     def test_threads_sharing_trackers(self):
         # every thread gets the fresh single-threaded cell, whatever the
-        # others did to the shared tracker state and x interval meanwhile
+        # others did to the shared turn cell and x interval meanwhile
         import sys
         from concurrent.futures import ThreadPoolExecutor
         from knotsig.polyz import psign
         xs = self._irrational_xs()
         depths = (150, 5, 64, 21, 200, 11, 90)
-        want = {(i, d): self._fresh(x).bounds(Fraction(1, 2 ** d))
+        want = {(i, d): self._fresh(x).turn_bounds(Fraction(1, 2 ** d))
                 for i, x in enumerate(xs) for d in depths}
         shared = [self._fresh(x) for x in xs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = {key: pool.submit(shared[key[0]].bounds, Fraction(1, 2 ** key[1]))
+                futures = {key: pool.submit(shared[key[0]].turn_bounds, Fraction(1, 2 ** key[1]))
                            for key in want}
                 got = {key: f.result(timeout=120) for key, f in futures.items()}
         finally:
@@ -495,7 +489,7 @@ class TestTurnTracker:
     def test_enclosures_do_not_depend_on_earlier_queries(self):
         a = validate_seifert([[7, 1], [0, 1]])
         bp = signature_function(a).breakpoints[0]
-        fresh = [self._fresh(bp.x).bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)]
+        fresh = [self._fresh(bp.x).turn_bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)]
         bp.turn_bounds(Fraction(1, 2 ** 120))
         assert [bp.turn_bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)] == fresh
         signature_function.cache_clear()
