@@ -2,16 +2,15 @@
 
 The module over Lambda = Z[t, 1/t] presented by the pencil tA - A^t is
 studied through its finite quotients. Its quotient by t^k - 1 is coker
-R_k, R_k = G^k - (G - I)^k with G = (A - A^t)^(-1) A, a 2g x 2g integer
-matrix; the torsion of the k-fold cyclic cover homology is read off one
-exact Smith normal form of R_k, with the t-action transported to the
-normal-form basis. The same quotient is, by definition, coker(S (x) A -
-I (x) A^t) with S the k-cycle shift, a 2gk x 2gk matrix that the test
-suite reduces as an independent check. The order of the torsion has a
-further exact oracle, the resultant of the Alexander polynomial with
-(t^k - 1)/(t - 1). For k = 2 the linking form on the torsion is
-x^t (A + A^t)^(-1) y mod 1.
-"""
+R_k, R_k = Gamma^k - (Gamma - I)^k with Gamma = (A - A^t)^(-1) A
+(SeifertMatrix.gamma), a 2g x 2g integer matrix; the torsion of the k-fold
+cyclic cover homology is read off one exact Smith normal form of R_k, with
+the t-action transported to the normal-form basis. The same quotient is,
+by definition, coker(S (x) A - I (x) A^t) with S the k-cycle shift, a
+2gk x 2gk matrix that the test suite reduces as an independent check. The
+order of the torsion has a further exact oracle, the resultant of the
+Alexander polynomial with (t^k - 1)/(t - 1). For k = 2 the linking form on
+the torsion is x^t (A + A^t)^(-1) y mod 1."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -220,12 +219,12 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     """Quotient of the Alexander module by (t^k - 1), split into torsion
     plus free rank, with the induced t-action on the torsion.
 
-    V = A - A^t is unimodular, so G = V^(-1) A is an integer matrix and
-    tA - A^t = V((t - 1)G + I). On the module G is invertible and
-    t = I - G^(-1), so t^k = 1 exactly when G^k = (G - I)^k: the quotient
-    is coker R_k with the 2g x 2g matrix R_k = G^k - (G - I)^k. Write
-    x^k - (x - 1)^k = c_0 + x r(x) with c_0 = (-1)^(k+1); then on coker R_k
-    G^(-1) = -c_0 r(G) and t acts by I + c_0 r(G). One Smith form of R_k
+    tA - A^t = V((t - 1)Gamma + I) with Gamma = pres.matrix.gamma. On the
+    module Gamma is invertible and t = I - Gamma^(-1), so t^k = 1 exactly
+    when Gamma^k = (Gamma - I)^k: the quotient is coker R_k with the 2g x 2g
+    matrix R_k = Gamma^k - (Gamma - I)^k. Write x^k - (x - 1)^k =
+    c_0 + x r(x) with c_0 = (-1)^(k+1); then on coker R_k Gamma^(-1) =
+    -c_0 r(Gamma) and t acts by I + c_0 r(Gamma). One Smith form of R_k
     gives the torsion and the free rank, and t is moved to its basis as
     U T U^(-1). When R_k is nonsingular the transforms are kept mod
     |det R_k|, which every invariant factor divides.
@@ -238,11 +237,8 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     if k < 1:
         raise ValueError("k must be positive")
     n = pres.size
-    if n == 0:
-        return CyclicCoverHomology(FiniteLambdaModule.trivial(), 0)
-    skew = intmat.smith_form(pres.matrix.antisymmetrization())
-    gamma = intmat.mat_mul(intmat.mat_mul(skew.v, skew.u), pres.matrix.as_lists())
-    # c_j = coefficient of x^j in x^k - (x - 1)^k; r(G) by Horner
+    gamma = pres.matrix.gamma
+    # c_j = coefficient of x^j in x^k - (x - 1)^k; r(Gamma) by Horner
     c = [(-1) ** (k - j + 1) * comb(k, j) for j in range(k)]
     r = [[0] * n for _ in range(n)]
     for cj in reversed(c[1:]):
@@ -280,7 +276,9 @@ def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
     c f(alpha) = R(alpha), so |Res(Delta, f)| = |a|^(m - deg R)
     |Res(Delta, R)| / c^n.
 
-    Independent of cyclic_quotient: no Smith form, no matrix pencils.
+    It shares Gamma with cyclic_quotient, through Delta. The test suite has
+    the independent routes: Delta by cofactor expansion and by pencil
+    interpolation, and the cover homology from the Kronecker pencil.
     """
     if k < 1:
         raise ValueError("k must be positive")
@@ -466,9 +464,6 @@ class Character:
         for c in self.exponents:
             g = gcd(g, c)
         return self.modulus // g
-
-    def is_trivial(self):
-        return all(c == 0 for c in self.exponents)
 
 
 def characters_vanishing_on(module: FiniteLambdaModule, p_gens, p: int, r: int):

@@ -97,17 +97,6 @@ class MonomialMatrix(NamedTuple):
                               tuple([(turns[i] + t) % n
                                      for i, t in zip(other.perm, other.turns)]), n)
 
-    def conj_transpose(self):
-        inv = [0] * len(self.perm)
-        for j, i in enumerate(self.perm):
-            inv[i] = j
-        turns = tuple(-self.turns[j] % self.modulus for j in inv)
-        return MonomialMatrix(tuple(inv), turns, self.modulus)
-
-    def is_identity(self):
-        return all(i == j for j, i in enumerate(self.perm)) and \
-            all(t == 0 for t in self.turns)
-
 
 @dataclass(frozen=True)
 class MetabelianRep:

@@ -218,36 +218,36 @@ def isolate_roots(p, lo, hi):
     p = pprimitive(p)
     if pdeg(p) < 1:
         return []
-    lo, hi = Fraction(lo), Fraction(hi)
-
-    def sign(x):
-        return psign(p, x.numerator, x.denominator)
-
-    if sign(lo) == 0 or sign(hi) == 0:
-        raise ValueError("endpoints must not be roots")
     chain = sturm_chain(p)
-    out = []
+
+    def at(x):
+        # (x, sign of p, Sturm variations) at x, or None at a root of p;
+        # each point is evaluated on the chain once and carried on the stack
+        s = psign(chain[0], x.numerator, x.denominator)
+        if s == 0:
+            return None
+        return x, s, _variations([s] + [psign(q, x.numerator, x.denominator)
+                                        for q in chain[1:]])
 
     def split_point(a, b):
         # A point in (a, b) that is not a root of p; tries a few fractions.
         for k in range(1, pdeg(p) + 3):
-            m = a + (b - a) * Fraction(k, pdeg(p) + 3)
-            if sign(m) != 0:
+            m = at(a + (b - a) * Fraction(k, pdeg(p) + 3))
+            if m:
                 return m
         raise AssertionError("no non-root split point found")
 
-    stack = [(lo, hi, sturm_count(chain, lo, hi))]
+    stack, out = [(at(Fraction(lo)), at(Fraction(hi)))], []
+    if None in stack[0]:
+        raise ValueError("endpoints must not be roots")
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
-        if cnt == 1 and sign(a) * sign(b) < 0:
+        left, right = stack.pop()
+        (a, sa, va), (b, sb, vb) = left, right
+        if va - vb == 1 and sa * sb < 0:
             out.append((a, b))
-            continue
-        m = split_point(a, b)
-        cl = sturm_count(chain, a, m)
-        stack.append((a, m, cl))
-        stack.append((m, b, cnt - cl))
+        elif va != vb:
+            m = split_point(a, b)
+            stack += [(left, m), (m, right)]
     return sorted(out)
 
 

@@ -1,21 +1,26 @@
 """Seifert matrices and their classical derived invariants.
 
 A Seifert matrix is a square integer matrix A of even size 2g whose
-antisymmetrization A - A^t is unimodular. From it we derive the Alexander
-polynomial det(tA - A^t) (normalized so its value at t=1 is +1), the Arf
-invariant from det(A + A^t) mod 8, and half-rank direct summands on which
-the bilinear form vanishes (the algebraic sliceness condition).
+antisymmetrization V = A - A^t is unimodular, so Gamma = V^(-1) A is an
+integer matrix and tA - A^t = V((t - 1)Gamma + I). Gamma, built once per
+matrix, carries the Alexander module: the Alexander polynomial
+det(tA - A^t) = det(I + (t - 1)Gamma) comes from its one characteristic
+polynomial, and alexmod reads the cyclic cover quotients off it. Also
+derived here: the Arf invariant from det(A + A^t) mod 8, and half-rank
+direct summands on which the bilinear form vanishes (the algebraic
+sliceness condition).
 """
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from itertools import product
-from math import gcd
+from math import comb, gcd
 from typing import Optional
 
 from . import intmat
-from .polyz import peval, pinterpolate
+from .polyz import peval
 
 
 class MalformedMatrix(ValueError):
@@ -75,6 +80,17 @@ class SeifertMatrix:
 
     def as_lists(self):
         return [list(r) for r in self.entries]
+
+    @cached_property
+    def gamma(self):
+        """Gamma = V^(-1) A for V = A - A^t, as rows of integers: one Smith
+        form U V W = I gives V^(-1) = W U. Built on the first read and kept;
+        V Gamma = A is asserted."""
+        v, a = self.antisymmetrization(), self.as_lists()
+        skew = intmat.smith_form(v)
+        gamma = intmat.mat_mul(intmat.mat_mul(skew.v, skew.u), a)
+        assert intmat.mat_mul(v, gamma) == a, "V Gamma = A"
+        return tuple(tuple(row) for row in gamma)
 
     def __str__(self):
         return self.name or f"seifert{self.n}x{self.n}"
@@ -182,27 +198,21 @@ class IntLaurentPoly:
         return "".join(terms)
 
 
+@lru_cache(maxsize=None)
 def alexander_polynomial(a):
     """det(tA - A^t), canonically normalized so its value at t=1 is +1.
 
-    The determinant of the linear pencil is recovered by exact evaluation
-    at n+1 consecutive integer points followed by Newton interpolation with
-    exact integer divided differences; cross-checked elsewhere against
-    cofactor expansion.
+    det V = 1, so det(tA - A^t) = det(I + uGamma) at u = t - 1. With
+    c = char_poly(Gamma), det(I + uGamma) = sum_j (-1)^j c_(n-j) u^j, and
+    expanding u^j = (t - 1)^j gives the coefficient of t^i as
+    (-1)^i sum_(j >= i) C(j, i) c_(n-j). Computed once per matrix;
+    cross-checked elsewhere against cofactor expansion and pencil
+    interpolation.
     """
     n = a.n
-    if n == 0:
-        return IntLaurentPoly((1,), 0)
-    ent = a.entries
-    points = range(-(n // 2), n // 2 + 2)  # n+1 or n+2 integer points
-    xs, ys = [], []
-    for t in points:
-        m = [[t * ent[i][j] - ent[j][i] for j in range(n)] for i in range(n)]
-        xs.append(t)
-        ys.append(intmat.det(m))
-        if len(xs) == n + 1:
-            break
-    coeffs = pinterpolate(xs, ys)
+    c = intmat.char_poly(a.gamma)
+    coeffs = [(-1) ** i * sum(comb(j, i) * c[n - j] for j in range(i, n + 1))
+              for i in range(n + 1)]
     poly = IntLaurentPoly.make(coeffs, 0).canonical()
     assert poly(1) == 1, "det(A - A^t) = 1 forces value 1 at t=1"
     assert poly.is_palindromic(), "pencil determinant must be palindromic"

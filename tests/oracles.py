@@ -1,21 +1,25 @@
 """Independent oracles for the test suite.
 
 Every routine here recomputes a quantity by a different method than the
-library uses: cofactor expansion instead of interpolation, congruence
+library uses: cofactor expansion and pencil interpolation instead of
+one characteristic polynomial of (A - A^t)^(-1) A, congruence
 diagonalization instead of Descartes counting, brute-force iteration
 instead of order-finding, commutant dimensions instead of orbit criteria,
 an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
 signs at certified cosine enclosures instead of signs at a rational
 cos(theta) inside each arc, Litherland's lattice-point count for torus
-knots instead of any matrix.
+knots instead of any matrix. A few helpers that only tests need, such as
+the inverse of a monomial matrix, live here too.
 """
 
 from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 
-from knotsig.intmat import euler_phi, identity
-from knotsig.polyz import _sgn, cos_minimal_poly, pdeg, pdivides, peval, pnorm
+from knotsig.intmat import det, euler_phi, identity
+from knotsig.mbreps import MonomialMatrix
+from knotsig.polyz import (_sgn, cos_minimal_poly, pdeg, pdivides, peval, pinterpolate,
+                           pnorm)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
 from knotsig.signature import _signature_at_x
@@ -69,6 +73,18 @@ def alexander_by_cofactor(a):
     ent = a.entries
     mat = [[pnorm([-ent[j][i], ent[i][j]]) for j in range(n)] for i in range(n)]
     return poly_det_cofactor(mat)
+
+
+def alexander_by_pencil_interpolation(a):
+    """det(tA - A^t) from Bareiss determinants of the pencil at n + 1
+    consecutive integers t, interpolated by Newton's exact divided
+    differences; raw (unnormalized). n is even, so t runs from -n/2 to n/2."""
+    n = a.n
+    ent = a.entries
+    xs = range(-(n // 2), n // 2 + 1)
+    ys = [det([[t * ent[i][j] - ent[j][i] for j in range(n)] for i in range(n)])
+          for t in xs]
+    return pinterpolate(xs, ys)
 
 
 # --- signature of a Hermitian matrix by congruence diagonalization --------
@@ -151,6 +167,24 @@ def torus_signature_by_lattice_count(p, q, turn):
             assert (s - turn).denominator != 1, "turn at a breakpoint"
             total += -1 if turn < s < turn + 1 else 1
     return total
+
+
+# --- test-only views of monomial matrices and characters ------------------
+
+def monomial_conj_transpose(m):
+    """The conjugate transpose of a MonomialMatrix, its inverse."""
+    inv = [0] * len(m.perm)
+    for j, i in enumerate(m.perm):
+        inv[i] = j
+    return MonomialMatrix(tuple(inv), tuple(-m.turns[j] % m.modulus for j in inv), m.modulus)
+
+
+def monomial_is_identity(m):
+    return all(i == j for j, i in enumerate(m.perm)) and not any(m.turns)
+
+
+def character_is_trivial(chi):
+    return not any(chi.exponents)
 
 
 # --- commutant dimension of a monomial representation ----------------------

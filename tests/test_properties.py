@@ -240,6 +240,27 @@ class TestRootIsolation:
         for (a1, b1), (a2, b2) in zip(ivs, ivs[1:]):
             assert b1 <= a2
 
+    def test_each_point_evaluated_once(self, monkeypatch):
+        import knotsig.polyz as polyz
+        calls = []
+
+        def counting(p, num, den=1):
+            calls.append((tuple(p), num, den))
+            return psign(p, num, den)
+
+        monkeypatch.setattr(polyz, "psign", counting)
+        polys = [[-3, 1, 10]]  # roots -3/5, the first split point, and 1/2
+        for genus in (4, 6):
+            for seed in range(3):
+                a = random_interesting_seifert(random.Random(seed), genus)
+                polys.append(squarefree_part(cos_compact(alexander_polynomial(a).coeffs)))
+        found = 0
+        for p in polys:
+            calls.clear()
+            found += len(isolate_roots(p, Fraction(-1), Fraction(1)))
+            assert len(calls) == len(set(calls)), p
+        assert found > len(polys)
+
     def test_real_algebraic_sign_against_floats(self):
         rng = random.Random(77)
         for _ in range(60):
@@ -678,7 +699,8 @@ class TestSmithForm:
         a = random_interesting_seifert(random.Random(5), 3)
         assert cyclic_quotient(alexander_module(a), 12).module.order() > 1
         skew, rel = made
-        # u, v of the skew form give G; u, u_inv of R_k move t to its basis
+        # u, v of the skew form give Gamma (SeifertMatrix.gamma); u, u_inv of
+        # R_k move t to its basis
         assert set(vars(skew)) & {"u", "u_inv", "v"} == {"u", "v"}
         assert set(vars(rel)) & {"u", "u_inv", "v"} == {"u", "u_inv"}
 
@@ -795,6 +817,25 @@ class TestNoFloatingPoint:
                         and isinstance(node.value, ast.Name)
                         and node.value.id in math_names):
                     assert node.attr in self.EXACT_MATH, f"{path.name}:{node.lineno}"
+
+    def test_library_imports_are_used(self):
+        # a route that moves to the oracles must take its imports with it
+        import ast
+        from pathlib import Path
+        import knotsig
+        for path in sorted(Path(knotsig.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), filename=str(path))
+            imported = {}
+            for node in ast.walk(tree):
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for a in node.names:
+                        imported[(a.asname or a.name).split(".")[0]] = node.lineno
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused = [f"{path.name}:{line} {name}" for name, line in imported.items()
+                      if name not in used]
+            assert not unused, unused
 
 
 class TestRealalgBoundary:

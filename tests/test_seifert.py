@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 from knotsig import (IntLaurentPoly, alexander_polynomial, arf_invariant,
                      block_sum, find_seifert_metabolizer, validate_seifert,
                      NotSquare, NotUnimodular, OddSize)
+from knotsig.intmat import mat_mul
 from knotsig.polyz import pnorm
 
-from conftest import random_seifert, random_unimodular, _mat_mul
-from oracles import alexander_by_cofactor
+from conftest import (random_interesting_seifert, random_seifert, random_unimodular,
+                      torus_seifert, _mat_mul)
+from oracles import alexander_by_cofactor, alexander_by_pencil_interpolation
 
 
 class TestValidate:
@@ -66,6 +68,46 @@ class TestAlexander:
             if sum(stripped) < 0:
                 stripped = [-c for c in stripped]
             assert tuple(stripped) == got.coeffs
+
+    @given(st.integers(1, 6), st.integers(0, 10 ** 6), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_pencil_and_cofactor_oracles(self, genus, seed, interesting):
+        make = random_interesting_seifert if interesting else random_seifert
+        a = make(random.Random(seed), genus)
+        got = alexander_polynomial(a)
+        assert IntLaurentPoly.make(alexander_by_pencil_interpolation(a)).canonical() == got
+        if genus <= 4:
+            assert IntLaurentPoly.make(alexander_by_cofactor(a)).canonical() == got
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_seifert(random.Random(10), 10),
+        lambda: random_seifert(random.Random(20), 20),
+        lambda: torus_seifert(5, 7),
+        lambda: torus_seifert(7, 9),  # genus 24
+    ], ids=["random-g10", "random-g20", "T(5,7)", "T(7,9)"])
+    def test_large_matches_pencil_oracle(self, make):
+        a = make()
+        raw = alexander_by_pencil_interpolation(a)
+        assert IntLaurentPoly.make(raw).canonical() == alexander_polynomial(a)
+
+    def test_computed_once_per_matrix(self):
+        a = random_seifert(random.Random(3), 3)
+        assert alexander_polynomial(a) is alexander_polynomial(a)
+        assert alexander_polynomial(validate_seifert(a.as_lists())) is alexander_polynomial(a)
+
+
+class TestGamma:
+    @pytest.mark.parametrize("genus", [0, 1, 2, 5, 8])
+    def test_integer_solution_of_v_gamma_equals_a(self, genus):
+        a = random_seifert(random.Random(genus), genus)
+        gamma = a.gamma
+        assert len(gamma) == a.n and all(len(row) == a.n for row in gamma)
+        assert all(type(x) is int for row in gamma for x in row)
+        assert mat_mul(a.antisymmetrization(), gamma) == a.as_lists()
+
+    def test_built_once(self, trefoil):
+        a = validate_seifert(trefoil.as_lists())
+        assert a.gamma is a.gamma
 
 
 class TestArf:
