@@ -157,22 +157,6 @@ def psubst_scale(p, c):
     return pnorm([a * c**i for i, a in enumerate(p)])
 
 
-def pinterpolate(xs, ys):
-    """The integer polynomial of degree < len(xs) through the points
-    (xs[i], ys[i]), by Newton's divided differences. Every division must be
-    exact, as it is for an integer polynomial at consecutive integers."""
-    dd = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - level])
-            assert r == 0, "divided differences must be exact over Z"
-            dd[i] = q
-    out = []
-    for x, d in zip(reversed(xs), reversed(dd)):
-        out = padd(pmul(out, [-x, 1]), [d])
-    return out
-
-
 # Sturm sequences and real root isolation ---------------------------------
 
 def sturm_chain(p):
@@ -266,23 +250,13 @@ def cyclotomic(d):
     return tuple(p)
 
 
-def palindromic_compact(p, m=None):
-    """For an integer polynomial p palindromic about degree m, return W
-    with p(t) = t^m * W(t + 1/t), deg W <= m.
-
-    m defaults to deg(p)/2. A larger m admits a p whose top (and so also
-    bottom) coefficients are zero, e.g. [0, 1, 0] about m = 1 gives W = 1.
-    """
-    p = pnorm(p)
-    if m is None:
-        if p and len(p) % 2 == 0:
-            raise ValueError("polynomial is not palindromic of even degree")
-        m = len(p) // 2
-    if len(p) > 2 * m + 1:
-        raise ValueError(f"polynomial has degree above 2*{m}")
-    f = p + [0] * (2 * m + 1 - len(p))
-    if f != f[::-1]:
-        raise ValueError(f"polynomial is not palindromic about degree {m}")
+def palindromic_compact(p):
+    """For an integer polynomial p palindromic of even degree 2m, return W
+    with p(t) = t^m * W(t + 1/t), deg W = m."""
+    f = pnorm(p) or [0]
+    if len(f) % 2 == 0 or f != f[::-1]:
+        raise ValueError("polynomial is not palindromic of even degree")
+    m = len(f) // 2
     # peel t^m (t + 1/t)^j = sum_i comb(j, i) t^(m - j + 2i) off the top
     w = [0] * (m + 1)
     for j in range(m, -1, -1):

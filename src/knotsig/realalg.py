@@ -14,14 +14,16 @@ interval Horner); Fractions appear only where the endpoints are stored.
 The turn arccos(alpha)/(2*pi) of an algebraic alpha in (-1, 1) is held
 as a dyadic cell (RealAlgebraic.turn_cell), whose ends are certified by
 comparing alpha with the kernel's cosines, so every comparison between
-a cosine and alpha is made in this module. No floating point is used.
+a cosine and alpha is made in this module. AlgebraicElement computes in
+Q(alpha) on integers and signs at alpha. No floating point is used.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 
-from .polyz import _sgn, pgcd, pdeg, pnorm, psign
+from .intmat import det
+from .polyz import _sgn, padd, pdivmod, pgcd, pdeg, pmul, pnorm, pprimitive, psign
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
@@ -355,3 +357,66 @@ class RealAlgebraic:
         if self.value is not None:
             return f"RealAlgebraic({self.value})"
         return f"RealAlgebraic(poly={self.poly}, ({self.lo}, {self.hi}))"
+
+
+class AlgebraicElement:
+    """An element of Q(alpha), alpha a root of a squarefree integer m with
+    leading coefficient l: an integer polynomial in y = l*alpha, reduced
+    modulo the monic m~(y) = l^(deg m - 1) m(y/l) when divided. It has the
+    operators of intmat.congruence_signature: +, - and *, divmod, truth
+    (nonzero at alpha) and > 0 (the sign at alpha). A zero divisor narrows
+    m~ to the cofactor that keeps y: dynamic evaluation (Della Dora,
+    Dicrescenzo and Duval, EUROCAL 1985). The elements of one arc_factors
+    call share m~ and y, a RealAlgebraic of their own."""
+
+    def __init__(self, coeffs, ring):
+        self.coeffs = coeffs
+        self.ring = ring  # [y, m~], m~ narrowed in place
+
+    @classmethod
+    def arc_factors(cls, alpha, m):
+        """l(1 - alpha) and l(1 + alpha): integers when m is linear."""
+        m = pprimitive(m)
+        l, d, v = m[-1], len(m) - 1, alpha.value
+        if d == 1:
+            return l + m[0], l - m[0]
+        m = [c * l ** (d - 1 - i) for i, c in enumerate(m[:-1])] + [1]
+        ring = [RealAlgebraic(m, l * alpha.lo, l * alpha.hi, v and l * v), m]
+        return cls([l, -1], ring), cls([l, 1], ring)
+
+    def __add__(self, other):
+        return AlgebraicElement(padd(self.coeffs, other.coeffs), self.ring)
+
+    def __sub__(self, other):
+        return self + other * -1
+
+    def __mul__(self, other):
+        q = [other] if isinstance(other, int) else other.coeffs
+        return AlgebraicElement(pmul(self.coeffs, q), self.ring)
+
+    def __divmod__(self, other):
+        """(self/other, r), r = 0 when the quotient lies in Z[y]/(m~): the
+        remainders have the divisor's sign, so they sum to 0 only if all do."""
+        u, r = ([1], other) if isinstance(other, int) else other._inverse
+        qr = [divmod(c, r) for c in pdivmod(pmul(self.coeffs, u), self.ring[1])[1]]
+        return AlgebraicElement([q for q, _ in qr], self.ring), sum(x for _, x in qr)
+
+    @cached_property
+    def _inverse(self):
+        """(u, r) with u*self = r mod m~ for an integer r, by Cramer's rule,
+        after m~ drops its factor in common with self (monic, by Gauss)."""
+        y, m = self.ring
+        g = pgcd(m, self.coeffs)
+        if pdeg(g) > 0:
+            assert not y.is_root_of(g), "a divisor vanishes at alpha"
+            m = self.ring[1] = pdivmod(m, g)[0]
+        d = len(m) - 1
+        rows = [(pdivmod([0] * i + self.coeffs, m)[1] + [0] * d)[:d] for i in range(d)]
+        unit = [1] + [0] * (d - 1)
+        return [det(rows[:i] + [unit] + rows[i + 1:]) for i in range(d)], det(rows)
+
+    def __bool__(self):
+        return self.ring[0].sign_of_poly(self.coeffs) != 0
+
+    def __gt__(self, other):
+        return self.ring[0].sign_of_poly(self.coeffs) > other

@@ -29,11 +29,10 @@ fraction-free symmetric elimination (intmat.congruence_signature).
 At a simple root of G, det H vanishes to first order and the eigenvalues
 are analytic in theta (Rellich), so exactly one crosses zero: the adjacent
 arc values differ by 2, which is asserted, and the value at the root is
-their mean. Only a multiple root of G is evaluated directly, through the
-characteristic polynomial of H as integer polynomials in x
-(_char_poly_in_x), whose coefficient signs at the algebraic point are
-certified by a gcd with the defining polynomial or by interval
-refinement, and counted by Descartes' rule.
+their mean. At a multiple root alpha the congruence still holds, since
+1 + alpha > 0: the value is half the signature of the same form at
+alpha, over Z when alpha is rational and else over Q(alpha)
+(realalg.AlgebraicElement), eliminated by the same kernel.
 
 Every breakpoint is then placed against the k-th roots of unity by one
 count, the number of j in 1..k with j/k below its turn: exact for a
@@ -52,12 +51,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .intmat import char_poly, congruence_signature, euler_phi
-from .polyz import (_variations, cos_compact, cos_minimal_poly, cyclotomic,
-                    isolate_roots, palindromic_compact, pderiv, pdeg,
-                    pdivides, peval, pgcd, pinterpolate, psubst_scale,
-                    squarefree_part)
-from .realalg import PrecisionExhausted, RealAlgebraic
+from .intmat import congruence_signature, euler_phi
+from .polyz import (cos_compact, cos_minimal_poly, cyclotomic, isolate_roots,
+                    pderiv, pdeg, pdivides, peval, pgcd, squarefree_part)
+from .realalg import AlgebraicElement, PrecisionExhausted, RealAlgebraic
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -90,64 +87,6 @@ class UnitRootAngle:
 
     def conjugate(self):
         return UnitRootAngle.of(-self.numerator, self.denominator)
-
-
-# characteristic polynomial of (1-x)S - i y T over Z[x], y^2 = 1 - x^2 ----
-
-@lru_cache(maxsize=None)
-def _char_poly_in_x(a: SeifertMatrix):
-    """Coefficients c_0..c_n of det(lambda*I - M(x)) as integer polynomials
-    in x, where M(x) = (1-x)(A+A^t) - iy(A-A^t) = H(z) for z = x + iy.
-
-    signature_function needs them only at multiple roots of G, where the
-    mean of the adjacent arcs need not be the value; the test oracles use
-    them at cosines of roots of unity.
-
-    H(z) = (1-z)A + (1-1/z)A^t, so B_z = z*H(z) = (z-z^2)A + (z-1)A^t is an
-    integer matrix at every integer z, and c_(n-k)(B_z) = z^k c_(n-k)(H(z)).
-    Q_k(z) = c_(n-k)(B_z) is therefore an integer polynomial of degree
-    <= 2k: it is recovered from the integer characteristic polynomials of
-    B_z at the 2n+1 nodes z = -n..n by exact Newton interpolation. H(1/z)
-    is the transpose of H(z), so Q_k is palindromic about degree k and
-    Q_k(z) = z^k W_k(z + 1/z); the coefficient is c_(n-k)(x) = W_k(2x).
-    Exact Faddeev-LeVerrier and divided-difference divisions, the degree
-    bound and palindromy are asserted: together they certify the result.
-    """
-    n = a.n
-    if n == 0:
-        return ((1,),)
-    ent = a.entries
-    nodes = list(range(-n, n + 1))
-    polys = [char_poly([[(z - z * z) * ent[i][j] + (z - 1) * ent[j][i]
-                         for j in range(n)] for i in range(n)])
-             for z in nodes]
-    out = [None] * (n + 1)
-    for k in range(n + 1):
-        q = pinterpolate(nodes, [cp[n - k] for cp in polys])
-        # checked here as well as in palindromic_compact so that a failed
-        # certificate is an internal error (exit 3), not invalid input (exit 2)
-        f = q + [0] * (2 * k + 1 - len(q))
-        assert len(f) == 2 * k + 1 and f == f[::-1], \
-            "c_(n-k)(B_z) must be palindromic about degree k"
-        out[n - k] = tuple(psubst_scale(palindromic_compact(q, k), 2))
-    return tuple(out)
-
-
-def _signature_at_x(a: SeifertMatrix, sign_of) -> int:
-    """Signature at the circle points with cos(theta) = x, given sign_of(c),
-    the exact sign of c(x) for an integer polynomial c. The hemisphere is
-    irrelevant: the characteristic polynomial depends on x only. Descartes'
-    rule on its coefficient signs, zeros dropped, is exact since it is
-    real-rooted; the identity pos + neg + zeros = degree certifies it."""
-    signs = [sign_of(list(c)) for c in _char_poly_in_x(a)]
-    m = 0
-    while signs[m] == 0:  # the leading coefficient is 1
-        m += 1
-    tail = signs[m:]
-    pos = _variations(tail)
-    neg = _variations([s if i % 2 == 0 else -s for i, s in enumerate(tail)])
-    assert pos + neg + m == a.n, "sign pattern inconsistent with real-rootedness"
-    return pos - neg
 
 
 def tl_signature_at(a: SeifertMatrix, z: UnitRootAngle) -> int:
@@ -377,21 +316,24 @@ def _dyadic_between(below, above):
 
 
 def _arc_value(s, t, x):
-    """sigma at the circle points with cos(theta) = x, for a rational x in
-    [-1, 1), from the symmetric S = A + A^t and skew T = A - A^t.
-
-    At x = -1 the matrix is 2S. Elsewhere it is P - iyT, P = (1-x)S,
-    y^2 = 1 - x^2, whose realification is congruent to the real form
-    [[P, T], [-T, P/(1-x^2)]] of twice the signature. At x = p/q its
-    congruence by diag(I, (1+x)I), times q > 0, is the integer form with
-    blocks (q-p)S, (q+p)T, -(q+p)T and (q+p)S."""
+    """sigma at cos(theta) = x for a rational x = p/q in [-1, 1): at x = -1
+    the matrix is 2S, elsewhere the integer form of _form_value with
+    u = q - p and v = q + p."""
     if x == -1:
         return congruence_signature(s)
     p, q = x.numerator, x.denominator
-    u, v = q - p, q + p
+    return _form_value(s, t, q - p, q + p)
+
+
+def _form_value(s, t, u, v):
+    """sigma at cos(theta) = x in (-1, 1) from S = A + A^t and T = A - A^t,
+    given u = c(1-x) and v = c(1+x), c > 0. The matrix there is P - iyT,
+    P = (1-x)S, y^2 = 1 - x^2; its realification is congruent to the real
+    form [[P, T], [-T, P/(1-x^2)]] of twice the signature, and by
+    diag(I, (1+x)I), times c, to the form with blocks uS, vT, -vT and vS."""
     form = ([[u * a for a in srow] + [v * b for b in trow]
              for srow, trow in zip(s, t)]
-            + [[-v * b for b in trow] + [v * a for a in srow]
+            + [[v * -b for b in trow] + [v * a for a in srow]
                for srow, trow in zip(s, t)])
     doubled = congruence_signature(form)
     assert doubled % 2 == 0, "a realified Hermitian form has even signature"
@@ -409,9 +351,9 @@ def signature_function(a: SeifertMatrix) -> SignatureFunction:
     theta = pi at x = -1, and the arc through z = 1 at the simplest dyadic
     between the largest root and 1. At a simple root of G one eigenvalue
     crosses zero (Rellich), so the adjacent arcs differ by exactly 2 and
-    the point value is their mean; only a multiple root of G takes the
-    characteristic polynomial route. Lower arcs and points mirror the upper
-    ones (sigma(conj z) = sigma(z)).
+    the point value is their mean. At a multiple root of G the point value
+    is half the signature of the same form at the root itself. Lower arcs
+    and points mirror the upper ones (sigma(conj z) = sigma(z)).
     """
     s, t = a.symmetrization(), a.antisymmetrization()
     bps, repeated = _compute_breakpoints(a)
@@ -427,7 +369,8 @@ def signature_function(a: SeifertMatrix) -> SignatureFunction:
     upper_points = []
     for x, before, after in zip(uppers, around, around[1:]):
         if x.is_root_of(repeated):
-            upper_points.append(_signature_at_x(a, x.sign_of_poly))
+            upper_points.append(
+                _form_value(s, t, *AlgebraicElement.arc_factors(x, repeated)))
         else:
             assert abs(before - after) == 2, "a simple root moves one eigenvalue"
             upper_points.append((before + after) // 2)

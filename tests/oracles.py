@@ -3,7 +3,9 @@
 Every routine here recomputes a quantity by a different method than the
 library uses: cofactor expansion and pencil interpolation instead of
 one characteristic polynomial of (A - A^t)^(-1) A, congruence
-diagonalization instead of Descartes counting, brute-force iteration
+diagonalization over Q instead of fraction-free elimination, Descartes'
+rule on the characteristic polynomial of H instead of an elimination
+over Q(alpha) at a multiple root, brute-force iteration
 instead of order-finding, commutant dimensions instead of orbit criteria,
 an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
 signs at certified cosine enclosures instead of signs at a rational
@@ -14,15 +16,15 @@ the inverse of a monomial matrix, live here too.
 
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
-from knotsig.intmat import det, euler_phi, identity
+from knotsig.intmat import char_poly, det, euler_phi, identity
 from knotsig.mbreps import MonomialMatrix
-from knotsig.polyz import (_sgn, cos_minimal_poly, pdeg, pdivides, peval, pinterpolate,
-                           pnorm)
+from knotsig.polyz import (_sgn, _variations, cos_minimal_poly, palindromic_compact,
+                           pdeg, pdivides, peval, pnorm, psubst_scale)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
-from knotsig.signature import _signature_at_x
 
 
 # --- determinant of a polynomial matrix by cofactor expansion -------------
@@ -73,6 +75,22 @@ def alexander_by_cofactor(a):
     ent = a.entries
     mat = [[pnorm([-ent[j][i], ent[i][j]]) for j in range(n)] for i in range(n)]
     return poly_det_cofactor(mat)
+
+
+def pinterpolate(xs, ys):
+    """The integer polynomial of degree < len(xs) through the points
+    (xs[i], ys[i]), by Newton's divided differences. Every division must be
+    exact, as it is for an integer polynomial at consecutive integers."""
+    dd = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            q, r = divmod(dd[i] - dd[i - 1], xs[i] - xs[i - level])
+            assert r == 0, "divided differences must be exact over Z"
+            dd[i] = q
+    out = []
+    for x, d in zip(reversed(xs), reversed(dd)):
+        out = _padd(_pmul(out, [-x, 1]), [d])
+    return out
 
 
 def alexander_by_pencil_interpolation(a):
@@ -890,6 +908,61 @@ def sign_at_cos_turn(q, turn):
             return -1
         bits *= 2
     raise PrecisionExhausted("sign of polynomial at root-of-unity cosine")
+
+
+# --- signature by Descartes' rule on the characteristic polynomial ---------
+
+@lru_cache(maxsize=None)
+def _char_poly_in_x(a):
+    """Coefficients c_0..c_n of det(lambda*I - M(x)) as integer polynomials
+    in x, where M(x) = (1-x)(A+A^t) - iy(A-A^t) = H(z) for z = x + iy: an
+    independent route to the values the library takes from the arc form
+    at multiple roots of G (over Q(alpha) when they are irrational).
+
+    H(z) = (1-z)A + (1-1/z)A^t, so B_z = z*H(z) = (z-z^2)A + (z-1)A^t is an
+    integer matrix at every integer z, and c_(n-k)(B_z) = z^k c_(n-k)(H(z)).
+    Q_k(z) = c_(n-k)(B_z) is therefore an integer polynomial of degree
+    <= 2k: it is recovered from the integer characteristic polynomials of
+    B_z at the 2n+1 nodes z = -n..n by exact Newton interpolation. H(1/z)
+    is the transpose of H(z), so Q_k is palindromic about degree k and
+    Q_k(z) = z^k W_k(z + 1/z); the coefficient is c_(n-k)(x) = W_k(2x).
+    Exact Faddeev-LeVerrier and divided-difference divisions, the degree
+    bound and palindromy are asserted: together they certify the result.
+    """
+    n = a.n
+    if n == 0:
+        return ((1,),)
+    ent = a.entries
+    nodes = list(range(-n, n + 1))
+    polys = [char_poly([[(z - z * z) * ent[i][j] + (z - 1) * ent[j][i]
+                         for j in range(n)] for i in range(n)])
+             for z in nodes]
+    out = [None] * (n + 1)
+    for k in range(n + 1):
+        q = pinterpolate(nodes, [cp[n - k] for cp in polys])
+        f = q + [0] * (2 * k + 1 - len(q))
+        assert len(f) == 2 * k + 1 and f == f[::-1], \
+            "c_(n-k)(B_z) must be palindromic about degree k"
+        # zero top coefficients come with as many zero bottom ones
+        out[n - k] = tuple(psubst_scale(palindromic_compact(q[len(f) - len(q):]), 2))
+    return tuple(out)
+
+
+def _signature_at_x(a, sign_of):
+    """Signature at the circle points with cos(theta) = x, given sign_of(c),
+    the exact sign of c(x) for an integer polynomial c. The hemisphere is
+    irrelevant: the characteristic polynomial depends on x only. Descartes'
+    rule on its coefficient signs, zeros dropped, is exact since it is
+    real-rooted; the identity pos + neg + zeros = degree certifies it."""
+    signs = [sign_of(list(c)) for c in _char_poly_in_x(a)]
+    m = 0
+    while signs[m] == 0:  # the leading coefficient is 1
+        m += 1
+    tail = signs[m:]
+    pos = _variations(tail)
+    neg = _variations([s if i % 2 == 0 else -s for i, s in enumerate(tail)])
+    assert pos + neg + m == a.n, "sign pattern inconsistent with real-rootedness"
+    return pos - neg
 
 
 def tl_signature_by_cos_enclosure(a, z):

@@ -410,9 +410,10 @@ class TestHighPrecisionOracles:
             assert hi - lo <= Fraction(1, 2 ** 118)
 
     def test_char_poly_against_determinant_interpolation(self):
-        from knotsig.signature import _char_poly_in_x
+        # two oracles against each other: tl_signature_by_cos_enclosure
+        # counts signs on _char_poly_in_x
         from knotsig.polyz import peval
-        from oracles import char_poly_at_x_by_interpolation
+        from oracles import _char_poly_in_x, char_poly_at_x_by_interpolation
         rng = random.Random(29)
         xs = [Fraction(0), Fraction(1, 2), Fraction(-1, 2), Fraction(1, 3),
               Fraction(-3, 4), Fraction(7, 9)]
@@ -490,17 +491,17 @@ class TestPalindromicCompact:
     @settings(max_examples=200, deadline=None)
     def test_round_trip(self, w, extra):
         # p(t) = t^m W(t + 1/t) = sum_j w_j t^(m-j) (t^2 + 1)^j; zero
-        # coefficients in W, and extra > 0 (zero top coefficients of p
-        # about degree m), are the cases the reduction must survive
+        # coefficients in W are the case the reduction must survive. With
+        # extra > 0 (or zero top coefficients of W) p has as many zero
+        # bottom as top coefficients about degree m; stripped, it is
+        # palindromic of even degree
         m = max(len(w) - 1, 0) + extra
         p = []
         binom = [1]
         for j, c in enumerate(w):
             p = padd(p, [0] * (m - j) + [c * b for b in binom])
             binom = pmul(binom, [1, 0, 1])
-        assert palindromic_compact(p, m) == pnorm(w)
-        if len(pnorm(w)) == m + 1:
-            assert palindromic_compact(p) == pnorm(w)
+        assert palindromic_compact(p[2 * m + 1 - len(p):]) == pnorm(w)
 
     def test_zero_coefficients(self):
         # Phi_12 = t^4 - t^2 + 1 = t^2 ((t + 1/t)^2 - 3); cos(2 pi/12)
@@ -509,7 +510,7 @@ class TestPalindromicCompact:
         assert cos_minimal_poly(12) == (-3, 0, 4)
         # -2t^4 + 5t^2 - 2, the Alexander polynomial in TestCompactForm
         assert palindromic_compact([-2, 0, 5, 0, -2]) == [9, 0, -2]
-        assert palindromic_compact([0, 1, 0], 1) == [1]
+        assert palindromic_compact([1]) == [1]
         assert palindromic_compact([]) == []
         # these cyclotomic polynomials all have zero coefficients
         for d in (8, 9, 12, 16, 18, 20, 24, 25, 27, 36):
@@ -533,10 +534,9 @@ class TestPalindromicCompact:
             assert pdivides(cos_compact(f), fg)
 
     def test_rejects_non_palindromic(self):
-        for p, m in (([1, 2], None), ([1, 2, 3], None), ([1, 0, 1], 0),
-                     ([0, 1, 1], 1)):
+        for p in ([1, 2], [1, 2, 3], [0, 1, 1], [0, 1, 0], [1, 0, 0, 1]):
             with pytest.raises(ValueError):
-                palindromic_compact(p, m)
+                palindromic_compact(p)
 
 
 class TestSignAtCosTurn:
@@ -836,6 +836,30 @@ class TestNoFloatingPoint:
             unused = [f"{path.name}:{line} {name}" for name, line in imported.items()
                       if name not in used]
             assert not unused, unused
+
+
+class TestOneEliminationKernel:
+    """Every signature value comes from intmat.congruence_signature: the
+    characteristic-polynomial route and its interpolation live in the
+    oracles only."""
+
+    def test_no_characteristic_polynomial_route(self):
+        import ast
+        from pathlib import Path
+        import knotsig
+        src = Path(knotsig.__file__).parent
+        imported = set()
+        path = src / "signature.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom):
+                imported |= {a.name for a in node.names}
+        assert "congruence_signature" in imported
+        assert not imported & {"char_poly", "pinterpolate"}, imported
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)}
+            assert "pinterpolate" not in defined, path.name
 
 
 class TestRealalgBoundary:

@@ -9,16 +9,16 @@ from knotsig import (CirclePoint, UnitRootAngle, alexander_polynomial,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
 from knotsig.knotio import read_knot
-from knotsig.realalg import cos_turn_bounds
+from knotsig.realalg import AlgebraicElement, cos_turn_bounds
 from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, pdivides,
                            peval, squarefree_part, sturm_chain, sturm_count)
-from knotsig.signature import (_char_poly_in_x, _dyadic_between,
+from knotsig.signature import (_compute_breakpoints, _dyadic_between,
                                _root_of_unity_orders)
 
 from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
                       random_interesting_seifert, random_seifert, torus_seifert)
-from oracles import (sign_at_cos_turn, tl_signature_by_congruence,
-                     torus_signature_by_lattice_count,
+from oracles import (_char_poly_in_x, _signature_at_x, sign_at_cos_turn,
+                     tl_signature_by_congruence, torus_signature_by_lattice_count,
                      tl_signature_by_cos_enclosure)
 
 
@@ -620,7 +620,7 @@ class TestAdditivity:
 
 class TestDeterminantVanishing:
     def test_det_zero_exactly_at_breakpoints(self, trefoil):
-        # constant coefficient of the characteristic polynomial is +-det
+        # constant coefficient of the oracle's characteristic polynomial is +-det
         det_poly = list(_char_poly_in_x(trefoil)[0])
         sf = signature_function(trefoil)
         for bp in sf.breakpoints:
@@ -665,10 +665,15 @@ class TestArcSampling:
         exact = 0
         for path in sorted(FIXTURE_DIR.glob("*.json")):
             a = read_knot(path)
+            if path.name == "trefoil.json":
+                # bisecting its interval (-1, 1) reaches 0 and then the root
+                # x = 1/2 of Phi6, which becomes an exact value, so the samples
+                # below take the exact branch of RealAlgebraic.compare
+                for bp in signature_function(a).breakpoints:
+                    bp.x.bounds(Fraction(1, 4))
             self.check(a)
             exact += sum(bp.x.value is not None
                          for bp in signature_function(a).breakpoints)
-        # the trefoil's Phi6 root x = 1/2 is held as an exact value
         assert exact > 0
 
     def test_random(self):
@@ -681,14 +686,23 @@ class TestArcSampling:
 
 class TestPointValues:
     """Point values at simple roots are the mean of the adjacent arcs; only
-    multiple roots of G take the characteristic polynomial route."""
+    multiple roots of G eliminate the arc form at the root itself."""
 
-    @staticmethod
-    def char_poly_calls():
-        info = _char_poly_in_x.cache_info()
-        return info.hits + info.misses
+    @pytest.fixture
+    def point_calls(self, monkeypatch):
+        """The arguments of every AlgebraicElement.arc_factors call, which
+        opens each point elimination, and the ring it returned."""
+        calls = []
+        arc_factors = AlgebraicElement.arc_factors
 
-    def test_no_char_poly_for_squarefree_g(self):
+        def spied(alpha, m):
+            u, v = arc_factors(alpha, m)
+            calls.append((alpha, m, getattr(u, "ring", None)))
+            return u, v
+        monkeypatch.setattr(AlgebraicElement, "arc_factors", staticmethod(spied))
+        return calls
+
+    def test_no_point_elimination_for_squarefree_g(self, point_calls):
         rng = random.Random(1217)
         tried = 0
         for genus in (1, 2, 3, 4):
@@ -697,18 +711,68 @@ class TestPointValues:
                 g = cos_compact(alexander_polynomial(a).coeffs)
                 if squarefree_part(g) != g:
                     continue
-                before = self.char_poly_calls()
                 sf = signature_function.__wrapped__(a)  # uncached
-                assert self.char_poly_calls() == before
                 tried += len(sf.breakpoints)
-        assert tried > 0
+        assert tried > 0 and not point_calls
 
-    def test_multiple_roots_take_char_poly(self):
+    def test_multiple_roots_take_point_elimination(self, point_calls):
         k = random_interesting_seifert(random.Random(3), 2)
         assert signature_function(k).breakpoints
-        before = self.char_poly_calls()
         signature_function.__wrapped__(block_sum(k, k))
-        assert self.char_poly_calls() > before
+        assert point_calls
+
+    # Delta = (t^2 - t + 1)^2: the eigenvalue that vanishes at x = 1/2 does
+    # so to even order, so both arcs are 0 and the mean of the arcs is wrong.
+    # The last two matrices are the first and third hits of a search over
+    # 4 x 4 entries in {-1, 0, 1} drawn by random.Random(17); every value
+    # is the oracle route's, as the test checks.
+    EVEN_ORDER = [
+        ([[0, 0, 0, -1], [0, 0, -1, 0], [-1, -1, 0, 0], [0, 1, 0, 1]], 1),
+        ([[0, 1, 0, 0], [0, -1, 1, 0], [0, 0, 0, 1], [-1, 0, 1, -1]], -1),
+        ([[0, 0, 1, 1], [1, -1, -1, 0], [1, -1, 0, 0], [0, 1, 1, 1]], 1),
+    ]
+
+    @pytest.mark.parametrize("entries, value", EVEN_ORDER)
+    def test_even_order_points(self, entries, value):
+        a = validate_seifert(entries)
+        assert alexander_polynomial(a).coeffs in ((1, -2, 3, -2, 1), (-1, 2, -3, 2, -1))
+        sf = signature_function(a)
+        assert sf.arc_values == (0, 0) and sf.point_values == (value, value)
+        bp = sf.breakpoints[0]
+        assert bp.exact_turn == Fraction(1, 6)
+        assert _signature_at_x(a, bp.x.sign_of_poly) == value
+
+    @staticmethod
+    def ksum(a, copies):
+        out = a
+        for _ in range(copies - 1):
+            out = block_sum(out, a)
+        return out
+
+    def test_multiple_roots_against_descartes_oracle(self, point_calls):
+        """At every multiple root the point value equals the oracle's
+        Descartes count; the irrational roots narrow m~ at a zero divisor."""
+        rng = random.Random(1709)
+        knots = [self.ksum(torus_seifert(2, 5), 2), self.ksum(torus_seifert(3, 4), 2),
+                 self.ksum(torus_seifert(2, 7), 3)]
+        for genus in (1, 2, 3, 4):
+            k = random_interesting_seifert(rng, genus)
+            knots += [conjugate(rng, block_sum(k, k)),
+                      conjugate(rng, block_sum(k, mirror(k))),
+                      conjugate(rng, self.ksum(k, 3))]
+        checked = 0
+        for a in knots:
+            sf = signature_function.__wrapped__(a)  # uncached
+            _, repeated = _compute_breakpoints(a)
+            for bp, value in zip(sf.breakpoints, sf.point_values):
+                if bp.x.is_root_of(repeated):
+                    assert value == _signature_at_x(a, bp.x.sign_of_poly), a.entries
+                    checked += 1
+        assert checked >= 30
+        degrees = [len(m) - 1 for _, m, _ in point_calls]
+        assert max(degrees) >= 3
+        assert any(ring and len(ring[1]) < len(m) for _, m, ring in point_calls), \
+            "no zero divisor"
 
     def test_slice_sum_vanishes(self):
         # K # -K is slice: its step function is 0, points included. Its
