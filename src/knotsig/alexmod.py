@@ -15,9 +15,10 @@ the torsion is x^t (A + A^t)^(-1) y mod 1."""
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from itertools import product
 from math import comb, gcd, isqrt, prod
+from operator import add, mod, mul, neg
 from typing import Optional
 
 from . import intmat
@@ -54,7 +55,8 @@ def alexander_module(a: SeifertMatrix) -> LambdaModulePresentation:
 class FiniteLambdaModule:
     """A finite abelian group with torsion coefficients d_1 | d_2 | ... | d_r
     (each >= 2) and an automorphism t given by an integer matrix acting on
-    the coordinates mod each d_i."""
+    the coordinates mod each d_i. The order of t and the matrices of t^e, by
+    e mod that order, are cached on the instance and go with it."""
 
     torsion: tuple
     t_matrix: tuple
@@ -105,47 +107,84 @@ class FiniteLambdaModule:
         return prod(self.torsion)
 
     def reduce_vec(self, vec):
-        return tuple(int(v) % d for v, d in zip(vec, self.torsion))
+        return tuple(map(mod, map(int, vec), self.torsion))
 
     def zero(self):
         return (0,) * self.rank
 
     def add(self, u, v):
-        return tuple((x + y) % d for x, y, d in zip(u, v, self.torsion))
+        return tuple(map(mod, map(add, u, v), self.torsion))
 
     def neg(self, v):
-        return tuple((-x) % d for x, d in zip(v, self.torsion))
+        return tuple(map(mod, map(neg, v), self.torsion))
 
     def elements(self):
         return product(*(range(d) for d in self.torsion))
 
     def t_apply(self, vec):
-        return tuple(sum(self.t_matrix[i][j] * vec[j] for j in range(self.rank)) % d
-                     for i, d in enumerate(self.torsion))
+        return tuple([sum(map(mul, row, vec)) % d
+                      for row, d in zip(self.t_matrix, self.torsion)])
 
     def action_order(self):
         """Minimal o >= 1 with t^o the identity on the module."""
-        return _action_order(self)
+        return self._action_order
+
+    @cached_property
+    def _action_order(self):
+        # A known multiple M of the order, with primes divided out while
+        # t^(M/q) stays the identity. On the p-primary part, with r
+        # coefficients d_i divisible by p and p^e the p-part of d_r, t maps to
+        # GL_r(F_p), of order p^(r(r-1)/2) * prod_(i <= r) (p^i - 1) =
+        # p^(r(r-1)/2) * prod_(j <= r) Phi_j(p)^(r // j), and the kernel of
+        # Aut -> GL_r(F_p) has exponent dividing p^(e-1).
+        if self.rank == 0:
+            return 1
+        multiple = Counter()
+        for p, e in intmat.prime_factorization(self.torsion[-1]).items():
+            r = sum(1 for d in self.torsion if d % p == 0)
+            part = Counter({p: r * (r - 1) // 2 + e - 1})
+            for j in range(1, r + 1):
+                for q, a in intmat.prime_factorization(peval(cyclotomic(j), p)).items():
+                    part[q] += a * (r // j)
+            multiple |= part
+        order = prod(q ** a for q, a in multiple.items())
+        assert self.is_periodic(order), "t^M must be the identity"
+        for q in multiple:
+            while order % q == 0 and self.is_periodic(order // q):
+                order //= q
+        return order
 
     def is_periodic(self, m):
         """Whether t^m is the identity on the module, from one modular power."""
         r = self.rank
-        return not r or _t_power(self, m) == tuple(
+        return not r or self._t_power(m) == tuple(
             tuple(int(i == j) for j in range(r)) for i in range(r))
+
+    def _t_power(self, e):
+        # t^e mod d_r, then row i mod d_i: exact because d_i | d_r and t is a
+        # well-defined endomorphism
+        power = intmat.mat_pow_mod(self.t_matrix, e, self.torsion[-1])
+        return tuple(tuple(x % d for x in row) for row, d in zip(power, self.torsion))
+
+    @cached_property
+    def _t_powers(self):
+        # t^e by e mod the order; the minimisation's trial powers stay out
+        return {}
 
     def t_power_matrix(self, e):
         """The matrix of t^e on the module (e taken mod the action order)."""
         if self.rank == 0:
             return ()
-        return _t_power_matrix(self, e % self.action_order())
+        e %= self._action_order
+        if e not in self._t_powers:
+            self._t_powers[e] = self._t_power(e)
+        return self._t_powers[e]
 
     def t_pow_apply(self, vec, e):
-        vec = self.reduce_vec(vec)
         if self.rank == 0:
-            return vec
-        mat = self.t_power_matrix(e)
-        return tuple(sum(mat[i][j] * vec[j] for j in range(self.rank)) % d
-                     for i, d in enumerate(self.torsion))
+            return ()
+        return tuple([sum(map(mul, row, vec)) % d
+                      for row, d in zip(self.t_power_matrix(e), self.torsion)])
 
     def to_json_dict(self):
         return {"torsion": list(self.torsion), "t": [list(r) for r in self.t_matrix]}
@@ -167,44 +206,6 @@ class FiniteLambdaModule:
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-@lru_cache(maxsize=None)
-def _action_order(module):
-    # A known multiple M of the order, with primes divided out while t^(M/q)
-    # stays the identity. On the p-primary part, with r coefficients d_i
-    # divisible by p and p^e the p-part of d_r, t maps to GL_r(F_p), of order
-    # p^(r(r-1)/2) * prod_(i <= r) (p^i - 1) = p^(r(r-1)/2) * prod_(j <= r)
-    # Phi_j(p)^(r // j), and the kernel of Aut -> GL_r(F_p) has exponent
-    # dividing p^(e-1).
-    if module.rank == 0:
-        return 1
-    multiple = Counter()
-    for p, e in intmat.prime_factorization(module.torsion[-1]).items():
-        r = sum(1 for d in module.torsion if d % p == 0)
-        part = Counter({p: r * (r - 1) // 2 + e - 1})
-        for j in range(1, r + 1):
-            for q, a in intmat.prime_factorization(peval(cyclotomic(j), p)).items():
-                part[q] += a * (r // j)
-        multiple |= part
-    order = prod(q ** a for q, a in multiple.items())
-    assert module.is_periodic(order), "t^M must be the identity"
-    for q in multiple:
-        while order % q == 0 and module.is_periodic(order // q):
-            order //= q
-    return order
-
-
-def _t_power(module, e):
-    # t^e mod d_r, then row i mod d_i: exact because d_i | d_r and t is a
-    # well-defined endomorphism
-    power = intmat.mat_pow_mod(module.t_matrix, e, module.torsion[-1])
-    return tuple(tuple(x % d for x in row) for row, d in zip(power, module.torsion))
-
-
-# only the reduced exponents t_power_matrix serves: the trial powers of
-# _action_order's minimisation are computed once each and not kept
-_t_power_matrix = lru_cache(maxsize=None)(_t_power)
 
 
 @dataclass(frozen=True)
@@ -449,7 +450,7 @@ class Character:
     def turn_of(self, vec):
         """The value on vec as a residue mod the modulus: chi(vec) is
         exp(2*pi*i*turn_of(vec)/modulus)."""
-        return sum(c * v for c, v in zip(self.exponents, vec)) % self.modulus
+        return sum(map(mul, self.exponents, vec)) % self.modulus
 
     def compose_t(self, module: FiniteLambdaModule):
         """The character x -> chi(t x)."""

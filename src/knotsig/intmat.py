@@ -12,6 +12,8 @@ Euler's phi.
 """
 
 from functools import cached_property
+from itertools import count
+from math import gcd
 
 
 def identity(n):
@@ -312,20 +314,88 @@ def invariant_factors(mat):
     return [x for x in smith_form(mat).d if x != 0]
 
 
+# Miller-Rabin to the first 13 prime bases is proven below _MR_PROVEN
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+
 def prime_factorization(n):
-    """{p: e} with n = prod p^e, for a positive integer n, by trial division."""
+    """{p: e} with n = prod p^e, for a positive integer n, primes increasing.
+    Trial division removes the primes below 1000, and Brent's rho splits
+    what Miller-Rabin shows composite. A part that passes Miller-Rabin is
+    prime below _MR_PROVEN and is trial-divided above, so all is certified."""
     if n < 1:
         raise ValueError("only positive integers are factored")
     out = {}
-    d = 2
-    while d * d <= n:
+    n, d = _trial_divide(n, 2, 1000, out)
+    if d * d > n:  # n is 1 or a prime, and out is in order
+        if n > 1:
+            out[n] = 1
+        return out
+    parts = [n]
+    while parts:
+        m = parts.pop()
+        if d * d <= m and not _passes_miller_rabin(m):
+            parts += [f := _brent_factor(m), m // f]
+            continue
+        if m >= _MR_PROVEN:
+            m, _ = _trial_divide(m, d, m, out)  # leaves 1 or a prime
+        if m > 1:
+            out[m] = out.get(m, 0) + 1
+    return dict(sorted(out.items()))
+
+
+def _trial_divide(n, d, stop, out):
+    # divide out each d' in [d, stop) with d'^2 <= n; return n and d' left
+    while d * d <= n and d < stop:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return n, d
+
+
+def _passes_miller_rabin(n):
+    # odd n > 41: False proves n composite, True n prime below _MR_PROVEN
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = q 2^s with q odd
+    q = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, q, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n):
+    # a proper factor of an odd composite n: Brent's rho, a gcd per 128 steps
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            for k in range(0, r, 128):
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                if (g := gcd(q, n)) != 1:
+                    break
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def euler_phi(n):

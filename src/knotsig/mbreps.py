@@ -6,11 +6,16 @@ residue mod N for the entry exp(2*pi*i*turn/N), and all identities are
 checked exactly in integer arithmetic. Character orthogonality is verified
 in exact cyclotomic arithmetic: sums of N-th roots of unity are reduced
 modulo the N-th cyclotomic polynomial.
+Products are built by sum, map and zip, with no Python frame per entry,
+from caches on the objects: t^e on the module, and on each MetabelianRep
+its modulus and the orbit chi, chi o t, ..., chi o t^(l-1).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .alexmod import CapExceeded, Character, FiniteLambdaModule, default_cap
@@ -56,8 +61,11 @@ def semidirect_mul(x: SemidirectElement, y: SemidirectElement,
     n = x.n + y.n
     if cyclic_order is not None:
         n %= cyclic_order
-    th = module.t_pow_apply(x.h, TWIST_SIGN * y.n)
-    return SemidirectElement(n, module.add(th, module.reduce_vec(y.h)))
+    h = ()
+    if module.rank:
+        h = tuple([(sum(map(mul, row, x.h)) + b) % d for row, b, d in
+                   zip(module.t_power_matrix(TWIST_SIGN * y.n), y.h, module.torsion)])
+    return tuple.__new__(SemidirectElement, (n, h))
 
 
 def semidirect_inverse(x: SemidirectElement, module: FiniteLambdaModule,
@@ -89,13 +97,15 @@ class MonomialMatrix(NamedTuple):
     modulus: int
 
     def __matmul__(self, other):
-        n = self.modulus
-        if other.modulus != n:
+        perm, turns, n = self
+        other_perm, other_turns, other_n = other
+        if other_n != n:
             raise ValueError("monomial matrices with different moduli")
-        turns = self.turns
-        return MonomialMatrix(tuple(map(self.perm.__getitem__, other.perm)),
-                              tuple([(turns[i] + t) % n
-                                     for i, t in zip(other.perm, other.turns)]), n)
+        if len(perm) == 1:  # a character: perm is (0,) on both sides
+            return tuple.__new__(MonomialMatrix, (perm, ((turns[0] + other_turns[0]) % n,), n))
+        return tuple.__new__(MonomialMatrix, (
+            tuple(map(perm.__getitem__, other_perm)),
+            tuple([(turns[i] + t) % n for i, t in zip(other_perm, other_turns)]), n))
 
 
 @dataclass(frozen=True)
@@ -111,28 +121,37 @@ class MetabelianRep:
     module: FiniteLambdaModule
     irreducible: bool
 
-    @property
+    @cached_property
     def modulus(self):
         """N = lcm(denominator of z, modulus of chi): every matrix entry is
         an N-th root of unity."""
         return lcm(self.z.denominator, self.chi.modulus)
 
-    def matrix(self, elem: SemidirectElement) -> MonomialMatrix:
-        l, n, big = self.dim, elem.n, self.modulus
-        zn = n * self.z.numerator * (big // self.z.denominator)
-        scale = big // self.chi.modulus
-        h = self.module.reduce_vec(elem.h)
-        perm = tuple((j + n) % l for j in range(l))
-        turns = []
+    @cached_property
+    def _orbit(self):
+        # the exponents of chi o t^j, j < l, scaled to the modulus N (chi is
+        # well defined, so chi(t^j h) = (chi o t^j)(h)), and the l shifts
+        l, scale = self.dim, self.modulus // self.chi.modulus
+        rows, cur = [], self.chi
         for _ in range(l):
-            turns.append((zn + scale * self.chi.turn_of(h)) % big)
-            h = self.module.t_apply(h)
-        return MonomialMatrix(perm, tuple(turns), big)
+            rows.append(tuple(scale * c for c in cur.exponents))
+            cur = cur.compose_t(self.module)
+        return tuple(rows), tuple(tuple((j + n) % l for j in range(l)) for n in range(l))
+
+    def _turns(self, elem):
+        # z^n chi(t^j h) for each j, as residues mod N
+        big = self.modulus
+        zn = elem.n * self.z.numerator * (big // self.z.denominator)
+        return tuple([(sum(map(mul, row, elem.h)) + zn) % big for row in self._orbit[0]])
+
+    def matrix(self, elem: SemidirectElement) -> MonomialMatrix:
+        return tuple.__new__(MonomialMatrix, (self._orbit[1][elem.n % self.dim],
+                                              self._turns(elem), self.modulus))
 
     def character_turns(self, elem: SemidirectElement):
-        """Turns of the diagonal entries of the matrix of elem."""
-        mat = self.matrix(elem)
-        return [mat.turns[j] for j, i in enumerate(mat.perm) if i == j]
+        """Turns of the diagonal entries of the matrix of elem: all of them
+        when the shift fixes every index (l | n), none otherwise."""
+        return list(self._turns(elem)) if elem.n % self.dim == 0 else []
 
 
 def rep_json(rep: MetabelianRep, m: int):

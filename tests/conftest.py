@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from knotsig import SeifertMatrix, validate_seifert
+from knotsig import FiniteLambdaModule, SeifertMatrix, validate_seifert
 from knotsig.intmat import kron
 
 FIXTURE_DIR = Path(__file__).parent.parent / "fixtures"
@@ -111,6 +111,18 @@ def conjugate(rng: random.Random, a: SeifertMatrix) -> SeifertMatrix:
     p = random_unimodular(rng, a.n)
     pt = [[p[j][i] for j in range(a.n)] for i in range(a.n)]
     return validate_seifert(_mat_mul(_mat_mul(pt, a.as_lists()), p))
+
+
+def random_module(rng: random.Random, torsion) -> FiniteLambdaModule:
+    """A random well-defined invertible t on the torsion chain: entry (i, j)
+    with i > j is a multiple of d_i / d_j."""
+    while True:
+        t = [[rng.randrange(d) * (d // torsion[j] if i > j else 1) for j in range(len(torsion))]
+             for i, d in enumerate(torsion)]
+        try:
+            return FiniteLambdaModule.make(torsion, t)
+        except ValueError:
+            continue
 
 
 def random_unimodular(rng: random.Random, n: int, steps: int = None):

@@ -10,8 +10,10 @@ instead of order-finding, commutant dimensions instead of orbit criteria,
 an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
 signs at certified cosine enclosures instead of signs at a rational
 cos(theta) inside each arc, Litherland's lattice-point count for torus
-knots instead of any matrix. A few helpers that only tests need, such as
-the inverse of a monomial matrix, live here too.
+knots instead of any matrix, the group law and representation matrices
+entry by entry instead of tuple kernels and cached powers. A few helpers
+that only tests need, such as the inverse of a monomial matrix, live here
+too.
 """
 
 from collections import namedtuple
@@ -203,6 +205,61 @@ def monomial_is_identity(m):
 
 def character_is_trivial(chi):
     return not any(chi.exponents)
+
+
+# --- the group law and the representations by their definitions -----------
+# Entry by entry, t applied one step at a time: the library's tuple kernels
+# and its cached t^e matrices and character orbits are checked against these.
+
+def vec_reduce(module, vec):
+    return tuple(int(v) % d for v, d in zip(vec, module.torsion))
+
+
+def vec_t_apply(module, vec):
+    t = module.t_matrix
+    return tuple(sum(t[i][j] * vec[j] for j in range(module.rank)) % d
+                 for i, d in enumerate(module.torsion))
+
+
+def vec_t_pow_apply(module, vec, e):
+    """t^e vec for any integer e, by e mod the brute-force order steps."""
+    vec = vec_reduce(module, vec)
+    for _ in range(e % action_order_brute(module) if module.rank else 0):
+        vec = vec_t_apply(module, vec)
+    return vec
+
+
+def semidirect_mul_by_definition(x, y, module, cyclic_order=None):
+    """(n, h)(n', h') = (n + n', t^(s n') h + h'), s = TWIST_SIGN."""
+    from knotsig.mbreps import TWIST_SIGN, SemidirectElement
+
+    n = x.n + y.n
+    if cyclic_order is not None:
+        n %= cyclic_order
+    th = vec_t_pow_apply(module, x.h, TWIST_SIGN * y.n)
+    return SemidirectElement(n, tuple((a + b) % d for a, b, d in
+                                      zip(th, vec_reduce(module, y.h), module.torsion)))
+
+
+def rep_matrix_by_definition(rep, elem):
+    """z^n P^n diag(chi(h), chi(t h), ..., chi(t^(l-1) h)), with chi(t^j h)
+    from t applied j times to the reduced h."""
+    l, n, big = rep.dim, elem.n, rep.modulus
+    zn = n * rep.z.numerator * (big // rep.z.denominator)
+    scale = big // rep.chi.modulus
+    h = vec_reduce(rep.module, elem.h)
+    turns = []
+    for _ in range(l):
+        chi_h = sum(c * v for c, v in zip(rep.chi.exponents, h)) % rep.chi.modulus
+        turns.append((zn + scale * chi_h) % big)
+        h = vec_t_apply(rep.module, h)
+    return MonomialMatrix(tuple((j + n) % l for j in range(l)), tuple(turns), big)
+
+
+def character_turns_by_definition(rep, elem):
+    """The turns on the diagonal of the full matrix."""
+    mat = rep_matrix_by_definition(rep, elem)
+    return [mat.turns[j] for j, i in enumerate(mat.perm) if i == j]
 
 
 # --- commutant dimension of a monomial representation ----------------------
@@ -414,7 +471,7 @@ def action_order_brute(module, cap=10 ** 7):
     basis = [tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank)]
     cur = list(basis)
     for k in range(1, cap + 1):
-        cur = [module.t_apply(v) for v in cur]
+        cur = [vec_t_apply(module, v) for v in cur]
         if cur == basis:
             return k
     raise AssertionError("order exceeds cap")

@@ -14,8 +14,8 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
 from knotsig import intmat
 from knotsig.seifert import validate_seifert
 
-from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, random_interesting_seifert, random_seifert,
-                      random_unimodular)
+from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, random_interesting_seifert, random_module,
+                      random_seifert, random_unimodular)
 from oracles import (action_order_brute, character_is_trivial, cyclic_quotient_by_kronecker,
                      frac_inverse, is_invertible_by_factoring, lambda_modules_isomorphic_brute)
 
@@ -174,7 +174,7 @@ class TestLambdaIsomorphismOracle:
     def test_conjugate_actions(self):
         rng = random.Random(31)
         for p, r in ((2, 3), (3, 3), (5, 2), (7, 2), (2, 4)):
-            m = _random_module(rng, (p,) * r)
+            m = random_module(rng, (p,) * r)
             q = random_unimodular(rng, r)
             q_inv = [[int(x) for x in row] for row in frac_inverse(q)]
             t = intmat.mat_mul(intmat.mat_mul(q, [list(row) for row in m.t_matrix]), q_inv)
@@ -212,18 +212,6 @@ class TestTPowers:
                 cur = m.t_apply(cur)
 
 
-def _random_module(rng, torsion):
-    """A random well-defined invertible t on the torsion chain: entry (i, j)
-    with i > j is a multiple of d_i / d_j."""
-    while True:
-        t = [[rng.randrange(d) * (d // torsion[j] if i > j else 1) for j in range(len(torsion))]
-             for i, d in enumerate(torsion)]
-        try:
-            return FiniteLambdaModule.make(torsion, t)
-        except ValueError:
-            continue
-
-
 class TestActionOrder:
     """The order of t, divided out of a known multiple, against iteration."""
 
@@ -244,24 +232,34 @@ class TestActionOrder:
     def test_mixed_prime_modules(self, torsion):
         rng = random.Random(sum(torsion))
         for _ in range(6):
-            m = _random_module(rng, torsion)
+            m = random_module(rng, torsion)
             assert m.action_order() == action_order_brute(m), m
 
     def test_large_prime(self):
         # the order of 2 mod 1000003 is 1000002: found without a million steps
         assert FiniteLambdaModule.make((1000003,), [[2]]).action_order() == 1000002
 
+    def test_two_primes_above_a_billion(self):
+        # d_r = p q: Brent's rho splits it, where trial division would take
+        # about 10^9 steps; the order is minimal at every prime of it
+        p, q = 1000000007, 1000000009
+        assert intmat.prime_factorization(p * q) == {p: 1, q: 1}
+        for m in (FiniteLambdaModule.make((p * q,), [[2]]),
+                  random_module(random.Random(7), (3, 3 * p * q))):
+            order = m.action_order()
+            assert m.is_periodic(order)
+            assert not any(m.is_periodic(order // r) for r in intmat.prime_factorization(order))
+
     def test_trial_powers_stay_out_of_the_cache(self):
         # the minimisation tests dozens of t^(M/q) on (3367,)^4; only the
-        # powers t_power_matrix serves, reduced mod the order, are kept
-        from knotsig.alexmod import _t_power_matrix
-        m = _random_module(random.Random(3367), (3367,) * 4)
-        before = _t_power_matrix.cache_info().currsize
+        # powers t_power_matrix serves, reduced mod the order, are kept, and
+        # they are kept on the module itself
+        m = random_module(random.Random(3367), (3367,) * 4)
         order = m.action_order()
-        assert _t_power_matrix.cache_info().currsize == before
+        assert not m.__dict__.get("_t_powers")
         assert m.t_power_matrix(order + 5) == m.t_power_matrix(5)
         assert m.t_pow_apply((1, 0, 0, 0), order) == (1, 0, 0, 0)
-        assert _t_power_matrix.cache_info().currsize == before + 2
+        assert sorted(m.__dict__["_t_powers"]) == [0, 5]
 
     def test_trivial(self):
         assert FiniteLambdaModule.trivial().action_order() == 1

@@ -10,10 +10,13 @@ from knotsig import (ActionNotPeriodic, CapExceeded, Character, CharacterNotPeri
                      character_table_checks, enumerate_irreps, is_irreducible,
                      rep_json, semidirect_elements, semidirect_identity,
                      semidirect_inverse, semidirect_mul)
-from knotsig.mbreps import MetabelianRep, roots_of_unity_sum_equals
+from knotsig.mbreps import MetabelianRep, _character_orbits, roots_of_unity_sum_equals
 
-from oracles import (commutant_dimension, groups_isomorphic_brute, monomial_conj_transpose,
-                     monomial_is_identity)
+from conftest import random_module
+from oracles import (character_turns_by_definition, commutant_dimension,
+                     groups_isomorphic_brute, monomial_conj_transpose, monomial_is_identity,
+                     rep_matrix_by_definition, semidirect_mul_by_definition, vec_reduce,
+                     vec_t_apply, vec_t_pow_apply)
 
 Z3_FLIP = FiniteLambdaModule.make((3,), [[-1]])   # t = -1 on Z/3
 Z3_TWO = FiniteLambdaModule.make((3,), [[2]])     # same action, written as 2
@@ -279,6 +282,87 @@ class TestMonomialMatrix:
             a @ MonomialMatrix((0,), (1,), 6)
 
 
+class TestKernelsAgainstDefinitions:
+    """The tuple kernels, the cached t^e matrices and the cached character
+    orbits against the entry-by-entry definitions in the oracles, on
+    unreduced and negative entries, negative exponents, Z x| F as well as
+    Z/m x| F, and representations of every dimension up to the order of t."""
+
+    CHAINS = [(3,), (2, 6), (4, 8), (2, 2, 2, 6), (5, 25)]
+
+    @pytest.mark.parametrize("torsion", CHAINS)
+    def test_module_kernels(self, torsion):
+        rng = random.Random(7 * sum(torsion))
+        for _ in range(4):
+            module = random_module(rng, torsion)
+            order = module.action_order()
+            for _ in range(30):
+                u = tuple(rng.randrange(-3 * d, 3 * d) for d in torsion)
+                v = tuple(rng.randrange(-3 * d, 3 * d) for d in torsion)
+                e = rng.randrange(-3 * order, 3 * order)
+                ru, rv = vec_reduce(module, u), vec_reduce(module, v)
+                assert module.reduce_vec(u) == ru
+                assert module.add(u, v) == vec_reduce(module, map(sum, zip(ru, rv)))
+                assert module.neg(u) == vec_reduce(module, (-x for x in ru))
+                assert module.t_apply(u) == vec_t_apply(module, ru)
+                assert module.t_pow_apply(u, e) == vec_t_pow_apply(module, u, e)
+                chi = Character.make(torsion[-1], [rng.randrange(d) * (torsion[-1] // d)
+                                                   for d in torsion])
+                assert chi.turn_of(u) == sum(c * x for c, x in zip(chi.exponents, u)) % chi.modulus
+
+    @pytest.mark.parametrize("torsion", CHAINS)
+    def test_group_law_and_representations(self, torsion):
+        rng = random.Random(11 * sum(torsion))
+        for _ in range(3):
+            module = random_module(rng, torsion)
+            order = module.action_order()
+
+            def element():
+                return SemidirectElement(rng.randrange(-3 * order, 3 * order),
+                                         tuple(rng.randrange(-3 * d, 3 * d) for d in torsion))
+
+            for cyclic in (None, order, 2 * order):
+                identity = semidirect_identity(module)
+                for _ in range(30):
+                    x, y = element(), element()
+                    assert semidirect_mul(x, y, module, cyclic) == \
+                        semidirect_mul_by_definition(x, y, module, cyclic)
+                    inv = semidirect_inverse(x, module, cyclic)
+                    assert semidirect_mul_by_definition(x, inv, module, cyclic) == identity
+            orbits = _character_orbits(module)
+            for chi, size in rng.sample(orbits, min(4, len(orbits))):
+                for dim in sorted({size, min(2 * size, order), order}):
+                    den = rng.randrange(1, 13)
+                    rep = build_rep(dim, UnitRootAngle.of(rng.randrange(den), den), chi, module)
+                    for _ in range(15):
+                        g = element()
+                        assert rep.matrix(g) == rep_matrix_by_definition(rep, g)
+                        assert rep.character_turns(g) == character_turns_by_definition(rep, g)
+                    a, b = rep.matrix(element()), rep.matrix(element())
+                    assert _dense(a @ b) == _matmul_dense(_dense(a), _dense(b), rep.modulus)
+
+
+class TestCachesLiveOnInstances:
+    def test_module_and_reps_are_freed(self):
+        # the t^e matrices, the order of t, the modulus and the character
+        # orbits are cached on the objects, so nothing keeps them alive
+        import gc
+        import weakref
+        module = FiniteLambdaModule.make((3, 9), [[2, 0], [3, 4]])
+        m = module.action_order()
+        reps = enumerate_irreps(m, module)
+        els = list(semidirect_elements(module, m))
+        assert character_table_checks(reps, m, module).all_ok
+        for x, y in zip(els, els[7:]):
+            xy = semidirect_mul(x, y, module, m)
+            assert all(r.matrix(xy) == r.matrix(x) @ r.matrix(y) for r in reps)
+        assert module.__dict__["_t_powers"] and "_orbit" in reps[-1].__dict__
+        refs = [weakref.ref(module)] + [weakref.ref(r) for r in reps]
+        del module, reps, els, x, y, xy
+        gc.collect()
+        assert not [ref for ref in refs if ref() is not None]
+
+
 def _random_monomial(rng, size):
     perm = list(range(size))
     rng.shuffle(perm)
@@ -286,8 +370,8 @@ def _random_monomial(rng, size):
 
 
 def _dense(m):
-    """Dense matrix over the group algebra of Z/12: entries are turns mod
-    12 (single turns), or None for a zero entry."""
+    """Dense matrix of a monomial matrix: entries are turns mod its modulus
+    (single turns), or None for a zero entry."""
     size = len(m.perm)
     out = [[None] * size for _ in range(size)]
     for j in range(size):
@@ -295,7 +379,7 @@ def _dense(m):
     return out
 
 
-def _matmul_dense(a, b):
+def _matmul_dense(a, b, modulus=12):
     size = len(a)
     out = [[None] * size for _ in range(size)]
     for i in range(size):
@@ -304,6 +388,6 @@ def _matmul_dense(a, b):
             for k in range(size):
                 if a[i][k] is not None and b[k][j] is not None:
                     assert acc is None  # monomial structure
-                    acc = (a[i][k] + b[k][j]) % 12
+                    acc = (a[i][k] + b[k][j]) % modulus
             out[i][j] = acc
     return out

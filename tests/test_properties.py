@@ -22,7 +22,7 @@ from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
-from conftest import random_interesting_seifert, random_seifert
+from conftest import conjugate, random_interesting_seifert, random_seifert
 from oracles import pi_bounds, sign_at_cos_turn, xgcd
 
 
@@ -66,6 +66,29 @@ class TestSignatureInvariants:
         direct = sum(oracles.tl_signature_by_cos_enclosure(a, UnitRootAngle.of(j, k))
                      for j in range(1, k + 1))
         assert eta_cyclic(a, k) == direct
+
+
+@st.composite
+def repeated_sums(draw):
+    """K # K or K # K # K for a random K of genus 1-3, conjugated: G has
+    multiple roots wherever K has breakpoints."""
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    k = random_interesting_seifert(rng, draw(st.integers(1, 3)))
+    out = block_sum(k, k)
+    if draw(st.booleans()):
+        out = block_sum(out, k)
+    return conjugate(rng, out)
+
+
+class TestMultipleRootPoints:
+    @given(repeated_sums())
+    @settings(max_examples=25, deadline=None)
+    def test_point_values_against_descartes_route(self, a):
+        # the elimination over Z or Q(alpha) at each root against Descartes'
+        # rule on the characteristic polynomial of H at that x
+        sf = signature_function.__wrapped__(a)  # uncached
+        for bp, value in zip(sf.breakpoints, sf.point_values):
+            assert value == oracles._signature_at_x(a, bp.x.sign_of_poly), a.entries
 
 
 class TestAlexanderInvariants:
@@ -588,6 +611,29 @@ class TestIntegerPrimitives:
         with pytest.raises(ValueError):
             prime_factorization(0)
 
+    # primes above the trial bound, and strong pseudoprimes that pass
+    # Miller-Rabin to the first four and the first nine prime bases. Rho
+    # takes about sqrt(p) steps for all but the largest prime p, so 2^61 - 1
+    # only ever comes last.
+    LARGE_PRIMES = (1009, 65537, 998244353, 1000000007, 1000000009, 2 ** 31 - 1)
+    PSEUDOPRIMES = {3215031751: {151: 1, 751: 1, 28351: 1},
+                    3825123056546413051: {149491: 1, 747451: 1, 34233211: 1}}
+
+    def test_prime_factorization_beyond_trial_division(self):
+        rng = random.Random(1931)
+        for _ in range(25):
+            want = {}
+            for p in rng.sample(self.LARGE_PRIMES + (2, 3, 997), rng.randrange(1, 4)):
+                want[p] = rng.randrange(1, 3)
+            if rng.randrange(2):
+                want[2 ** 61 - 1] = 1
+            n = math.prod(p ** e for p, e in want.items())
+            got = prime_factorization(n)
+            assert got == want and list(got) == sorted(got), n
+        for n, want in self.PSEUDOPRIMES.items():
+            assert prime_factorization(n) == want
+            assert prime_factorization(4 * n) == {2: 2, **want}
+
     def test_euler_phi_counts_units(self):
         for n in range(1, 501):
             assert euler_phi(n) == sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
@@ -860,6 +906,24 @@ class TestOneEliminationKernel:
             defined = {node.name for node in ast.walk(tree)
                        if isinstance(node, ast.FunctionDef)}
             assert "pinterpolate" not in defined, path.name
+
+
+class TestCachesOnInstances:
+    """The finite-group layer caches on its objects (cached_property), never
+    in a module-level lru_cache, which would rehash each module per call
+    and keep every module ever built alive."""
+
+    def test_alexmod_and_mbreps_import_no_lru_cache(self):
+        import ast
+        from pathlib import Path
+        import knotsig
+        for name in ("alexmod.py", "mbreps.py"):
+            path = Path(knotsig.__file__).parent / name
+            tree = ast.parse(path.read_text(), filename=str(path))
+            names = {a.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+            names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            assert not names & {"lru_cache", "cache"}, name
 
 
 class TestRealalgBoundary:

@@ -463,6 +463,7 @@ class TestTurnTracker:
         # every thread gets the fresh single-threaded cell, whatever the
         # others did to the shared turn cell and x interval meanwhile
         import sys
+        import threading
         from concurrent.futures import ThreadPoolExecutor
         from knotsig.polyz import psign
         xs = self._irrational_xs()
@@ -470,16 +471,32 @@ class TestTurnTracker:
         want = {(i, d): self._fresh(x).turn_bounds(Fraction(1, 2 ** d))
                 for i, x in enumerate(xs) for d in depths}
         shared = [self._fresh(x) for x in xs]
+        inside, peak, lock = [0], [0], threading.Lock()
+
+        def call(tracker, width):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            try:
+                return tracker.turn_bounds(width)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        # a switch every 100 us still lands inside the calls, which take
+        # about 0.3 ms each; at 1 us with 8 threads the test once made no
+        # progress for minutes while other jobs loaded the machine
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
+        sys.setswitchinterval(1e-4)
         try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = {key: pool.submit(shared[key[0]].turn_bounds, Fraction(1, 2 ** key[1]))
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = {key: pool.submit(call, shared[key[0]], Fraction(1, 2 ** key[1]))
                            for key in want}
                 got = {key: f.result(timeout=120) for key, f in futures.items()}
         finally:
             sys.setswitchinterval(interval)
         assert got == want
+        assert peak[0] >= 2, "no two turn_bounds calls overlapped"
         for t in shared:
             x = t.x
             if x.value is None:
