@@ -27,11 +27,11 @@ from .alexmod import (LambdaModulePresentation, FiniteLambdaModule,
 from .mbreps import (SemidirectElement, MonomialMatrix, MetabelianRep,
                      CharacterNotPeriodic, ActionNotPeriodic, TWIST_SIGN,
                      semidirect_mul, semidirect_inverse, semidirect_identity,
-                     semidirect_elements, build_rep, is_irreducible,
+                     semidirect_elements, build_rep,
                      enumerate_irreps, character_table_checks, rep_json)
 from .resolve import (ResolutionStep, ResolutionReport, WitnessRecord,
                       PrimeDividesLeading, finite_alexander_quotient,
-                      order_of_t, build_resolution, quotient_group_order)
+                      build_resolution, quotient_group_order)
 from .knotio import read_knot
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -19,13 +19,12 @@ from functools import cached_property
 from itertools import product
 from math import comb, gcd, isqrt, prod
 from operator import add, mod, mul, neg
-from typing import Optional
 
 from . import intmat
+from .intmat import CapExceeded, default_cap
 from .knotio import frac_str
 from .polyz import cyclotomic, pdivmod, peval, resultant
-from .seifert import (CapExceeded, SeifertMatrix, alexander_polynomial,
-                      default_cap)
+from .seifert import SeifertMatrix, alexander_polynomial
 
 
 class DegenerateForm(ValueError):
@@ -37,14 +36,6 @@ class LambdaModulePresentation:
     """Presentation pencil (A, A^t): the relation matrix is tA - A^t."""
 
     matrix: SeifertMatrix
-
-    @property
-    def size(self):
-        return self.matrix.n
-
-    def determinant(self):
-        """Order of the module: the normalized Alexander polynomial."""
-        return alexander_polynomial(self.matrix)
 
 
 def alexander_module(a: SeifertMatrix) -> LambdaModulePresentation:
@@ -147,11 +138,15 @@ class FiniteLambdaModule:
                 for q, a in intmat.prime_factorization(peval(cyclotomic(j), p)).items():
                     part[q] += a * (r // j)
             multiple |= part
-        order = prod(q ** a for q, a in multiple.items())
-        assert self.is_periodic(order), "t^M must be the identity"
-        for q in multiple:
-            while order % q == 0 and self.is_periodic(order // q):
-                order //= q
+        # the q-part of the order is the order of t^(M/q^a), q^a || M: the
+        # number of q-th powers that take it to the identity
+        big = prod(q ** a for q, a in multiple.items())
+        assert self.is_periodic(big), "t^M must be the identity"
+        identity, order = self._t_power(0), 1
+        for q, a in multiple.items():
+            power = self._t_power(big // q ** a)
+            while power != identity:
+                power, order = self._power(power, q), order * q
         return order
 
     def is_periodic(self, m):
@@ -161,9 +156,12 @@ class FiniteLambdaModule:
             tuple(int(i == j) for j in range(r)) for i in range(r))
 
     def _t_power(self, e):
-        # t^e mod d_r, then row i mod d_i: exact because d_i | d_r and t is a
-        # well-defined endomorphism
-        power = intmat.mat_pow_mod(self.t_matrix, e, self.torsion[-1])
+        return self._power(self.t_matrix, e)
+
+    def _power(self, matrix, e):
+        # matrix^e mod d_r, then row i mod d_i: exact because d_i | d_r and
+        # the matrix is a well-defined endomorphism
+        power = intmat.mat_pow_mod(matrix, e, self.torsion[-1])
         return tuple(tuple(x % d for x in row) for row, d in zip(power, self.torsion))
 
     @cached_property
@@ -237,7 +235,7 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     """
     if k < 1:
         raise ValueError("k must be positive")
-    n = pres.size
+    n = pres.matrix.n
     gamma = pres.matrix.gamma
     # c_j = coefficient of x^j in x^k - (x - 1)^k; r(Gamma) by Horner
     c = [(-1) ** (k - j + 1) * comb(k, j) for j in range(k)]
@@ -361,14 +359,12 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     return LinkingForm(module, gram)
 
 
-def find_linking_metabolizers(form: LinkingForm, cap: Optional[int] = None):
+def find_linking_metabolizers(form: LinkingForm):
     """All t-invariant subgroups P with P equal to its own annihilator
     under the form, as generator tuples. Exhaustive, so the module order is
-    capped (default from KNOTSIG_CAP, else 10**6)."""
-    if cap is None:
-        cap = default_cap()
+    capped (KNOTSIG_CAP, else 10**6)."""
     mod = form.module
-    order = mod.order()
+    order, cap = mod.order(), default_cap()
     if order > cap:
         raise CapExceeded(order, cap)
     if order == 1:
@@ -444,8 +440,8 @@ class Character:
         return cls(modulus, tuple(int(c) % modulus for c in exponents))
 
     def is_well_defined_on(self, module: FiniteLambdaModule):
-        return all((d * c) % self.modulus == 0
-                   for d, c in zip(module.torsion, self.exponents))
+        return len(self.exponents) == module.rank and all(
+            (d * c) % self.modulus == 0 for d, c in zip(module.torsion, self.exponents))
 
     def turn_of(self, vec):
         """The value on vec as a residue mod the modulus: chi(vec) is
@@ -453,18 +449,22 @@ class Character:
         return sum(map(mul, self.exponents, vec)) % self.modulus
 
     def compose_t(self, module: FiniteLambdaModule):
-        """The character x -> chi(t x)."""
-        t = module.t_matrix
-        r = module.rank
-        new = [sum(t[i][j] * self.exponents[i] for i in range(r)) % self.modulus
-               for j in range(r)]
-        return Character(self.modulus, tuple(new))
+        """The character x -> chi(t x): its exponents are t^T times chi's."""
+        m = self.modulus
+        return Character(m, tuple([sum(map(mul, col, self.exponents)) % m
+                                   for col in zip(*module.t_matrix)]))
 
-    def order(self):
-        g = self.modulus
-        for c in self.exponents:
-            g = gcd(g, c)
-        return self.modulus // g
+    def orbit(self, module: FiniteLambdaModule):
+        """chi, chi o t, chi o t^2, ... up to the first return to chi, so
+        its length is the period of chi under t. The walk ends because t is
+        invertible, which the dual action inherits for a well-defined chi."""
+        if not self.is_well_defined_on(module):
+            raise ValueError("character is not well defined on the module")
+        orbit, cur = [self], self.compose_t(module)
+        while cur != self:
+            orbit.append(cur)
+            cur = cur.compose_t(module)
+        return tuple(orbit)
 
 
 def characters_vanishing_on(module: FiniteLambdaModule, p_gens, p: int, r: int):

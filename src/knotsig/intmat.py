@@ -8,12 +8,28 @@ normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
 library shares: determinant, signature of a symmetric matrix,
 characteristic polynomial, modular matrix power, prime factorization and
-Euler's phi.
+Euler's phi. It also holds the one enumeration cap (KNOTSIG_CAP), which
+bounds the library's searches and the rho steps of the factorization.
 """
 
+import os
 from functools import cached_property
 from itertools import count
 from math import gcd
+
+
+class CapExceeded(RuntimeError):
+    """Enumeration would exceed the configured cap; noun names what is
+    counted (a group order unless said otherwise)."""
+
+    def __init__(self, order, cap, noun="group order"):
+        super().__init__(f"{noun} {order} exceeds cap {cap}")
+        self.order = order
+        self.cap = cap
+
+
+def default_cap():
+    return int(os.environ.get("KNOTSIG_CAP", "1000000"))
 
 
 def identity(n):
@@ -322,38 +338,45 @@ _MR_PROVEN = 3317044064679887385961981
 
 def prime_factorization(n):
     """{p: e} with n = prod p^e, for a positive integer n, primes increasing.
-    Trial division removes the primes below 1000, and Brent's rho splits
-    what Miller-Rabin shows composite. A part that passes Miller-Rabin is
-    prime below _MR_PROVEN and is trial-divided above, so all is certified."""
+    Trial division removes the primes below 1000. A part left is prime if it
+    is below 10^6 or passes Miller-Rabin below _MR_PROVEN; otherwise an
+    integer k-th root splits it if it is a perfect power, and Brent's rho
+    if not. So all is certified, and a prime part at or above _MR_PROVEN
+    ends in CapExceeded once rho passes KNOTSIG_CAP steps."""
     if n < 1:
         raise ValueError("only positive integers are factored")
-    out = {}
-    n, d = _trial_divide(n, 2, 1000, out)
-    if d * d > n:  # n is 1 or a prime, and out is in order
-        if n > 1:
-            out[n] = 1
-        return out
-    parts = [n]
-    while parts:
-        m = parts.pop()
-        if d * d <= m and not _passes_miller_rabin(m):
-            parts += [f := _brent_factor(m), m // f]
-            continue
-        if m >= _MR_PROVEN:
-            m, _ = _trial_divide(m, d, m, out)  # leaves 1 or a prime
-        if m > 1:
-            out[m] = out.get(m, 0) + 1
-    return dict(sorted(out.items()))
-
-
-def _trial_divide(n, d, stop, out):
-    # divide out each d' in [d, stop) with d'^2 <= n; return n and d' left
-    while d * d <= n and d < stop:
+    out, d = {}, 2
+    while d * d <= n and d < 1000:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    return n, d
+    if d * d > n:  # n is 1 or a prime, and out is in order
+        if n > 1:
+            out[n] = 1
+        return out
+    parts, cap = [(n, 1)], default_cap()  # (m, e): m^e divides n
+    while parts:
+        m, e = parts.pop()
+        if d * d > m or (m < _MR_PROVEN and _passes_miller_rabin(m)):
+            out[m] = out.get(m, 0) + e
+            continue
+        k = 2
+        while (root := _integer_root(m, k)) >= d and root ** k != m:
+            k += 1
+        if root >= d:
+            parts.append((root, e * k))
+        else:
+            parts += [((f := _brent_factor(m, cap)), e), (m // f, e)]
+    return dict(sorted(out.items()))
+
+
+def _integer_root(m, k):
+    # the floor of m^(1/k), by integer Newton steps down from a power of 2
+    x = 1 << -(-m.bit_length() // k)
+    while (y := ((k - 1) * x + m // x ** (k - 1)) // k) < x:
+        x = y
+    return x
 
 
 def _passes_miller_rabin(n):
@@ -373,8 +396,11 @@ def _passes_miller_rabin(n):
     return True
 
 
-def _brent_factor(n):
-    # a proper factor of an odd composite n: Brent's rho, a gcd per 128 steps
+def _brent_factor(n, cap):
+    # a proper factor of an odd composite n: Brent's rho, a gcd per 128
+    # steps. A step is one pair (x, y) compared, and a batch that takes the
+    # count past cap raises CapExceeded, so a prime n ends there.
+    steps = 0
     for c in count(1):
         y, r, q, g = 2, 1, 1, 1
         while g == 1:
@@ -383,9 +409,11 @@ def _brent_factor(n):
                 y = (y * y + c) % n
             for k in range(0, r, 128):
                 ys = y
-                for _ in range(min(128, r - k)):
+                for _ in range(batch := min(128, r - k)):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
+                if (steps := steps + batch) > cap:
+                    raise CapExceeded(steps, cap, "rho steps")
                 if (g := gcd(q, n)) != 1:
                     break
             r *= 2

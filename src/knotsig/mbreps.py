@@ -8,7 +8,7 @@ in exact cyclotomic arithmetic: sums of N-th roots of unity are reduced
 modulo the N-th cyclotomic polynomial.
 Products are built by sum, map and zip, with no Python frame per entry,
 from caches on the objects: t^e on the module, and on each MetabelianRep
-its modulus and the orbit chi, chi o t, ..., chi o t^(l-1).
+its modulus and the rows chi o t^j, j < l, read from Character.orbit.
 """
 
 from dataclasses import dataclass
@@ -119,7 +119,6 @@ class MetabelianRep:
     z: UnitRootAngle
     chi: Character
     module: FiniteLambdaModule
-    irreducible: bool
 
     @cached_property
     def modulus(self):
@@ -132,11 +131,9 @@ class MetabelianRep:
         # the exponents of chi o t^j, j < l, scaled to the modulus N (chi is
         # well defined, so chi(t^j h) = (chi o t^j)(h)), and the l shifts
         l, scale = self.dim, self.modulus // self.chi.modulus
-        rows, cur = [], self.chi
-        for _ in range(l):
-            rows.append(tuple(scale * c for c in cur.exponents))
-            cur = cur.compose_t(self.module)
-        return tuple(rows), tuple(tuple((j + n) % l for j in range(l)) for n in range(l))
+        orbit = self.chi.orbit(self.module)
+        rows = tuple(tuple(scale * c for c in orbit[j % len(orbit)].exponents) for j in range(l))
+        return rows, tuple(tuple((j + n) % l for j in range(l)) for n in range(l))
 
     def _turns(self, elem):
         # z^n chi(t^j h) for each j, as residues mod N
@@ -169,31 +166,20 @@ def rep_json(rep: MetabelianRep, m: int):
     }
 
 
-def is_irreducible(chi: Character, l: int, module: FiniteLambdaModule) -> bool:
-    """Orbit criterion: chi has exact period l under composition with t."""
-    cur = chi
-    for _ in range(1, l):
-        cur = cur.compose_t(module)
-        if cur == chi:
-            return False
-    return cur.compose_t(module) == chi
-
-
 def build_rep(l: int, z: UnitRootAngle, chi: Character,
               module: FiniteLambdaModule) -> MetabelianRep:
     """Construct the block representation; requires chi to be periodic of
-    period dividing l under t."""
-    cur = chi
-    for _ in range(l):
-        cur = cur.compose_t(module)
-    if cur != chi:
+    period dividing l under t. It is irreducible when that period is l."""
+    if l % len(chi.orbit(module)):
         raise CharacterNotPeriodic(f"character does not return after t^{l}")
-    return MetabelianRep(l, z, chi, module, is_irreducible(chi, l, module))
+    return MetabelianRep(l, z, chi, module)
 
 
 def _character_orbits(module: FiniteLambdaModule):
     """Orbits of the characters of F under chi -> chi o t, keyed by the
-    lexicographically smallest exponent tuple; modulus is d_r."""
+    lexicographically smallest exponent tuple and in increasing key order;
+    modulus is d_r. The exponents run in lexicographic order, which scaling
+    by d_r / d_i keeps, so the first character met in an orbit is its key."""
     if module.rank == 0:
         return [(Character(1, ()), 1)]
     m0 = module.torsion[-1]
@@ -203,17 +189,9 @@ def _character_orbits(module: FiniteLambdaModule):
         exps = tuple(c * (m0 // d) for c, d in zip(combo, module.torsion))
         if exps in seen:
             continue
-        chi = Character(m0, exps)
-        orbit = [chi.exponents]
-        cur = chi.compose_t(module)
-        while cur != chi:
-            orbit.append(cur.exponents)
-            cur = cur.compose_t(module)
-        rep_exps = min(orbit)
-        for e in orbit:
-            seen.add(e)
-        orbits.append((Character(m0, rep_exps), len(orbit)))
-    orbits.sort(key=lambda pair: pair[0].exponents)
+        orbit = Character(m0, exps).orbit(module)
+        seen.update(chi.exponents for chi in orbit)
+        orbits.append((orbit[0], len(orbit)))
     return orbits
 
 
@@ -241,7 +219,7 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
         assert o % l == 0 and m % l == 0, "orbit size must divide the action order"
         for a in range(m // l):
             z = UnitRootAngle.of(a, m)
-            rep = MetabelianRep(l, z, chi, module, irreducible=True)
+            rep = MetabelianRep(l, z, chi, module)
             assert l <= o, "dimension bounded by the order of the t-action"
             reps.append(rep)
             total += l * l

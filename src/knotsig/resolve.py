@@ -60,11 +60,6 @@ def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLa
     return FiniteLambdaModule.make((mod,) * deg, comp)
 
 
-def order_of_t(delta: IntLaurentPoly, p: int, i: int) -> int:
-    """Minimal k with t^k the identity on (Z/p^i)[t]/(delta)."""
-    return finite_alexander_quotient(delta, p, i).action_order()
-
-
 @dataclass(frozen=True)
 class ResolutionStep:
     """One stage of the tower: the finite quotient Z/k^s x| H/H_i together

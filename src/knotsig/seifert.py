@@ -11,7 +11,6 @@ direct summands on which the bilinear form vanishes (the algebraic
 sliceness condition).
 """
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -20,6 +19,7 @@ from math import comb, gcd
 from typing import Optional
 
 from . import intmat
+from .intmat import CapExceeded, default_cap
 from .polyz import peval
 
 
@@ -37,20 +37,6 @@ class OddSize(ValueError):
 
 class NotUnimodular(ValueError):
     """det(A - A^t) is not 1."""
-
-
-class CapExceeded(RuntimeError):
-    """Enumeration would exceed the configured cap; noun names what is
-    counted (a group order unless said otherwise)."""
-
-    def __init__(self, order, cap, noun="group order"):
-        super().__init__(f"{noun} {order} exceeds cap {cap}")
-        self.order = order
-        self.cap = cap
-
-
-def default_cap():
-    return int(os.environ.get("KNOTSIG_CAP", "1000000"))
 
 
 @dataclass(frozen=True)

@@ -256,6 +256,21 @@ def rep_matrix_by_definition(rep, elem):
     return MonomialMatrix(tuple((j + n) % l for j in range(l)), tuple(turns), big)
 
 
+def character_periods_by_definition(module, characters):
+    """For each character chi, the least l >= 1 with chi(t^l e_i) = chi(e_i)
+    on every basis vector e_i, with t^l e_i from vec_t_pow_apply: l runs up
+    to the brute-force order of t, where every character has returned."""
+    basis = [tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank)]
+    images = [[vec_t_pow_apply(module, e, l) for e in basis]
+              for l in range(1, action_order_brute(module) + 1)]
+
+    def values(chi, vecs):
+        return [sum(c * x for c, x in zip(chi.exponents, v)) % chi.modulus for v in vecs]
+
+    return [next(l for l, vecs in enumerate(images, 1) if values(chi, vecs) == values(chi, basis))
+            for chi in characters]
+
+
 def character_turns_by_definition(rep, elem):
     """The turns on the diagonal of the full matrix."""
     mat = rep_matrix_by_definition(rep, elem)
@@ -560,7 +575,7 @@ def cyclic_quotient_by_kronecker(pres, k):
 
     if k < 1:
         raise ValueError("k must be positive")
-    n = pres.size
+    n = pres.matrix.n
     if n == 0:
         return CyclicCoverHomology(FiniteLambdaModule.trivial(), 0)
     a = pres.matrix.as_lists()

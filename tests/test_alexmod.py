@@ -20,17 +20,6 @@ from oracles import (action_order_brute, character_is_trivial, cyclic_quotient_b
                      frac_inverse, is_invertible_by_factoring, lambda_modules_isomorphic_brute)
 
 
-class TestPresentation:
-    def test_unknot_trivial(self, unknot):
-        pres = alexander_module(unknot)
-        assert pres.size == 0
-        assert str(pres.determinant()) == "1"
-
-    def test_determinant_matches_alexander(self, trefoil, slice4):
-        for a in (trefoil, slice4):
-            assert alexander_module(a).determinant() == alexander_polynomial(a)
-
-
 class TestCyclicQuotient:
     def test_trefoil_double_cover(self, trefoil):
         hom = cyclic_quotient(alexander_module(trefoil), 2)
@@ -250,6 +239,16 @@ class TestActionOrder:
             assert m.is_periodic(order)
             assert not any(m.is_periodic(order // r) for r in intmat.prime_factorization(order))
 
+    def test_large_torsion_is_minimal_at_every_prime(self):
+        # d_r = 8704405924 = 2^2 * 1231 * 1767751, and GL_4(F_2) adds more
+        # primes to the multiple M; each is powered once, from t^(M/q^a)
+        torsion = (4, 4, 4, 4, 8704405924, 8704405924)
+        for seed in (1, 2, 3):
+            m = random_module(random.Random(seed), torsion)
+            order = m.action_order()
+            assert m.is_periodic(order)
+            assert not any(m.is_periodic(order // q) for q in intmat.prime_factorization(order))
+
     def test_trial_powers_stay_out_of_the_cache(self):
         # the minimisation tests dozens of t^(M/q) on (3367,)^4; only the
         # powers t_power_matrix serves, reduced mod the order, are kept, and
@@ -410,14 +409,15 @@ class TestLinkingMetabolizers:
         for gens in find_linking_metabolizers(form):
             assert len(_span(mod, gens)) ** 2 == mod.order()
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("KNOTSIG_CAP", "100")
         mod = FiniteLambdaModule.make((2,) * 8, [[1 if i == j else 0 for j in range(8)]
                                                  for i in range(8)])
         gram = tuple(tuple(Fraction(1, 2) if i == j else Fraction(0) for j in range(8))
                      for i in range(8))
         form = LinkingForm(mod, gram)
         with pytest.raises(CapExceeded):
-            find_linking_metabolizers(form, cap=100)
+            find_linking_metabolizers(form)
 
 
 def _span(mod, gens):

@@ -295,6 +295,18 @@ class TestErrors:
         assert code == 4
         assert "metabolizer search steps 1001 exceeds cap 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p, depth, code", [
+        (5316911983139663487003542222693990401, 1, 2),  # (2^61 - 1)^2
+        (3317044064679887385961981, 1, 2),  # strong pseudoprime to 13 bases
+        (2305843009213693951, 2, 0),  # 2^61 - 1: the order of t factors p^2
+    ])
+    def test_resolve_large_p_finishes(self, capsys, monkeypatch, p, depth, code):
+        monkeypatch.delenv("KNOTSIG_CAP", raising=False)
+        assert main(["resolve", "--delta", "1,-1,1", "--p", str(p),
+                     "--depth", str(depth)]) == code
+        if code:
+            assert f"{p} is not prime" in capsys.readouterr().err
+
     def test_resolve_prime_divides_constant(self, capsys):
         code = main(["resolve", "--delta", "2,-1,1", "--p", "2", "--depth", "2"])
         assert code == 2

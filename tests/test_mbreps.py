@@ -1,19 +1,20 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
 from knotsig import (ActionNotPeriodic, CapExceeded, Character, CharacterNotPeriodic,
                      FiniteLambdaModule, MonomialMatrix, SemidirectElement,
                      TWIST_SIGN, UnitRootAngle, build_rep,
-                     character_table_checks, enumerate_irreps, is_irreducible,
+                     character_table_checks, enumerate_irreps,
                      rep_json, semidirect_elements, semidirect_identity,
                      semidirect_inverse, semidirect_mul)
 from knotsig.mbreps import MetabelianRep, _character_orbits, roots_of_unity_sum_equals
 
 from conftest import random_module
-from oracles import (character_turns_by_definition, commutant_dimension,
+from oracles import (character_periods_by_definition, character_turns_by_definition,
+                     commutant_dimension,
                      groups_isomorphic_brute, monomial_conj_transpose, monomial_is_identity,
                      rep_matrix_by_definition, semidirect_mul_by_definition, vec_reduce,
                      vec_t_apply, vec_t_pow_apply)
@@ -139,14 +140,13 @@ class TestBuildRep:
 
 
 class TestIrreducibility:
+    # build_rep(l, ...) is irreducible exactly when chi's orbit has length l
     def test_trivial_character(self):
-        assert is_irreducible(Character.make(1, (0,)), 1, Z3_FLIP)
-        assert not is_irreducible(Character.make(1, (0,)), 2, Z3_FLIP)
+        assert len(Character.make(1, (0,)).orbit(Z3_FLIP)) == 1
 
     def test_orbit_two(self):
         chi = Character.make(3, (1,))
-        assert is_irreducible(chi, 2, Z3_TWO)
-        assert not is_irreducible(chi, 1, Z3_TWO)
+        assert chi.orbit(Z3_TWO) == (chi, Character.make(3, (2,)))
 
     def test_against_commutant_oracle(self):
         for module, m in ((Z3_FLIP, 2), (Z3_TWO, 6), (Z7_DOUBLE, 3)):
@@ -156,7 +156,7 @@ class TestIrreducibility:
     def test_reducible_has_larger_commutant(self):
         # chi trivial in dimension 2 decomposes into two characters
         chi = Character.make(3, (0,))
-        rep = MetabelianRep(2, UnitRootAngle.of(0, 1), chi, Z3_FLIP, False)
+        rep = MetabelianRep(2, UnitRootAngle.of(0, 1), chi, Z3_FLIP)
         assert commutant_dimension(rep, 2, Z3_FLIP) == 2
 
 
@@ -340,6 +340,50 @@ class TestKernelsAgainstDefinitions:
                         assert rep.character_turns(g) == character_turns_by_definition(rep, g)
                     a, b = rep.matrix(element()), rep.matrix(element())
                     assert _dense(a @ b) == _matmul_dense(_dense(a), _dense(b), rep.modulus)
+
+
+class TestCharacterOrbit:
+    """Character.orbit against the period by definition, on every character
+    of seeded modules, scaled to d_r as _character_orbits scales them."""
+
+    @pytest.mark.parametrize("torsion", [(3,), (2, 6), (4, 8), (2, 2, 2, 6), (5, 25),
+                                         (7, 7, 21)])
+    def test_orbits_against_definition(self, torsion):
+        rng = random.Random(13 * sum(torsion))
+        top = torsion[-1]
+        chars = [Character(top, tuple(c * (top // d) for c, d in zip(combo, torsion)))
+                 for combo in product(*(range(d) for d in torsion))]
+        for _ in range(2):
+            module = random_module(rng, torsion)
+            order = module.action_order()
+            z = UnitRootAngle.of(1, 3)
+            for chi, period in zip(chars, character_periods_by_definition(module, chars)):
+                orbit = chi.orbit(module)
+                assert len(orbit) == period, (module, chi)
+                for l in {1, max(1, period - 1), period, period + 1, 2 * period, order}:
+                    if l % period:
+                        with pytest.raises(CharacterNotPeriodic):
+                            build_rep(l, z, chi, module)
+                    else:
+                        assert build_rep(l, z, chi, module).dim == l
+            orbits = _character_orbits(module)
+            assert sum(size for _, size in orbits) == len(chars) == module.order()
+            keys = [chi.exponents for chi, _ in orbits]
+            assert keys == sorted(keys)
+            covered = set()
+            for chi, size in orbits:
+                exponents = [c.exponents for c in chi.orbit(module)]
+                assert len(exponents) == size and chi.exponents == min(exponents)
+                covered.update(exponents)
+            assert covered == {chi.exponents for chi in chars}
+
+    def test_rejects_a_character_not_defined_on_the_module(self):
+        # t = 2 on Z/3 sends the exponent 1 mod 2 to 0, so a walk from that
+        # ill-defined chi would never return; the orbit refuses it, and a
+        # character with the wrong number of exponents too
+        for chi in (Character.make(2, (1,)), Character.make(3, (1, 1))):
+            with pytest.raises(ValueError):
+                chi.orbit(Z3_TWO)
 
 
 class TestCachesLiveOnInstances:

@@ -634,6 +634,21 @@ class TestIntegerPrimitives:
             assert prime_factorization(n) == want
             assert prime_factorization(4 * n) == {2: 2, **want}
 
+    def test_perfect_powers_split_by_integer_roots(self):
+        # rho would need about 2^30 steps on (2^61 - 1)^2 and on the cube
+        p = 2 ** 61 - 1
+        assert prime_factorization(p ** 2) == {p: 2}
+        assert prime_factorization(7 * p ** 3) == {7: 1, p: 3}
+        assert prime_factorization(1009 ** 4 * 65537 ** 6) == {1009: 4, 65537: 6}
+
+    def test_prime_above_the_proven_bound_is_capped(self, monkeypatch):
+        # Miller-Rabin proves nothing at 2^89 - 1, so rho runs on it and a
+        # prime never splits: the step count ends at the cap
+        from knotsig import CapExceeded
+        monkeypatch.setenv("KNOTSIG_CAP", "1000")
+        with pytest.raises(CapExceeded, match="rho steps"):
+            prime_factorization(2 ** 89 - 1)
+
     def test_euler_phi_counts_units(self):
         for n in range(1, 501):
             assert euler_phi(n) == sum(1 for j in range(1, n + 1) if math.gcd(j, n) == 1)
@@ -924,6 +939,30 @@ class TestCachesOnInstances:
                      if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
             names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
             assert not names & {"lru_cache", "cache"}, name
+
+
+class TestOneOrbitWalk:
+    """Character.orbit is the one walk of a character under t: every other
+    orbit question in the library reads its tuple."""
+
+    def test_compose_t_is_called_only_in_character_orbit(self):
+        import ast
+        from pathlib import Path
+        import knotsig
+        inside = 0
+        for path in sorted(Path(knotsig.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), filename=str(path))
+            calls = {node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                     and isinstance(node.func, ast.Attribute) and node.func.attr == "compose_t"}
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and cls.name == "Character":
+                    for fn in cls.body:
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "orbit":
+                            allowed = calls & set(ast.walk(fn))
+                            inside += len(allowed)
+                            calls -= allowed
+            assert not calls, f"{path.name}: compose_t at {sorted(c.lineno for c in calls)}"
+        assert inside, "Character.orbit walks by compose_t"
 
 
 class TestRealalgBoundary:

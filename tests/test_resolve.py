@@ -4,7 +4,7 @@ import pytest
 
 from knotsig import (CapExceeded, IntLaurentPoly, PrimeDividesLeading, SemidirectElement,
                      build_resolution, enumerate_irreps,
-                     finite_alexander_quotient, order_of_t,
+                     finite_alexander_quotient,
                      quotient_group_order, semidirect_mul)
 
 from oracles import matrix_order_brute
@@ -58,13 +58,14 @@ class TestFiniteQuotient:
 
 class TestOrderOfT:
     def test_phi6_examples(self):
-        assert order_of_t(PHI6, 5, 1) == 6
-        assert order_of_t(PHI6, 2, 1) == 3
-        assert order_of_t(PHI6, 2, 2) == 6
-        assert order_of_t(PHI6, 5, 3) == 6  # t^6 = 1 identically mod Phi6
+        assert finite_alexander_quotient(PHI6, 5, 1).action_order() == 6
+        assert finite_alexander_quotient(PHI6, 2, 1).action_order() == 3
+        assert finite_alexander_quotient(PHI6, 2, 2).action_order() == 6
+        # t^6 = 1 identically mod Phi6
+        assert finite_alexander_quotient(PHI6, 5, 3).action_order() == 6
 
     def test_trivial(self):
-        assert order_of_t(ONE, 7, 2) == 1
+        assert finite_alexander_quotient(ONE, 7, 2).action_order() == 1
 
     def test_against_brute_force(self):
         rng = random.Random(41)
@@ -76,7 +77,7 @@ class TestOrderOfT:
                     continue
                 for i in (1, 2):
                     mod = finite_alexander_quotient(poly, p, i)
-                    got = order_of_t(poly, p, i)
+                    got = mod.action_order()
                     brute = matrix_order_brute([list(r) for r in mod.t_matrix], p ** i)
                     assert got == brute, (tuple(poly.coeffs), p, i)
 
