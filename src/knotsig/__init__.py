@@ -13,7 +13,7 @@ from .seifert import (SeifertMatrix, IntLaurentPoly, Metabolizer,
                       validate_seifert, block_sum, alexander_polynomial,
                       arf_invariant, find_seifert_metabolizer)
 from .signature import (UnitRootAngle, CirclePoint, SignatureFunction,
-                        ApproxRow, tl_signature_at, breakpoints,
+                        ApproxRow, tl_signature_at,
                         signature_function, l2_eta_abelian, eta_cyclic,
                         l2_eta_cyclic, approximation_table,
                         factorial_schedule)
@@ -23,7 +23,7 @@ from .alexmod import (LambdaModulePresentation, FiniteLambdaModule,
                       DegenerateForm, CapExceeded, alexander_module,
                       cyclic_quotient, torsion_order_by_resultant,
                       double_cover_linking_form, find_linking_metabolizers,
-                      characters_vanishing_on)
+                      characters_of, characters_vanishing_on)
 from .mbreps import (SemidirectElement, MonomialMatrix, MetabelianRep,
                      CharacterNotPeriodic, ActionNotPeriodic, TWIST_SIGN,
                      semidirect_mul, semidirect_inverse, semidirect_identity,

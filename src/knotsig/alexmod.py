@@ -86,10 +86,6 @@ class FiniteLambdaModule:
                   for i, row in enumerate(t_matrix))
         return cls(torsion, t)
 
-    @classmethod
-    def trivial(cls):
-        return cls((), ())
-
     @property
     def rank(self):
         return len(self.torsion)
@@ -98,6 +94,8 @@ class FiniteLambdaModule:
         return prod(self.torsion)
 
     def reduce_vec(self, vec):
+        if len(vec) != len(self.torsion):
+            raise ValueError("coefficient vector length mismatch")
         return tuple(map(mod, map(int, vec), self.torsion))
 
     def zero(self):
@@ -258,9 +256,7 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
             assert w[i][j] == 0, "t-action must preserve the torsion submodule"
     torsion = tuple(snf.d[i] for i in tor_idx)
     t_tor = tuple(tuple(w[i][j] % snf.d[i] for j in tor_idx) for i in tor_idx)
-    module = (FiniteLambdaModule.make(torsion, t_tor) if torsion
-              else FiniteLambdaModule.trivial())
-    return CyclicCoverHomology(module, len(free_idx))
+    return CyclicCoverHomology(FiniteLambdaModule.make(torsion, t_tor), len(free_idx))
 
 
 def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
@@ -339,15 +335,11 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     """Linking form of the double branched cover: the pairing
     x^t (A + A^t)^(-1) y mod 1 on coker(A + A^t), with t acting as -1."""
     n = a.n
-    if n == 0:
-        return LinkingForm(FiniteLambdaModule.trivial(), ())
     snf = intmat.smith_form(a.symmetrization())
     if 0 in snf.d:
         raise DegenerateForm("A + A^t is singular")
     tor_idx = [i for i, d in enumerate(snf.d) if d > 1]
     torsion = tuple(snf.d[i] for i in tor_idx)
-    if not torsion:
-        return LinkingForm(FiniteLambdaModule.trivial(), ())
     # D = U B V gives B^-1 = V D^-1 U, and U g_i = e_i for the generator
     # g_i = column i of U^-1, so g_i^t B^-1 g_j = (g_i . V e_j) / d_j
     uinv, v = snf.u_inv, snf.v
@@ -467,6 +459,14 @@ class Character:
         return tuple(orbit)
 
 
+def characters_of(module: FiniteLambdaModule, m: int):
+    """All characters of the module with values m-th roots of unity, in
+    lexicographic order of their exponents: exponent i runs over the
+    multiples of m / gcd(d_i, m) below m."""
+    for exponents in product(*(range(0, m, m // gcd(d, m)) for d in module.torsion)):
+        yield Character(m, exponents)
+
+
 def characters_vanishing_on(module: FiniteLambdaModule, p_gens, p: int, r: int):
     """All characters of order dividing p**r vanishing on the t-invariant
     submodule generated by p_gens, enumerated exactly in lexicographic
@@ -483,13 +483,8 @@ def characters_vanishing_on(module: FiniteLambdaModule, p_gens, p: int, r: int):
             seen.add(v)
             gens.append(v)
             v = module.t_apply(v)
-    ranges = []
-    for d in module.torsion:
-        step = m // gcd(d, m)
-        ranges.append([j * step for j in range(gcd(d, m))])
     out = []
-    for combo in product(*ranges):
-        chi = Character.make(m, combo)
+    for chi in characters_of(module, m):
         if all(chi.turn_of(g) == 0 for g in gens):
             assert chi.is_well_defined_on(module)
             out.append(chi)

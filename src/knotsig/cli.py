@@ -249,7 +249,7 @@ def build_parser():
     return parser
 
 
-_INPUT_ERRORS = (FileNotFoundError, ValueError)
+_INPUT_ERRORS = (OSError, ValueError)
 
 
 def main(argv=None):

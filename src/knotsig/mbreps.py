@@ -13,12 +13,12 @@ its modulus and the rows chi o t^j, j < l, read from Character.orbit.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from math import lcm
 from operator import mul
 from typing import NamedTuple
 
-from .alexmod import CapExceeded, Character, FiniteLambdaModule, default_cap
+from .alexmod import Character, FiniteLambdaModule, characters_of
+from .intmat import CapExceeded, default_cap
 from .polyz import cyclotomic, pdivmod, pnorm
 from .signature import UnitRootAngle
 
@@ -178,18 +178,15 @@ def build_rep(l: int, z: UnitRootAngle, chi: Character,
 def _character_orbits(module: FiniteLambdaModule):
     """Orbits of the characters of F under chi -> chi o t, keyed by the
     lexicographically smallest exponent tuple and in increasing key order;
-    modulus is d_r. The exponents run in lexicographic order, which scaling
-    by d_r / d_i keeps, so the first character met in an orbit is its key."""
-    if module.rank == 0:
-        return [(Character(1, ()), 1)]
-    m0 = module.torsion[-1]
+    modulus is d_r (1 on the trivial module). characters_of runs the
+    characters in lexicographic order, so the first one met in an orbit is
+    its key."""
     seen = set()
     orbits = []
-    for combo in product(*(range(d) for d in module.torsion)):
-        exps = tuple(c * (m0 // d) for c, d in zip(combo, module.torsion))
-        if exps in seen:
+    for chi in characters_of(module, max(module.torsion, default=1)):
+        if chi.exponents in seen:
             continue
-        orbit = Character(m0, exps).orbit(module)
+        orbit = chi.orbit(module)
         seen.update(chi.exponents for chi in orbit)
         orbits.append((orbit[0], len(orbit)))
     return orbits

@@ -10,39 +10,17 @@ replaces the intersection axiom, which is not checkable at finite depth.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from math import lcm
 from typing import Optional
 
-from .alexmod import CapExceeded, FiniteLambdaModule, default_cap
-from .intmat import prime_factorization
+from .alexmod import FiniteLambdaModule
+from .intmat import CapExceeded, default_cap, prime_factorization
 from .seifert import IntLaurentPoly
 
 
 class PrimeDividesLeading(ValueError):
     """p divides the leading coefficient, so the companion model breaks."""
-
-
-def _companion_mod(delta: IntLaurentPoly, p: int, i: int):
-    """Companion matrix of the monic reduction of delta mod p^i."""
-    coeffs = list(delta.canonical().coeffs)
-    if not coeffs:
-        raise ValueError("the zero polynomial presents no finite quotient")
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return [], 1
-    if coeffs[-1] % p == 0:
-        raise PrimeDividesLeading(f"{p} divides the leading coefficient")
-    if coeffs[0] % p == 0:
-        raise ValueError(f"{p} divides the constant coefficient, so t is not a unit mod {p}")
-    mod = p ** i
-    inv = pow(coeffs[-1], -1, mod)
-    monic = [(c * inv) % mod for c in coeffs]
-    comp = [[0] * deg for _ in range(deg)]
-    for j in range(deg - 1):
-        comp[j + 1][j] = 1
-    for j in range(deg):
-        comp[j][deg - 1] = (-monic[j]) % mod
-    return comp, mod
 
 
 def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLambdaModule:
@@ -53,40 +31,38 @@ def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLa
         raise ValueError(f"{p} is not prime")
     if i < 1:
         raise ValueError("level must be >= 1")
-    comp, mod = _companion_mod(delta, p, i)
-    deg = len(comp)
-    if deg == 0:
-        return FiniteLambdaModule.trivial()
-    return FiniteLambdaModule.make((mod,) * deg, comp)
+    coeffs = delta.canonical().coeffs
+    if not coeffs:
+        raise ValueError("the zero polynomial presents no finite quotient")
+    deg, mod = len(coeffs) - 1, p ** i
+    if deg and coeffs[-1] % p == 0:
+        raise PrimeDividesLeading(f"{p} divides the leading coefficient")
+    if deg and coeffs[0] % p == 0:
+        raise ValueError(f"{p} divides the constant coefficient, so t is not a unit mod {p}")
+    # the companion matrix: t e_j = e_(j+1) for j < deg - 1, and column
+    # deg - 1 is -(c_0, ..., c_(deg-1)) / c_deg, which make reduces mod p^i
+    neg_inv = -pow(coeffs[-1], -1, mod) if deg else 0
+    return FiniteLambdaModule.make((mod,) * deg, [
+        [int(r == c + 1) for c in range(deg - 1)] + [neg_inv * coeffs[r]] for r in range(deg)])
 
 
 @dataclass(frozen=True)
 class ResolutionStep:
-    """One stage of the tower: the finite quotient Z/k^s x| H/H_i together
-    with the reduction data (coefficients mod p^i, cyclic coordinate mod
-    k^s)."""
+    """One stage of the tower: the finite quotient Z/k^s x| H/H_i, with
+    H/H_i the module (coefficients mod p^i). The quotient map sends (n, h)
+    to SemidirectElement.make(n, h, module, cyclic_order())."""
 
     index: int
-    prime: int
     k: int
     s: int
-    t_order: int
     module: FiniteLambdaModule
 
     def cyclic_order(self):
         return self.k ** self.s
 
-    def apply(self, n: int, h):
-        """Image of (n, h): h is a coefficient vector of length deg(Delta)
-        (representing a polynomial of degree < deg Delta)."""
-        mod = self.prime ** self.index
-        if len(h) != self.module.rank:
-            raise ValueError("coefficient vector length mismatch")
-        return (n % self.cyclic_order(), tuple(int(c) % mod for c in h))
-
     def to_json_dict(self):
         return {"i": self.index, "k": self.k, "s": self.s,
-                "t_order": self.t_order, "order": quotient_group_order(self)}
+                "t_order": self.module.action_order(), "order": quotient_group_order(self)}
 
 
 @dataclass(frozen=True)
@@ -134,8 +110,8 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     (n, h) with |n| and the coefficients of h bounded by witness_bound,
     (2 * witness_bound + 1)^(deg + 1) - 1 of them, capped like every
     enumeration (KNOTSIG_CAP, else 10**6); an explicit witness list is not
-    capped. An unseparated witness is recorded, not fatal (the depth may
-    simply be too small)."""
+    capped, and its zero element is left out. An unseparated witness is
+    recorded, not fatal (the depth may simply be too small)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if witnesses is None and witness_bound < 1:
@@ -159,34 +135,22 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
         if s_i < max(1, s_prev):
             raise ValueError("s schedule must be positive and nondecreasing")
         assert k_i > i and k_i % k_prev == 0 and k_i % o == 0
-        if module.rank:
-            assert module.order() == p ** (i * deg), "H/H_i must be a p-group"
-        steps.append(ResolutionStep(i, p, k_i, s_i, o, module))
+        assert module.order() == p ** (i * deg), "H/H_i must be a p-group"
+        steps.append(ResolutionStep(i, k_i, s_i, module))
         k_prev, s_prev = k_i, s_i
 
     if witnesses is None:
-        witnesses = _default_witnesses(deg, witness_bound)
+        rng = range(-witness_bound, witness_bound + 1)
+        witnesses = product(rng, product(rng, repeat=deg))
     records = []
     for n, h in witnesses:
-        if n == 0 and all(c == 0 for c in h):
-            continue
+        h = tuple(h)
         sep = None
         for step in steps:
-            n_img, h_img = step.apply(n, h)
-            if n_img != 0 or any(h_img):
+            # reduce first, so that the length of h is checked at every witness
+            if any(step.module.reduce_vec(h)) or n % step.cyclic_order():
                 sep = step.index
                 break
-        records.append(WitnessRecord((n, tuple(h)), sep))
+        if n or any(h):
+            records.append(WitnessRecord((n, h), sep))
     return ResolutionReport(p, delta, tuple(steps), tuple(records))
-
-
-def _default_witnesses(deg, bound):
-    from itertools import product
-    rng = range(-bound, bound + 1)
-    out = []
-    for n in rng:
-        for h in product(rng, repeat=deg):
-            if n == 0 and not any(h):
-                continue
-            out.append((n, h))
-    return out

@@ -152,13 +152,6 @@ def _root_of_unity_orders(delta):
             if euler_phi(d) <= dd and pdivides(list(cyclotomic(d)), coeffs)]
 
 
-def breakpoints(a: SeifertMatrix):
-    """The unit-circle roots of the Alexander polynomial as CirclePoints,
-    ordered by theta in (0, 2*pi). z = 1 never appears (the value at 1 is
-    1); z = -1 never appears (the value at -1 is odd)."""
-    return list(signature_function(a).breakpoints)
-
-
 def _compute_breakpoints(a: SeifertMatrix):
     """The breakpoints, upper then lower, and a squarefree polynomial whose
     roots are the multiple roots of G."""
@@ -197,15 +190,14 @@ class SignatureFunction:
     the last arc wrapping through theta = 0; point_values[i] is the value
     at breakpoints[i]. With no breakpoints there is a single arc. The value
     at z = 1 is 0 (the matrix there is zero), and the wrap arc value is 0
-    as well since the function is continuous off the breakpoint set.
+    as well since the function is continuous off the breakpoint set. Neither
+    z = 1 nor z = -1 is a breakpoint: Delta is 1 at 1 and odd at -1.
     """
 
     def __init__(self, matrix, breakpoints, arc_values, point_values):
-        self.matrix = matrix
         self.breakpoints = tuple(breakpoints)
         self.arc_values = tuple(arc_values)
         self.point_values = tuple(point_values)
-        self.value_at_one = 0
         n = matrix.n
         assert all(abs(v) <= n for v in arc_values)
         assert all(abs(v) <= n for v in point_values)

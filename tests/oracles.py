@@ -480,9 +480,10 @@ def matrix_order_brute(mat, mod, cap=10 ** 6):
     raise AssertionError("order exceeds cap")
 
 
+@lru_cache(maxsize=None)
 def action_order_brute(module, cap=10 ** 7):
     """Order of t on a FiniteLambdaModule, by applying t to the standard
-    basis one step at a time."""
+    basis one step at a time; once per module, which is frozen and hashable."""
     basis = [tuple(int(i == j) for j in range(module.rank)) for i in range(module.rank)]
     cur = list(basis)
     for k in range(1, cap + 1):
@@ -577,7 +578,7 @@ def cyclic_quotient_by_kronecker(pres, k):
         raise ValueError("k must be positive")
     n = pres.matrix.n
     if n == 0:
-        return CyclicCoverHomology(FiniteLambdaModule.trivial(), 0)
+        return CyclicCoverHomology(FiniteLambdaModule.make((), ()), 0)
     a = pres.matrix.as_lists()
     at = intmat.transpose(a)
     shift = [[1 if i == (j + 1) % k else 0 for j in range(k)] for i in range(k)]
@@ -592,9 +593,7 @@ def cyclic_quotient_by_kronecker(pres, k):
             assert w[i][j] == 0, "t-action must preserve the torsion submodule"
     torsion = tuple(snf.d[i] for i in tor_idx)
     t_tor = tuple(tuple(w[i][j] % snf.d[i] for j in tor_idx) for i in tor_idx)
-    module = (FiniteLambdaModule.make(torsion, t_tor) if torsion
-              else FiniteLambdaModule.trivial())
-    return CyclicCoverHomology(module, len(free_idx))
+    return CyclicCoverHomology(FiniteLambdaModule.make(torsion, t_tor), len(free_idx))
 
 
 # --- Smith normal form with eagerly built transforms -------------------------

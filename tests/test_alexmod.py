@@ -7,7 +7,7 @@ import pytest
 
 from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
                      alexander_module, alexander_polynomial,
-                     characters_vanishing_on, cyclic_quotient,
+                     characters_of, characters_vanishing_on, cyclic_quotient,
                      double_cover_linking_form, find_linking_metabolizers,
                      torsion_order_by_resultant)
 
@@ -261,7 +261,7 @@ class TestActionOrder:
         assert sorted(m.__dict__["_t_powers"]) == [0, 5]
 
     def test_trivial(self):
-        assert FiniteLambdaModule.trivial().action_order() == 1
+        assert FiniteLambdaModule.make((), ()).action_order() == 1
         assert FiniteLambdaModule.make((2, 2), [[1, 0], [0, 1]]).action_order() == 1
 
 
@@ -482,6 +482,26 @@ class TestCharacters:
     def test_well_definedness_enforced(self):
         with pytest.raises(ValueError):
             Character(3, (5,))
+
+    def test_characters_of_is_the_dual_in_lexicographic_order(self):
+        # each well-defined character with values m-th roots of unity, once,
+        # in the order that _character_orbits and characters_vanishing_on read
+        for ds in [(), (2,), (2, 4), (3, 9), (2, 2, 6)]:
+            mod = FiniteLambdaModule.make(ds, _basis(ds))
+            for m in (1, 2, 3, 4, 6, 12):
+                got = [chi.exponents for chi in characters_of(mod, m)]
+                assert got == [c for c in product(range(m), repeat=len(ds))
+                               if Character(m, c).is_well_defined_on(mod)], (ds, m)
+
+    def test_wrong_length_vector_rejected(self):
+        # a vector with more or fewer coordinates than the rank is an error,
+        # not cut short or padded
+        mod = FiniteLambdaModule.make((3, 3), [[1, 0], [0, 1]])
+        for vec in ((1, 2, 3), (1,)):
+            with pytest.raises(ValueError, match="length"):
+                mod.reduce_vec(vec)
+            with pytest.raises(ValueError, match="length"):
+                characters_vanishing_on(mod, [vec], 3, 1)
 
 
 def _basis(ds):

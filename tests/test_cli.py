@@ -191,6 +191,16 @@ class TestErrors:
         code, _ = run_cli(capsys, "invariants", "--knot", "/nonexistent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["invariants", "--knot", "{dir}"],
+        ["reps", "--module", "{dir}", "--m", "2"],
+        ["invariants", "--knot", str(FIXTURES / "trefoil.json"), "--out", "{dir}"],
+    ])
+    def test_directory_path_is_bad_input(self, capsys, tmp_path, argv):
+        code = main([a.format(dir=tmp_path) for a in argv])
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+
     def test_invalid_matrix(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"seifert": [[1, 2], [2, 1]]}')

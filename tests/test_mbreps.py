@@ -37,6 +37,11 @@ class TestSemidirect:
             assert semidirect_mul(x, inv, Z3_FLIP, 6) == e
             assert semidirect_mul(inv, x, Z3_FLIP, 6) == e
 
+    def test_wrong_length_vector_rejected(self):
+        # h must have one coordinate per torsion coefficient, not be cut short
+        with pytest.raises(ValueError, match="length"):
+            SemidirectElement.make(1, (1, 2), Z3_FLIP, cyclic_order=6)
+
     def test_associativity(self):
         els = list(semidirect_elements(Z7_DOUBLE, 3))
         rng = random.Random(5)
@@ -174,7 +179,7 @@ class TestEnumerate:
         assert sorted(r.dim for r in reps) == [1] * 6 + [2] * 3
 
     def test_trivial_group(self):
-        reps = enumerate_irreps(1, FiniteLambdaModule.trivial())
+        reps = enumerate_irreps(1, FiniteLambdaModule.make((), ()))
         assert len(reps) == 1 and reps[0].dim == 1
 
     def test_action_not_periodic(self):
@@ -245,7 +250,7 @@ class TestCharacterTable:
         assert report.failures
 
     def test_trivial_group_vacuous(self):
-        module = FiniteLambdaModule.trivial()
+        module = FiniteLambdaModule.make((), ())
         reps = enumerate_irreps(1, module)
         report = character_table_checks(reps, 1, module)
         assert report.all_ok

@@ -123,15 +123,23 @@ class TestBuildResolution:
 
     def test_order_minimality_per_step(self):
         from knotsig.intmat import identity, mat_pow_mod
-        from knotsig.resolve import _companion_mod
         report = build_resolution(PHI6, 5, 2)
         for step in report.steps:
-            comp, mod = _companion_mod(PHI6, 5, step.index)
-            o = step.t_order
+            comp, mod = step.module.t_matrix, step.module.torsion[0]
+            assert mod == 5 ** step.index
+            o = step.module.action_order()
+            assert step.to_json_dict()["t_order"] == o
             assert mat_pow_mod(comp, o, mod) == identity(len(comp))
             for q in {2, 3, 5}:
                 if o % q == 0:
                     assert mat_pow_mod(comp, o // q, mod) != identity(len(comp))
+
+    @pytest.mark.parametrize("witness", [(0, (1, 2, 3)), (1, (1, 2, 3)), (0, (0, 0, 0))])
+    def test_witness_of_wrong_length_rejected(self, witness):
+        # checked also when n alone separates the witness at the first step,
+        # and for the zero element, which is otherwise left out
+        with pytest.raises(ValueError, match="length"):
+            build_resolution(PHI6, 5, 1, witnesses=[witness])
 
     @pytest.mark.parametrize("bound", [0, -1])
     def test_witness_bound_below_one_rejected(self, bound):
@@ -203,11 +211,10 @@ class TestQuotientMapHomomorphism:
             for _ in range(60):
                 x = (rng.randrange(-9, 10), tuple(rng.randrange(-9, 10) for _ in range(2)))
                 y = (rng.randrange(-9, 10), tuple(rng.randrange(-9, 10) for _ in range(2)))
-                xi = SemidirectElement(*step.apply(*x))
-                yi = SemidirectElement(*step.apply(*y))
+                xi = SemidirectElement.make(*x, module, m)
+                yi = SemidirectElement.make(*y, module, m)
                 prod_img = semidirect_mul(xi, yi, module, m)
-                up = up_mul(x, y)
-                assert SemidirectElement(*step.apply(*up)) == prod_img
+                assert SemidirectElement.make(*up_mul(x, y), module, m) == prod_img
 
     def test_irreps_of_quotients_tie_into_representation_module(self):
         report = build_resolution(PHI6, 5, 1, s_schedule=[1])

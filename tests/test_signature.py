@@ -5,7 +5,7 @@ import pytest
 
 from knotsig import (CirclePoint, UnitRootAngle, alexander_polynomial,
                      approximation_table, block_sum,
-                     breakpoints, eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
+                     eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
 from knotsig.knotio import read_knot
@@ -77,13 +77,13 @@ class TestSignatureAt:
 
 class TestBreakpoints:
     def test_unknot_no_breakpoints(self, unknot):
-        assert breakpoints(unknot) == []
+        assert signature_function(unknot).breakpoints == ()
 
     def test_figure_eight_no_breakpoints(self, figure_eight):
-        assert breakpoints(figure_eight) == []
+        assert signature_function(figure_eight).breakpoints == ()
 
     def test_trefoil_two_points_at_half(self, trefoil):
-        bps = breakpoints(trefoil)
+        bps = signature_function(trefoil).breakpoints
         assert len(bps) == 2
         assert [bp.hemisphere for bp in bps] == ["upper", "lower"]
         for bp in bps:
@@ -92,7 +92,7 @@ class TestBreakpoints:
 
     def test_connected_sum_same_points(self, trefoil):
         double = block_sum(trefoil, trefoil)
-        bps = breakpoints(double)
+        bps = signature_function(double).breakpoints
         assert len(bps) == 2
         for bp in bps:
             assert bp.x.sign_of_poly([-1, 2]) == 0
@@ -101,7 +101,7 @@ class TestBreakpoints:
         # genus-1 matrix with Alexander polynomial 2t^2 - 3t + 2:
         # breakpoint at x = 3/4, which is not a root-of-unity cosine
         a = validate_seifert([[2, 2], [1, 2]])
-        bps = breakpoints(a)
+        bps = signature_function(a).breakpoints
         assert len(bps) == 2
         assert all(bp.exact_turn is None for bp in bps)
         assert bps[0].x.sign_of_poly([-3, 4]) == 0
@@ -114,7 +114,7 @@ class TestSignatureFunction:
     def test_unknot(self, unknot):
         sf = signature_function(unknot)
         assert sf.breakpoints == () and sf.arc_values == (0,)
-        assert sf.value_at_one == 0
+        assert sf.value_at(UnitRootAngle.of(0, 1)) == 0
 
     def test_trefoil_arcs_and_points(self, trefoil):
         sf = signature_function(trefoil)
