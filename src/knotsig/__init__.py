@@ -20,7 +20,7 @@ from .signature import (UnitRootAngle, CirclePoint, SignatureFunction,
 from .realalg import PrecisionExhausted, RealAlgebraic
 from .alexmod import (LambdaModulePresentation, FiniteLambdaModule,
                       CyclicCoverHomology, LinkingForm, Character,
-                      DegenerateForm, CapExceeded, alexander_module,
+                      CapExceeded, alexander_module,
                       cyclic_quotient, torsion_order_by_resultant,
                       double_cover_linking_form, find_linking_metabolizers,
                       characters_of, characters_vanishing_on)

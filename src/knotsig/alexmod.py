@@ -10,7 +10,9 @@ by definition, coker(S (x) A - I (x) A^t) with S the k-cycle shift, a
 2gk x 2gk matrix that the test suite reduces as an independent check. The
 order of the torsion has a further exact oracle, the resultant of the
 Alexander polynomial with (t^k - 1)/(t - 1). For k = 2 the linking form on
-the torsion is x^t (A + A^t)^(-1) y mod 1."""
+the torsion is x^t (A + A^t)^(-1) y mod 1, summed in integers over the one
+denominator d_r; its t-invariant metabolizers are found by a walk over the
+isotropic t-invariant subgroups, each named by its greedy generators."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -25,10 +27,6 @@ from .intmat import CapExceeded, default_cap
 from .knotio import frac_str
 from .polyz import cyclotomic, pdivmod, peval, resultant
 from .seifert import SeifertMatrix, alexander_polynomial
-
-
-class DegenerateForm(ValueError):
-    """The symmetrized matrix is singular; the would-be finite form is not."""
 
 
 @dataclass(frozen=True)
@@ -316,14 +314,16 @@ class LinkingForm:
                 if v.denominator != 1:
                     raise ValueError("form not well defined on the torsion")
 
+    @cached_property
+    def _scaled_gram(self):
+        # N = d_r and the gram times N, integers since each d_i divides N
+        n = max(self.module.torsion, default=1)
+        return n, tuple(tuple(int(x * n) for x in row) for row in self.gram)
+
     def pair(self, u, v):
-        total = Fraction(0)
-        for i, x in enumerate(u):
-            if x:
-                for j, y in enumerate(v):
-                    if y:
-                        total += x * y * self.gram[i][j]
-        return total % 1
+        n, gram = self._scaled_gram
+        total = sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
+        return Fraction(total % n, n)
 
     def to_json_dict(self):
         d = self.module.to_json_dict()
@@ -336,8 +336,8 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     x^t (A + A^t)^(-1) y mod 1 on coker(A + A^t), with t acting as -1."""
     n = a.n
     snf = intmat.smith_form(a.symmetrization())
-    if 0 in snf.d:
-        raise DegenerateForm("A + A^t is singular")
+    # A + A^t = A - A^t mod 2, and det(A - A^t) = 1 for a valid Seifert matrix
+    assert 0 not in snf.d, "A + A^t is nonsingular, its determinant being odd"
     tor_idx = [i for i, d in enumerate(snf.d) if d > 1]
     torsion = tuple(snf.d[i] for i in tor_idx)
     # D = U B V gives B^-1 = V D^-1 U, and U g_i = e_i for the generator
@@ -345,72 +345,71 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     uinv, v = snf.u_inv, snf.v
     gram = tuple(tuple(Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), snf.d[j]) % 1
                        for j in tor_idx) for i in tor_idx)
-    t_mat = tuple(tuple((-1 if i == j else 0) % torsion[i] for j in range(len(tor_idx)))
-                  for i in range(len(tor_idx)))
-    module = FiniteLambdaModule.make(torsion, t_mat)
+    r = len(tor_idx)
+    module = FiniteLambdaModule.make(torsion, [[-int(i == j) for j in range(r)] for i in range(r)])
     return LinkingForm(module, gram)
 
 
 def find_linking_metabolizers(form: LinkingForm):
     """All t-invariant subgroups P with P equal to its own annihilator
-    under the form, as generator tuples. Exhaustive, so the module order is
-    capped (KNOTSIG_CAP, else 10**6)."""
+    under the form, each named by its greedy generators: g_(i+1) is the
+    lexicographically least element of P outside the t-invariant span of
+    g_1, ..., g_i. Such a P is isotropic of order sqrt|H|, and so is every
+    subgroup inside it, so the walk grows only isotropic t-invariant
+    subgroups up to that order. Exhaustive, so the module order is capped
+    (KNOTSIG_CAP, else 10**6)."""
     mod = form.module
     order, cap = mod.order(), default_cap()
     if order > cap:
         raise CapExceeded(order, cap)
-    if order == 1:
-        return [()]
     sq = isqrt(order)
     if sq * sq != order:
         return []
+    elements, zero = list(mod.elements()), frozenset([mod.zero()])
+    isotropic = [g for g in elements if not form.pair(g, g)]
 
-    elements = list(mod.elements())
-
-    def closure(gens):
-        seen = {mod.zero()}
-        frontier = [mod.zero()]
-        for g in gens:
-            if g not in seen:
-                seen.add(g)
-                frontier.append(g)
+    def span(sub, g):
+        # the t-invariant span of sub and g; None once it stops being
+        # isotropic or passes order sq
+        sub, frontier = set(sub), [g]
         while frontier:
             v = frontier.pop()
-            for w in (mod.t_apply(v), *(mod.add(v, g) for g in list(seen))):
-                if w not in seen:
-                    if len(seen) >= order:
-                        break
-                    seen.add(w)
-                    frontier.append(w)
-        return frozenset(seen)
-
-    def perp(subgroup):
-        gens = list(subgroup)
-        return frozenset(x for x in elements
-                         if all(form.pair(x, g) == 0 for g in gens))
-
-    found = {}
-    seen_subgroups = set()
-
-    def search(gens, sub):
-        if len(sub) > sq:
-            return
-        if len(sub) == sq and sub not in found:
-            if perp(sub) == sub:
-                found[sub] = tuple(gens)
-        for g in elements:
-            if g in sub:
+            if v in sub:
                 continue
-            nsub = closure(list(sub) + [g])
-            if nsub in seen_subgroups or len(nsub) > sq:
-                continue
-            seen_subgroups.add(nsub)
-            search(gens + [g], nsub)
+            if form.pair(v, v) or any(form.pair(v, w) for w in sub):
+                return None
+            base, m = list(sub), v
+            while m not in sub:  # sub + <v>, one coset of the old sub at a time
+                sub.update(mod.add(m, w) for w in base)
+                if len(sub) > sq:
+                    return None
+                m = mod.add(m, v)
+            frontier.append(mod.t_apply(v))
+        return frozenset(sub)
 
-    base = closure([])
-    seen_subgroups.add(base)
-    search([], base)
-    return sorted(found.values())
+    def greedy_name(p):
+        gens, sub = [], zero
+        for g in sorted(p):
+            if g not in sub:
+                gens.append(g)
+                sub = span(sub, g)
+        return tuple(gens)
+
+    seen, stack, out = {zero}, [zero], []
+    while stack:
+        sub = stack.pop()
+        if len(sub) == sq:
+            # P is in its annihilator; equal unless some x outside pairs
+            # trivially with all of P (a degenerate form)
+            if not any(all(not form.pair(x, p) for p in sub)
+                       for x in elements if x not in sub):
+                out.append(greedy_name(sub))
+            continue
+        for g in isotropic:
+            if g not in sub and (nsub := span(sub, g)) is not None and nsub not in seen:
+                seen.add(nsub)
+                stack.append(nsub)
+    return sorted(out)
 
 
 @dataclass(frozen=True)

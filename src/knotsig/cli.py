@@ -14,8 +14,7 @@ from fractions import Fraction
 
 from .alexmod import (CapExceeded, FiniteLambdaModule, alexander_module,
                       cyclic_quotient, double_cover_linking_form,
-                      find_linking_metabolizers, torsion_order_by_resultant,
-                      DegenerateForm)
+                      find_linking_metabolizers, torsion_order_by_resultant)
 from .knotio import dump_json, frac_str, read_knot
 from .mbreps import enumerate_irreps, rep_json
 from .resolve import build_resolution
@@ -152,13 +151,10 @@ def cmd_covers(args):
         "resultant_order": torsion_order_by_resultant(a, args.k),
     }
     if args.k == 2:
-        try:
-            form = double_cover_linking_form(a)
-            result["linking"] = form.to_json_dict()
-            result["linking_metabolizers"] = [
-                [list(g) for g in gens] for gens in find_linking_metabolizers(form)]
-        except DegenerateForm:
-            result["linking"] = None
+        form = double_cover_linking_form(a)
+        result["linking"] = form.to_json_dict()
+        result["linking_metabolizers"] = [
+            [list(g) for g in gens] for gens in find_linking_metabolizers(form)]
     _write(args.out, dump_json(result))
 
 

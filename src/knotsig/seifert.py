@@ -251,23 +251,14 @@ def find_seifert_metabolizer(a, search_bound):
     g = n // 2
     if g == 0:
         return Metabolizer(())
-    cands = []
-    for norm in range(1, search_bound + 1):
-        layer = []
-        for v in product(range(-norm, norm + 1), repeat=n):
-            if max(abs(x) for x in v) != norm:
-                continue
-            nz = next((x for x in v if x != 0), 0)
-            if nz < 0:
-                continue  # sign-normalized representative only
-            if gcd(*(abs(x) for x in v)) != 1:
-                continue  # primitive vectors only
-            layer.append(v)
-        # within a norm layer, prefer sparse vectors supported on early
-        # coordinates (so clean bases like standard vectors come out first)
-        layer.sort(key=lambda v: (sum(1 for x in v if x),
-                                  tuple(abs(x) for x in v[::-1]), v[::-1]))
-        cands.extend(layer)
+    # primitive, first nonzero entry positive; by increasing max-norm, then
+    # sparse vectors supported on early coordinates first (so clean bases
+    # like standard vectors come out first)
+    cands = sorted(
+        (v for v in product(range(-search_bound, search_bound + 1), repeat=n)
+         if next((x for x in v if x), 0) > 0 and gcd(*v) == 1),
+        key=lambda v: (max(map(abs, v)), sum(1 for x in v if x),
+                       tuple(abs(x) for x in v[::-1]), v[::-1]))
 
     cap, steps = default_cap(), 0
 

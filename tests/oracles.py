@@ -11,7 +11,9 @@ an integer symplectic basis instead of Levine's det(A + A^t) mod 8,
 signs at certified cosine enclosures instead of signs at a rational
 cos(theta) inside each arc, Litherland's lattice-point count for torus
 knots instead of any matrix, the group law and representation matrices
-entry by entry instead of tuple kernels and cached powers. A few helpers
+entry by entry instead of tuple kernels and cached powers, linking-form
+metabolizers by a search over every t-invariant subgroup instead of a walk
+over the isotropic ones. A few helpers
 that only tests need, such as the inverse of a monomial matrix, live here
 too.
 """
@@ -594,6 +596,77 @@ def cyclic_quotient_by_kronecker(pres, k):
     torsion = tuple(snf.d[i] for i in tor_idx)
     t_tor = tuple(tuple(w[i][j] % snf.d[i] for j in tor_idx) for i in tor_idx)
     return CyclicCoverHomology(FiniteLambdaModule.make(torsion, t_tor), len(free_idx))
+
+
+# --- linking-form metabolizers by a search over all t-invariant subgroups ----
+
+def linking_metabolizers_by_subgroup_search(form):
+    """All t-invariant subgroups P with P equal to its own annihilator
+    under the form, as generator tuples: a depth-first search that adds one
+    element at a time in lexicographic order, closes each candidate over the
+    whole group and compares it with its annihilator, scanned over every
+    element (the library walks only isotropic subgroups and names each
+    metabolizer by its greedy generators afterwards)."""
+    from math import isqrt
+
+    from knotsig.intmat import CapExceeded, default_cap
+
+    mod = form.module
+    order, cap = mod.order(), default_cap()
+    if order > cap:
+        raise CapExceeded(order, cap)
+    if order == 1:
+        return [()]
+    sq = isqrt(order)
+    if sq * sq != order:
+        return []
+
+    elements = list(mod.elements())
+
+    def closure(gens):
+        seen = {mod.zero()}
+        frontier = [mod.zero()]
+        for g in gens:
+            if g not in seen:
+                seen.add(g)
+                frontier.append(g)
+        while frontier:
+            v = frontier.pop()
+            for w in (mod.t_apply(v), *(mod.add(v, g) for g in list(seen))):
+                if w not in seen:
+                    if len(seen) >= order:
+                        break
+                    seen.add(w)
+                    frontier.append(w)
+        return frozenset(seen)
+
+    def perp(subgroup):
+        gens = list(subgroup)
+        return frozenset(x for x in elements
+                         if all(form.pair(x, g) == 0 for g in gens))
+
+    found = {}
+    seen_subgroups = set()
+
+    def search(gens, sub):
+        if len(sub) > sq:
+            return
+        if len(sub) == sq and sub not in found:
+            if perp(sub) == sub:
+                found[sub] = tuple(gens)
+        for g in elements:
+            if g in sub:
+                continue
+            nsub = closure(list(sub) + [g])
+            if nsub in seen_subgroups or len(nsub) > sq:
+                continue
+            seen_subgroups.add(nsub)
+            search(gens + [g], nsub)
+
+    base = closure([])
+    seen_subgroups.add(base)
+    search([], base)
+    return sorted(found.values())
 
 
 # --- Smith normal form with eagerly built transforms -------------------------

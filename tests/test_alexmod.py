@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 
 from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
-                     alexander_module, alexander_polynomial,
+                     alexander_module, alexander_polynomial, block_sum,
                      characters_of, characters_vanishing_on, cyclic_quotient,
                      double_cover_linking_form, find_linking_metabolizers,
                      torsion_order_by_resultant)
@@ -14,10 +14,12 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
 from knotsig import intmat
 from knotsig.seifert import validate_seifert
 
-from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, random_interesting_seifert, random_module,
-                      random_seifert, random_unimodular)
+from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, conjugate, mirror,
+                      random_interesting_seifert, random_module, random_seifert,
+                      random_unimodular, torus_seifert)
 from oracles import (action_order_brute, character_is_trivial, cyclic_quotient_by_kronecker,
-                     frac_inverse, is_invertible_by_factoring, lambda_modules_isomorphic_brute)
+                     frac_inverse, is_invertible_by_factoring, lambda_modules_isomorphic_brute,
+                     linking_metabolizers_by_subgroup_search)
 
 
 class TestCyclicQuotient:
@@ -346,7 +348,6 @@ class TestLinkingForm:
     def test_gram_equals_inverse_on_smith_generators(self):
         # the generators are the columns g_i of U^-1 in the Smith form of B;
         # the gram must be g_i^t B^-1 g_j mod 1 with B^-1 from the oracle
-        from knotsig import block_sum
         from knotsig.intmat import smith_form
         rng = random.Random(31)
         knots = [block_sum(TREFOIL, SLICE4), block_sum(TREFOIL, block_sum(TREFOIL, FIGURE_EIGHT))]
@@ -418,6 +419,61 @@ class TestLinkingMetabolizers:
         form = LinkingForm(mod, gram)
         with pytest.raises(CapExceeded):
             find_linking_metabolizers(form)
+
+
+class TestMetabolizerWalk:
+    """The isotropic walk against the search over every t-invariant
+    subgroup, which names each metabolizer by its first DFS path."""
+
+    T = {"identity": [[1, 0], [0, 1]], "swap": [[0, 2], [1, 0]], "shear": [[1, 1], [0, 1]]}
+
+    @pytest.mark.parametrize("t", sorted(T))
+    def test_every_form_on_three_torsion_squared(self, t):
+        # all 27 grams on (Z/3)^2: the hand-built hyperbolic form, the
+        # degenerate ones (zero determinant mod 3) and, under the shear,
+        # forms whose gram t does not preserve
+        mod = FiniteLambdaModule.make((3, 3), self.T[t])
+        for a, b, c in product(range(3), repeat=3):
+            form = LinkingForm(mod, ((Fraction(a, 3), Fraction(b, 3)),
+                                     (Fraction(b, 3), Fraction(c, 3))))
+            assert find_linking_metabolizers(form) == linking_metabolizers_by_subgroup_search(form)
+
+    def test_random_double_cover_forms(self):
+        rng = random.Random(22)
+        forms = []
+        while len(forms) < 60:
+            g = rng.choice([1, 1, 2, 3])
+            k = (random_seifert if rng.random() < 0.5 else random_interesting_seifert)(rng, g)
+            if g == 1 and rng.random() < 0.6:
+                k = conjugate(rng, block_sum(k, rng.choice([k, mirror(k)])))
+            form = double_cover_linking_form(k)
+            if 1 < form.module.order() <= 45:
+                forms.append(form)
+        with_metabolizers = 0
+        for form in forms:
+            mets = find_linking_metabolizers(form)
+            assert mets == linking_metabolizers_by_subgroup_search(form)
+            with_metabolizers += bool(mets)
+        assert with_metabolizers >= 10
+
+    def test_greedy_names(self):
+        # a conjugate of T(2,3) # -T(2,3) twice: a hyperbolic form on
+        # (Z/3)^4 with t = -1, so prod_(i < 2) (3^i + 1) = 8 distinct
+        # metabolizers, each g_i the least element of P outside the
+        # t-invariant span of the earlier ones
+        rng = random.Random(23)
+        t23 = torus_seifert(2, 3)
+        a = conjugate(rng, block_sum(block_sum(t23, mirror(t23)), block_sum(t23, mirror(t23))))
+        form = double_cover_linking_form(a)
+        mod = form.module
+        mets = find_linking_metabolizers(form)
+        assert mod.torsion == (3, 3, 3, 3)
+        assert len({frozenset(_span(mod, gens)) for gens in mets}) == len(mets) == 8
+        for gens in mets:
+            p = _span(mod, gens)
+            assert len(p) ** 2 == mod.order()
+            for i, g in enumerate(gens):
+                assert g == min(p - _span(mod, gens[:i]))
 
 
 def _span(mod, gens):

@@ -3,13 +3,15 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from knotsig import block_sum
 from knotsig.cli import main
 
-from conftest import random_seifert
+from conftest import mirror, random_seifert, torus_seifert
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -158,6 +160,34 @@ class TestCovers:
         code, _ = run_cli(capsys, "covers", "--knot", str(FIXTURES / "trefoil.json"),
                           "--k", "2")
         assert code == 4
+
+    # double covers whose metabolizer search took minutes before it walked
+    # only isotropic subgroups: (Z/15)^2 with four metabolizers or none, and
+    # the hyperbolic (Z/3)^4 with prod_(i < 2) (3^i + 1) = 8
+    T23, T25 = torus_seifert(2, 3), torus_seifert(2, 5)
+
+    @pytest.mark.parametrize("knots, torsion, metabolizers", [
+        ((T23, mirror(T23), T25, mirror(T25)), [15, 15],
+         [[[1, 1]], [[1, 4]], [[1, 11]], [[1, 14]]]),
+        ((T23, T23, T25, T25), [15, 15], []),
+        ((T23, mirror(T23), T23, mirror(T23)), [3, 3, 3, 3], 8),
+    ], ids=["T23#-T23#T25#-T25", "T23#T23#T25#T25", "T23#-T23#T23#-T23"])
+    def test_linking_metabolizers_of_large_forms(self, capsys, tmp_path, knots, torsion,
+                                                 metabolizers):
+        a = knots[0]
+        for k in knots[1:]:
+            a = block_sum(a, k)
+        knot = tmp_path / "knot.json"
+        knot.write_text(json.dumps({"seifert": a.as_lists()}))
+        t0 = time.monotonic()
+        code, out = run_cli(capsys, "covers", "--knot", str(knot), "--k", "2")
+        elapsed = time.monotonic() - t0
+        assert code == 0
+        data = json.loads(out)
+        assert data["module"]["torsion"] == torsion
+        found = data["linking_metabolizers"]
+        assert (len(found) if isinstance(metabolizers, int) else found) == metabolizers
+        assert elapsed < 10.0
 
 
 class TestReps:
