@@ -124,10 +124,8 @@ class FiniteLambdaModule:
         # GL_r(F_p), of order p^(r(r-1)/2) * prod_(i <= r) (p^i - 1) =
         # p^(r(r-1)/2) * prod_(j <= r) Phi_j(p)^(r // j), and the kernel of
         # Aut -> GL_r(F_p) has exponent dividing p^(e-1).
-        if self.rank == 0:
-            return 1
         multiple = Counter()
-        for p, e in intmat.prime_factorization(self.torsion[-1]).items():
+        for p, e in intmat.prime_factorization(max(self.torsion, default=1)).items():
             r = sum(1 for d in self.torsion if d % p == 0)
             part = Counter({p: r * (r - 1) // 2 + e - 1})
             for j in range(1, r + 1):
@@ -146,10 +144,9 @@ class FiniteLambdaModule:
         return order
 
     def is_periodic(self, m):
-        """Whether t^m is the identity on the module, from one modular power."""
-        r = self.rank
-        return not r or self._t_power(m) == tuple(
-            tuple(int(i == j) for j in range(r)) for i in range(r))
+        """Whether t^m is the identity on the module: t^m against t^0, each
+        one modular power."""
+        return self._t_power(m) == self._t_power(0)
 
     def _t_power(self, e):
         return self._power(self.t_matrix, e)
@@ -157,7 +154,7 @@ class FiniteLambdaModule:
     def _power(self, matrix, e):
         # matrix^e mod d_r, then row i mod d_i: exact because d_i | d_r and
         # the matrix is a well-defined endomorphism
-        power = intmat.mat_pow_mod(matrix, e, self.torsion[-1])
+        power = intmat.mat_pow_mod(matrix, e, max(self.torsion, default=1))
         return tuple(tuple(x % d for x in row) for row, d in zip(power, self.torsion))
 
     @cached_property
@@ -167,16 +164,12 @@ class FiniteLambdaModule:
 
     def t_power_matrix(self, e):
         """The matrix of t^e on the module (e taken mod the action order)."""
-        if self.rank == 0:
-            return ()
         e %= self._action_order
         if e not in self._t_powers:
             self._t_powers[e] = self._t_power(e)
         return self._t_powers[e]
 
     def t_pow_apply(self, vec, e):
-        if self.rank == 0:
-            return ()
         return tuple([sum(map(mul, row, vec)) % d
                       for row, d in zip(self.t_power_matrix(e), self.torsion)])
 
@@ -276,8 +269,6 @@ def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
     if k < 1:
         raise ValueError("k must be positive")
     delta = list(alexander_polynomial(a).coeffs)
-    if k == 1:
-        return 1
     f = [1] * k  # 1 + t + ... + t^(k-1)
     m, n = k - 1, len(delta) - 1
     if n == 0 or m < n:

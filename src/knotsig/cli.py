@@ -8,14 +8,13 @@ output.
 
 import argparse
 import io
-import json
 import sys
 from fractions import Fraction
 
 from .alexmod import (CapExceeded, FiniteLambdaModule, alexander_module,
                       cyclic_quotient, double_cover_linking_form,
                       find_linking_metabolizers, torsion_order_by_resultant)
-from .knotio import dump_json, frac_str, read_knot
+from .knotio import dump_json, frac_str, read_json, read_knot
 from .mbreps import enumerate_irreps, rep_json
 from .resolve import build_resolution
 from .seifert import (IntLaurentPoly, alexander_polynomial, arf_invariant,
@@ -52,7 +51,7 @@ def _parse_delta(text):
     coeffs = [int(x) for x in text.split(",") if x.strip()]
     if not coeffs:
         raise ValueError("empty polynomial")
-    return IntLaurentPoly.make(coeffs, 0)
+    return IntLaurentPoly.make(coeffs)
 
 
 def _write(out_path, text):
@@ -159,8 +158,7 @@ def cmd_covers(args):
 
 
 def cmd_reps(args):
-    with open(args.module, "r", encoding="utf-8") as fh:
-        module = FiniteLambdaModule.from_json_dict(json.load(fh))
+    module = FiniteLambdaModule.from_json_dict(read_json(args.module))
     reps = enumerate_irreps(args.m, module)
     _write(args.out, dump_json([rep_json(r, args.m) for r in reps]))
 

@@ -437,8 +437,6 @@ def euler_phi(n):
 def spans_direct_summand(vectors, ambient_dim):
     """Whether the given integer vectors span a direct summand of Z^ambient
     of rank len(vectors) (equivalently they extend to a basis)."""
-    if not vectors:
-        return True
     mat = [list(v) for v in vectors]
     facs = invariant_factors(mat)
     return len(facs) == len(vectors) and all(f == 1 for f in facs)

@@ -11,9 +11,18 @@ from fractions import Fraction
 from .seifert import SeifertMatrix, validate_seifert
 
 
-def read_knot(path) -> SeifertMatrix:
+def read_json(path):
+    """The JSON value in a file; nesting too deep to decode is bad input,
+    so it raises ValueError like any other malformed file."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def read_knot(path) -> SeifertMatrix:
+    data = read_json(path)
     if not isinstance(data, dict):
         raise ValueError("knot file must hold a JSON object")
     if "seifert" not in data:

@@ -61,10 +61,8 @@ def semidirect_mul(x: SemidirectElement, y: SemidirectElement,
     n = x.n + y.n
     if cyclic_order is not None:
         n %= cyclic_order
-    h = ()
-    if module.rank:
-        h = tuple([(sum(map(mul, row, x.h)) + b) % d for row, b, d in
-                   zip(module.t_power_matrix(TWIST_SIGN * y.n), y.h, module.torsion)])
+    h = tuple([(sum(map(mul, row, x.h)) + b) % d for row, b, d in
+               zip(module.t_power_matrix(TWIST_SIGN * y.n), y.h, module.torsion)])
     return tuple.__new__(SemidirectElement, (n, h))
 
 
@@ -234,10 +232,7 @@ def roots_of_unity_sum_equals(turn_counts, value, n):
     for turn, count in turn_counts.items():
         vec[turn] += count
     vec[0] -= value
-    poly = pnorm(vec)
-    if not poly:
-        return True
-    _, rem = pdivmod(poly, list(cyclotomic(n)))
+    _, rem = pdivmod(pnorm(vec), list(cyclotomic(n)))
     return not rem
 
 

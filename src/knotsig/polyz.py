@@ -125,10 +125,8 @@ def pdivmod(p, q):
 
 def pdivides(q, p):
     """Whether q divides p over Q (both integer polynomials)."""
-    if not pnorm(p):
-        return True
     if not pnorm(q):
-        return False
+        return not pnorm(p)
     return not pdivmod(p, q)[1]
 
 
@@ -145,8 +143,6 @@ def pgcd(p, q):
 def squarefree_part(p):
     p = pprimitive(p)
     g = pgcd(p, pderiv(p))
-    if pdeg(g) < 1:
-        return p
     quot, rem = pdivmod(p, g)
     assert not rem, "the gcd with the derivative divides p"
     return pprimitive(quot)
@@ -240,8 +236,6 @@ def isolate_roots(p, lo, hi):
 @lru_cache(maxsize=None)
 def cyclotomic(d):
     """The d-th cyclotomic polynomial as an integer coefficient list."""
-    if d == 1:
-        return (-1, 1)
     p = [-1] + [0] * (d - 1) + [1]          # t^d - 1
     for e in range(1, d):
         if d % e == 0:

@@ -26,7 +26,9 @@ class PrimeDividesLeading(ValueError):
 def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLambdaModule:
     """The module (Z/p^i)[t]/(delta): free of rank deg(delta) over Z/p^i,
     with t acting by the companion matrix of the monicized polynomial.
-    Requires p coprime to the leading coefficient."""
+    Raises PrimeDividesLeading when p divides the leading coefficient, a
+    constant delta included (then the quotient is infinite), and ValueError
+    when p divides the constant coefficient (then t is not a unit)."""
     if p < 2 or prime_factorization(p) != {p: 1}:
         raise ValueError(f"{p} is not prime")
     if i < 1:
@@ -35,13 +37,13 @@ def finite_alexander_quotient(delta: IntLaurentPoly, p: int, i: int) -> FiniteLa
     if not coeffs:
         raise ValueError("the zero polynomial presents no finite quotient")
     deg, mod = len(coeffs) - 1, p ** i
-    if deg and coeffs[-1] % p == 0:
+    if coeffs[-1] % p == 0:
         raise PrimeDividesLeading(f"{p} divides the leading coefficient")
-    if deg and coeffs[0] % p == 0:
+    if coeffs[0] % p == 0:
         raise ValueError(f"{p} divides the constant coefficient, so t is not a unit mod {p}")
     # the companion matrix: t e_j = e_(j+1) for j < deg - 1, and column
     # deg - 1 is -(c_0, ..., c_(deg-1)) / c_deg, which make reduces mod p^i
-    neg_inv = -pow(coeffs[-1], -1, mod) if deg else 0
+    neg_inv = -pow(coeffs[-1], -1, mod)
     return FiniteLambdaModule.make((mod,) * deg, [
         [int(r == c + 1) for c in range(deg - 1)] + [neg_inv * coeffs[r]] for r in range(deg)])
 

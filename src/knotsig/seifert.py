@@ -121,24 +121,20 @@ def block_sum(a, b, name=None):
 
 @dataclass(frozen=True)
 class IntLaurentPoly:
-    """Integer Laurent polynomial: coeffs[i] is the coefficient of
-    t**(offset + i). The canonical representative has offset 0 and no zero
-    coefficients at either end."""
+    """Integer Laurent polynomial up to the unit t^k: coeffs[i] is the
+    coefficient of t**i, and make strips the zero coefficients at both
+    ends."""
 
     coeffs: tuple
-    offset: int = 0
 
     @classmethod
-    def make(cls, coeffs, offset=0):
+    def make(cls, coeffs):
         coeffs = list(coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         while coeffs and coeffs[0] == 0:
             coeffs.pop(0)
-            offset += 1
-        if not coeffs:
-            return cls((), 0)
-        return cls(tuple(coeffs), offset)
+        return cls(tuple(coeffs))
 
     @property
     def degree(self):
@@ -148,19 +144,19 @@ class IntLaurentPoly:
         return not self.coeffs
 
     def canonical(self):
-        """Unit-normalize: offset 0; sign fixed so the value at 1 is positive
-        when it is a unit, otherwise so the leading coefficient is positive."""
-        p = IntLaurentPoly.make(self.coeffs, 0)
+        """Unit-normalize: no zero coefficient at either end; sign fixed so
+        the value at 1 is positive when it is a unit, otherwise so the
+        leading coefficient is positive."""
+        p = IntLaurentPoly.make(self.coeffs)
         if p.is_zero():
             return p
         at_one = sum(p.coeffs)
         if (at_one < 0) or (at_one == 0 and p.coeffs[-1] < 0):
-            p = IntLaurentPoly(tuple(-c for c in p.coeffs), 0)
+            p = IntLaurentPoly(tuple(-c for c in p.coeffs))
         return p
 
     def __call__(self, x):
-        val = peval(list(self.coeffs), Fraction(x))
-        return val * Fraction(x) ** self.offset
+        return peval(list(self.coeffs), Fraction(x))
 
     def is_palindromic(self):
         return list(self.coeffs) == list(reversed(self.coeffs))
@@ -173,11 +169,10 @@ class IntLaurentPoly:
             c = self.coeffs[e]
             if c == 0:
                 continue
-            exp = e + self.offset
-            if exp == 0:
+            if e == 0:
                 body = str(abs(c))
             else:
-                tpart = "t" if exp == 1 else f"t^{exp}"
+                tpart = "t" if e == 1 else f"t^{e}"
                 body = tpart if abs(c) == 1 else f"{abs(c)}{tpart}"
             sign = "-" if c < 0 else ("+" if terms else "")
             terms.append(sign + body)
@@ -199,7 +194,7 @@ def alexander_polynomial(a):
     c = intmat.char_poly(a.gamma)
     coeffs = [(-1) ** i * sum(comb(j, i) * c[n - j] for j in range(i, n + 1))
               for i in range(n + 1)]
-    poly = IntLaurentPoly.make(coeffs, 0).canonical()
+    poly = IntLaurentPoly.make(coeffs).canonical()
     assert poly(1) == 1, "det(A - A^t) = 1 forces value 1 at t=1"
     assert poly.is_palindromic(), "pencil determinant must be palindromic"
     return poly
@@ -218,9 +213,6 @@ class Metabolizer:
     vanishes identically."""
 
     basis: tuple
-
-    def __iter__(self):
-        return iter(self.basis)
 
 
 def _isotropic_with(a, chosen, v):
@@ -249,8 +241,6 @@ def find_seifert_metabolizer(a, search_bound):
         raise ValueError("metabolizer search bound must be >= 1, or no vector is tried")
     n = a.n
     g = n // 2
-    if g == 0:
-        return Metabolizer(())
     # primitive, first nonzero entry positive; by increasing max-norm, then
     # sparse vectors supported on early coordinates first (so clean bases
     # like standard vectors come out first)

@@ -156,8 +156,6 @@ def _compute_breakpoints(a: SeifertMatrix):
     """The breakpoints, upper then lower, and a squarefree polynomial whose
     roots are the multiple roots of G."""
     delta = alexander_polynomial(a)
-    if delta.degree == 0:
-        return [], [1]
     g = cos_compact(delta.coeffs)
     gsf = squarefree_part(g)
     repeated = pgcd(gsf, pderiv(g))  # its roots: the multiple roots of G
@@ -209,13 +207,11 @@ class SignatureFunction:
     def value_at(self, z: UnitRootAngle) -> int:
         """Evaluate the step function at a rational turn, using the stored
         arcs and point values (no new signature computation)."""
-        if z.numerator == 0:
-            return 0
-        if not self.breakpoints:
-            return self.arc_values[0]
         j = z.numerator
         below, on_grid = self._grid(z.denominator)
-        i = bisect_left(below, j)  # the breakpoints at or below j/k
+        # the breakpoints at or below j/k; i = 0 reads the wrap arc, where
+        # z = 1 lies
+        i = bisect_left(below, j)
         if i and on_grid[i - 1] and below[i - 1] == j - 1:
             return self.point_values[i - 1]
         return self.arc_values[i - 1]

@@ -91,6 +91,17 @@ class TestApprox:
                           "--schedule", "factorial:11")
         assert code == 2
 
+    def test_comma_schedule(self, capsys):
+        code, out = run_cli(capsys, "approx", "--knot", str(FIXTURES / "trefoil.json"),
+                            "--schedule", "2,6,24")
+        assert code == 0
+        assert out == "k,average,gap_lo,gap_hi\n2,-1,1/3,1/3\n6,-4/3,0,0\n24,-4/3,0,0\n"
+
+    def test_empty_comma_schedule(self, capsys):
+        code = main(["approx", "--knot", str(FIXTURES / "trefoil.json"), "--schedule", ","])
+        assert code == 2
+        assert "empty schedule" in capsys.readouterr().err
+
 
 class TestSigfn:
     def test_trefoil_rows(self, capsys):
@@ -109,6 +120,25 @@ class TestSigfn:
         lines = out.strip().splitlines()
         assert len([l for l in lines if l.startswith("arc")]) == 2  # both hemispheres
         assert not any(l.startswith("point") for l in lines)
+
+    def test_cinquefoil_rows(self, capsys):
+        # two upper breakpoints: arc 0 runs upper to upper, arc 2 lower to
+        # lower, each between the x ends of its breakpoints
+        from knotsig import read_knot, signature_function
+        code, out = run_cli(capsys, "sigfn", "--knot", str(FIXTURES / "cinquefoil.json"))
+        assert code == 0
+        rows = [l.split(",") for l in out.strip().splitlines()[1:]]
+        arcs = [(int(r[1]), r[4], int(r[5])) for r in rows if r[0] == "arc"]
+        points = [r for r in rows if r[0] == "point"]
+        assert arcs == [(0, "upper", -2), (1, "upper", -4), (1, "lower", -4),
+                        (2, "lower", -2), (3, "lower", 0), (3, "upper", 0)]
+        assert [r[4] for r in points] == ["upper", "upper", "lower", "lower"]
+        sf = signature_function(read_knot(str(FIXTURES / "cinquefoil.json")))
+        assert sf.arc_values == (-2, -4, -2, 0)
+        assert tuple(int(r[5]) for r in points) == sf.point_values == (-1, -3, -3, -1)
+        upper_upper, lower_lower = rows[0], rows[3]
+        assert upper_upper[2:4] == [points[1][3], points[0][2]]
+        assert lower_lower[2:4] == [points[2][3], points[3][2]]
 
     @pytest.mark.parametrize("entries", [
         # Alexander polynomial -2t^4 + 5t^2 - 2, with zero coefficients
@@ -396,6 +426,29 @@ class TestErrors:
         assert main(["invariants", "--knot", str(FIXTURES / "trefoil.json")]) == 3
         assert "internal error" in capsys.readouterr().err
 
+    def test_eps_zero(self, capsys):
+        code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "0"])
+        assert code == 2
+        assert "eps must be positive" in capsys.readouterr().err
+
+    def test_resolve_zero_delta(self, capsys):
+        code = main(["resolve", "--delta", "0", "--p", "3", "--depth", "1"])
+        assert code == 2
+        assert "zero polynomial" in capsys.readouterr().err
+
+    def test_resolve_prime_divides_constant_delta(self, capsys):
+        # (Z/3^i)[t]/(3) is infinite: no tower of trivial modules
+        code = main(["resolve", "--delta", "3", "--p", "3", "--depth", "2"])
+        assert code == 2
+        assert "3 divides the leading coefficient" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["invariants", "--knot"], ["reps", "--m", "2", "--module"]])
+    def test_deeply_nested_json(self, capsys, tmp_path, argv):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        assert main(argv + [str(deep)]) == 2
+        assert "nested too deeply" in capsys.readouterr().err
+
     def test_eps_zero_denominator(self, capsys):
         code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "1/0"])
         assert code == 2
@@ -507,6 +560,32 @@ class TestGolden:
         mod = tmp_path / "mod.json"
         mod.write_text(json.dumps(module))
         assert run_fresh(["reps", "--module", str(mod), "--m", str(m)]) == expected
+
+    UNKNOT_COVERS = '"module": {"t": [], "torsion": []}, "resultant_order": 1, "torsion_order": 1}\n'
+    UNKNOT = [
+        (["invariants"], '{"alexander": "1", "arf": 0, "genus": 0, "metabolizer": []}\n'),
+        (["l2", "--eps", "1e-9"], '{"integral_hi": "0", "integral_lo": "0"}\n'),
+        (["eta-cyclic", "--k", "5"], '{"average": "0", "sum": 0}\n'),
+        (["approx", "--schedule", "factorial:3"], "k,average,gap_lo,gap_hi\n2,0,0,0\n6,0,0,0\n"),
+        (["sigfn"], ("kind,arc_index,x_lo,x_hi,hemisphere,value\n"
+                     "arc,0,-1,1,upper,0\narc,0,-1,1,lower,0\n")),
+        (["covers", "--k", "1"], '{"free_rank": 0, "k": 1, ' + UNKNOT_COVERS),
+        (["covers", "--k", "2"], ('{"free_rank": 0, "k": 2, "linking": {"gram": [], "t": [], '
+                                  '"torsion": []}, "linking_metabolizers": [[]], ' + UNKNOT_COVERS)),
+        (["covers", "--k", "3"], '{"free_rank": 0, "k": 3, ' + UNKNOT_COVERS),
+    ]
+
+    def test_unknot_and_trivial_module(self, capsys, tmp_path):
+        """Every subcommand on the unknot, and reps on the trivial module."""
+        knot = ["--knot", str(FIXTURES / "unknot.json")]
+        for argv, expected in self.UNKNOT:
+            assert run_cli(capsys, *argv[:1], *knot, *argv[1:]) == (0, expected), argv
+        mod = tmp_path / "trivial.json"
+        mod.write_text('{"torsion": [], "t": []}')
+        for m in (1, 2, 6):
+            expected = [{"chi": [], "dim": 1, "w_den": m, "w_num": j} for j in range(m)]
+            code, out = run_cli(capsys, "reps", "--module", str(mod), "--m", str(m))
+            assert code == 0 and out == json.dumps(expected, sort_keys=True) + "\n"
 
     def test_covers_slice_k3(self):
         argv = ["covers", "--knot", str(FIXTURES / "slice_example.json"), "--k", "3"]

@@ -147,6 +147,17 @@ class TestMetabolizer:
         from knotsig.intmat import spans_direct_summand
         assert spans_direct_summand([list(v) for v in met.basis], 4)
 
+    @pytest.mark.parametrize("vectors, expected", [
+        ([], True),
+        ([[1, 0, 0, 0], [0, 1, 0, 0]], True),
+        ([[1, 0, 0, 0], [1, 0, 2, 0]], False),  # 2e_3 is in the span, e_3 is not
+        ([[2, 0, 0, 0]], False),
+        ([[1, 2, 0, 1], [1, 2, 0, 1]], False),  # rank 1, not 2
+    ])
+    def test_spans_direct_summand(self, vectors, expected):
+        from knotsig.intmat import spans_direct_summand
+        assert spans_direct_summand(vectors, 4) is expected
+
     def test_trefoil_not_found(self, trefoil):
         assert find_seifert_metabolizer(trefoil, 4) is None
 
@@ -171,15 +182,17 @@ class TestMetabolizer:
 
 class TestIntLaurentPoly:
     def test_canonical_strips_offset(self):
-        p = IntLaurentPoly.make([0, 0, 1, -1, 1], 0)
-        assert p.offset == 2 and p.coeffs == (1, -1, 1)
-        assert p.canonical().offset == 0
+        # zeros at both ends go: leading ones as the unit t^k
+        p = IntLaurentPoly.make([0, 0, 1, -1, 1, 0])
+        assert p.coeffs == (1, -1, 1)
+        assert p == IntLaurentPoly.make([1, -1, 1])
+        assert IntLaurentPoly((0, -1, 2, -1, 0)).canonical().coeffs == (1, -2, 1)
 
     def test_str_formats(self):
         assert str(IntLaurentPoly.make([1])) == "1"
         assert str(IntLaurentPoly.make([1, -1, 1])) == "t^2-t+1"
         assert str(IntLaurentPoly.make([-1, 3, -1])) == "-t^2+3t-1"
-        assert str(IntLaurentPoly.make([0, 2])) == "2t"
+        assert str(IntLaurentPoly.make([0, 2])) == "2"  # t is a unit
 
 
 @st.composite
