@@ -312,9 +312,12 @@ class LinkingForm:
         return n, tuple(tuple(int(x * n) for x in row) for row in self.gram)
 
     def pair(self, u, v):
+        return Fraction(self._pair_residue(u, v), self._scaled_gram[0])
+
+    def _pair_residue(self, u, v):
+        # N times the pairing, an integer mod N: zero exactly when pair is
         n, gram = self._scaled_gram
-        total = sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x)
-        return Fraction(total % n, n)
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x) % n
 
     def to_json_dict(self):
         d = self.module.to_json_dict()
@@ -357,7 +360,8 @@ def find_linking_metabolizers(form: LinkingForm):
     if sq * sq != order:
         return []
     elements, zero = list(mod.elements()), frozenset([mod.zero()])
-    isotropic = [g for g in elements if not form.pair(g, g)]
+    pair = form._pair_residue
+    isotropic = [g for g in elements if not pair(g, g)]
 
     def span(sub, g):
         # the t-invariant span of sub and g; None once it stops being
@@ -367,7 +371,7 @@ def find_linking_metabolizers(form: LinkingForm):
             v = frontier.pop()
             if v in sub:
                 continue
-            if form.pair(v, v) or any(form.pair(v, w) for w in sub):
+            if pair(v, v) or any(pair(v, w) for w in sub):
                 return None
             base, m = list(sub), v
             while m not in sub:  # sub + <v>, one coset of the old sub at a time
@@ -392,7 +396,7 @@ def find_linking_metabolizers(form: LinkingForm):
         if len(sub) == sq:
             # P is in its annihilator; equal unless some x outside pairs
             # trivially with all of P (a degenerate form)
-            if not any(all(not form.pair(x, p) for p in sub)
+            if not any(all(not pair(x, p) for p in sub)
                        for x in elements if x not in sub):
                 out.append(greedy_name(sub))
             continue

@@ -8,8 +8,12 @@ normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
 library shares: determinant, signature of a symmetric matrix,
 characteristic polynomial, modular matrix power, prime factorization and
-Euler's phi. It also holds the one enumeration cap (KNOTSIG_CAP), which
-bounds the library's searches and the rho steps of the factorization.
+Euler's phi. The determinant is Bareiss elimination with a divisor per
+row: a row whose entry in the pivot column is zero is left alone, and when
+a pivot column reaches it, it is divided by the pivot of the step that
+last changed it, which is exact because the quotient is a minor. It also
+holds the one enumeration cap (KNOTSIG_CAP), which bounds the library's
+searches and the rho steps of the factorization.
 """
 
 import os
@@ -83,11 +87,27 @@ def mat_sub(a, b):
 
 
 def det(mat):
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix: fraction-free Bareiss
+    with a divisor per row.
+
+    Bareiss step k maps row i > k to (r_i*p_k - c*r_k)/p_(k-1), where c is
+    r_i[k] and p_k the pivot; every entry it makes is a minor of the
+    matrix, so the division is exact. A row with c = 0 is only multiplied
+    by p_k/p_(k-1), and these factors telescope, so such a row is left
+    alone: it keeps the values s of the step t that last changed it and the
+    divisor div_i = p_t (1 at the start), and its Bareiss values are
+    s*p_(k-1)/p_t. When a pivot column next reaches it, its update is
+    (s*p_k - c_s*r_k)/p_t, the same minor, so this division is exact too.
+    The pivot row and the last entry take the factor p_(k-1)/p_t when
+    their divisor is not the last pivot, which gives minors as well. A
+    stored entry is zero exactly when its Bareiss value is, so the pivot
+    search and the skip read stored values, and a row swap swaps divisors.
+    """
     n = len(mat)
     if n == 0:
         return 1
     m = [row[:] for row in mat]
+    div = [1] * n
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -97,23 +117,26 @@ def det(mat):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], rk
                     rk = m[k]
+                    div[k], div[i] = div[i], div[k]
                     sign = -sign
                     break
             else:
                 return 0
+        d = div[k]
+        if d != prev:
+            for j in range(k, n):
+                rk[j] = rk[j] * prev // d
         p = rk[k]
         for i in range(k + 1, n):
             ri = m[i]
             c = ri[k]
             if c:
+                d = div[i]
                 for j in range(k + 1, n):
-                    ri[j] = (ri[j] * p - c * rk[j]) // prev
-            elif p != prev:
-                for j in range(k + 1, n):
-                    ri[j] = ri[j] * p // prev
-            # a zero c with p == prev leaves the row as it is
+                    ri[j] = (ri[j] * p - c * rk[j]) // d
+                div[i] = p
         prev = p
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] * prev // div[n - 1]
 
 
 def congruence_signature(mat):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
                      tl_signature_at, validate_seifert)
+from knotsig.alexmod import torsion_order_by_resultant
 from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
                            isolate_roots, padd, palindromic_compact, pdeg,
                            pdivides, pdivmod, peval, pgcd, pmul, pnorm,
@@ -22,7 +23,7 @@ from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
-from conftest import conjugate, random_interesting_seifert, random_seifert
+from conftest import conjugate, random_interesting_seifert, random_seifert, torus_seifert
 from oracles import pi_bounds, sign_at_cos_turn, xgcd
 
 
@@ -766,6 +767,18 @@ class TestSmithForm:
         assert set(vars(rel)) & {"u", "u_inv", "v"} == {"u", "u_inv"}
 
 
+@st.composite
+def sparse_square_matrices(draw):
+    """Square, 2 x 2 up to 16 x 16, with 70 to 90 % zero entries: most
+    rows are skipped at most steps of the elimination."""
+    n = draw(st.integers(2, 16))
+    bound = draw(st.sampled_from([1, 3, 30, 1000]))
+    zero_share = draw(st.sampled_from([0.7, 0.8, 0.9]))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    return [[0 if rng.random() < zero_share else rng.randint(-bound, bound) for _ in range(n)]
+            for _ in range(n)]
+
+
 class TestDeterminant:
     """The fraction-free Bareiss det against Gaussian elimination over Q,
     on its edge structure: row swaps, skipped rows and singular input."""
@@ -783,6 +796,23 @@ class TestDeterminant:
         [[1, 2, 3], [2, 4, 5], [3, 7, 1]],                  # swap after a step
         [[2, 4, 1], [1, 2, 5], [3, 6, 7]],                  # zero column after a step
         [[7]], [[0]], [],
+        # each case below takes one path of the per-row divisors: row 3
+        # skipped at steps 0 and 1, then eliminated at step 2 by its
+        # divisor 1, not by the last pivot 5
+        [[2, 1, 0, 0], [1, 3, 1, 0], [0, 1, 2, 1], [0, 0, 1, 2]],
+        [[2, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 2, 1, 0], [0, 0, 1, 2, 1],
+         [0, 0, 0, 1, 3]],
+        # a skipped row swapped into the pivot position, its divisor equal
+        # to the last pivot and the swapped-out row's not
+        [[3, 1, 0, 0, 0], [-1, 0, 0, 0, -2], [-3, -1, 0, -2, -1], [0, 0, 2, 0, -2],
+         [0, -1, 0, 1, 0]],
+        # a skipped row swapped in with a divisor other than the last pivot
+        [[3, 0, 1, 0], [2, 0, 0, 2], [2, 0, 0, 0], [0, -2, 0, -1]],
+        # the last row skipped to the end
+        [[1, 0, 0], [0, -1, 0], [0, 0, 1]],
+        [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+        # a zero pivot column after skipped rows
+        [[2, 1, 0, 1], [0, 0, 3, 0], [0, 0, 5, 1], [0, 0, 1, 4]],
     ]
 
     @pytest.mark.parametrize("m", CASES)
@@ -792,11 +822,33 @@ class TestDeterminant:
     def test_cover_pencil(self):
         assert det(PENCIL_G3_K20) == oracles._frac_det(PENCIL_G3_K20) != 0
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_cover_pencil_is_the_resultant(self, seed):
+        # |det(S (x) A - I (x) A^t)| = |Res(Delta, 1 + t + ... + t^(k-1))|
+        rng = random.Random(seed)
+        a = random_interesting_seifert(rng, 2 + seed % 3)
+        k = rng.randint(2, 20)
+        assert abs(det(_cover_pencil(a, k))) == abs(torsion_order_by_resultant(a, k))
+
+    @pytest.mark.parametrize("p, q", [(5, 7), (7, 9), (8, 9)])
+    def test_torus_knot_forms(self, p, q):
+        # n = 24, 48 and 56: det(A - A^t) = 1 for every Seifert matrix, and
+        # det(A + A^t) is the determinant of the knot
+        a = torus_seifert(p, q)
+        assert det(mat_sub(a.as_lists(), transpose(a.as_lists()))) == 1
+        sym = a.symmetrization()
+        assert det(sym) == oracles._frac_det(sym)
+
     @given(small_int_matrices())
     @settings(max_examples=200, deadline=None)
     def test_random(self, m):
         if m and len(m) == len(m[0]):
             assert det(m) == oracles._frac_det(m)
+
+    @given(sparse_square_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_random_sparse(self, m):
+        assert det(m) == oracles._frac_det(m)
 
 
 _POLY = st.lists(st.integers(-30, 30), max_size=9).map(pnorm)
