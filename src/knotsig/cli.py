@@ -1,9 +1,9 @@
 """Command line surface: exact knot invariants in, JSON/CSV out.
 
 Exit codes: 0 success, 2 invalid input, 3 computation failure, 4 an
-enumeration cap was exceeded (override with the KNOTSIG_CAP environment
-variable). Output is deterministic: identical inputs give byte-identical
-output.
+enumeration cap (override with the KNOTSIG_CAP environment variable) or
+the fixed turn-cell depth limit realalg.MAX_REFINE was exceeded. Output
+is deterministic: identical inputs give byte-identical output.
 """
 
 import argparse
@@ -11,9 +11,10 @@ import io
 import sys
 from fractions import Fraction
 
-from .alexmod import (CapExceeded, FiniteLambdaModule, alexander_module,
-                      cyclic_quotient, double_cover_linking_form,
-                      find_linking_metabolizers, torsion_order_by_resultant)
+from .alexmod import (FiniteLambdaModule, alexander_module, cyclic_quotient,
+                      double_cover_linking_form, find_linking_metabolizers,
+                      torsion_order_by_resultant)
+from .intmat import CapExceeded
 from .knotio import dump_json, frac_str, read_json, read_knot
 from .mbreps import enumerate_irreps, rep_json
 from .resolve import build_resolution

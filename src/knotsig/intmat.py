@@ -349,10 +349,6 @@ def smith_form(mat, modulus=0):
     return SmithForm(diag, rows, cols, row_ops, col_ops, modulus)
 
 
-def invariant_factors(mat):
-    return [x for x in smith_form(mat).d if x != 0]
-
-
 # Miller-Rabin to the first 13 prime bases is proven below _MR_PROVEN
 # (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases", 2017)
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -457,9 +453,8 @@ def euler_phi(n):
     return out
 
 
-def spans_direct_summand(vectors, ambient_dim):
-    """Whether the given integer vectors span a direct summand of Z^ambient
-    of rank len(vectors) (equivalently they extend to a basis)."""
-    mat = [list(v) for v in vectors]
-    facs = invariant_factors(mat)
+def spans_direct_summand(vectors):
+    """Whether the given integer vectors span a direct summand of Z^n of
+    rank len(vectors) (equivalently they extend to a basis)."""
+    facs = [x for x in smith_form([list(v) for v in vectors]).d if x != 0]
     return len(facs) == len(vectors) and all(f == 1 for f in facs)

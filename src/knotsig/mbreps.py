@@ -215,7 +215,6 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
         for a in range(m // l):
             z = UnitRootAngle.of(a, m)
             rep = MetabelianRep(l, z, chi, module)
-            assert l <= o, "dimension bounded by the order of the t-action"
             reps.append(rep)
             total += l * l
     assert total == m * module.order(), "sum of squared dimensions certificate"

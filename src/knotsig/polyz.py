@@ -183,10 +183,6 @@ def sturm_count(chain, a, b):
     return va - vb
 
 
-def _sgn(x):
-    return (x > 0) - (x < 0)
-
-
 def isolate_roots(p, lo, hi):
     """Isolating intervals for the real roots of a squarefree integer
     polynomial in the open interval (lo, hi).
@@ -285,7 +281,10 @@ def cos_minimal_poly(d):
 # Resultants ---------------------------------------------------------------
 
 def resultant(p, q):
-    """Resultant of two integer polynomials, exactly (Sylvester + Bareiss det)."""
+    """Resultant of two integer polynomials, exactly (Sylvester + Bareiss det).
+    A constant operand c gives c to the other's degree m at once: the
+    Sylvester matrix would be c times the m x m identity, which a constant
+    Delta and a large cover degree k = m + 1 make too big to build."""
     p, q = pnorm(p), pnorm(q)
     n, m = pdeg(p), pdeg(q)
     if n < 0 or m < 0:

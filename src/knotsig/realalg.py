@@ -8,9 +8,10 @@ Machin's formula for pi and the Taylor series of the cosine are summed in
 scaled integers with directed rounding, every term rounded down in the
 lower sum and up in the upper sum, and one unit in the last place covers
 the alternating remainder. So every returned bound is mathematically
-guaranteed. An isolating interval is refined, and a polynomial signed on
-it, in integers over one common denominator (polyz.psign, integer
-interval Horner); Fractions appear only where the endpoints are stored.
+guaranteed. An isolating interval is held as integers a, b over one
+common denominator, an exact rational root as a = b; it is refined, and
+a polynomial signed on it, on those integers (polyz.psign, integer
+interval Horner), and Fractions appear only where lo and hi are read.
 The turn arccos(alpha)/(2*pi) of an algebraic alpha in (-1, 1) is held
 as a dyadic cell (RealAlgebraic.turn_cell), whose ends are certified by
 comparing alpha with the kernel's cosines, so every comparison between
@@ -22,11 +23,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
 
-from .intmat import det
-from .polyz import _sgn, padd, pdivmod, pgcd, pdeg, pmul, pnorm, pprimitive, psign
+from .intmat import CapExceeded, det
+from .polyz import padd, pdivmod, pgcd, pdeg, pmul, pnorm, pprimitive, psign
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
+#: It also bounds the depth of a turn cell: a deeper one is a size cap
+#: (CapExceeded), not a bug.
 MAX_REFINE = 2000
 
 #: Guard bits of the integer kernel: an enclosure asked for at `bits` is
@@ -130,11 +133,6 @@ def cos_turn_bounds(turn, bits):
     return Fraction(lo, 1 << p), Fraction(hi, 1 << p)
 
 
-def _sign_at(p, x):
-    """Sign of the integer polynomial p at a rational x."""
-    return psign(p, x.numerator, x.denominator)
-
-
 def _interval_sign(q, a, b, den):
     """The sign of q on [a/den, b/den] when interval Horner certifies one,
     else 0. Each partial Horner value is carried times a power of den, so
@@ -149,132 +147,132 @@ def _interval_sign(q, a, b, den):
 
 
 class RealAlgebraic:
-    """A real algebraic number: either an exact rational, or the unique root
-    of a squarefree integer polynomial inside an isolating interval with a
-    sign change at the endpoints.
+    """A real algebraic number alpha: the unique root of a squarefree
+    integer polynomial in the closed interval [a/den, b/den], held as one
+    integer triple (a, b, den). Either a < b and the polynomial changes
+    sign between the ends, or a = b and alpha is that rational, exact.
 
-    Refinement bisects on integers: lo = a/den and hi = b/den over one
-    common denominator, the midpoint (a + b)/(2 den) signed by polyz.psign,
-    and lo, hi written back as reduced Fractions once at the end. The
-    midpoints are the rationals (lo + hi)/2, so the enclosures are exactly
-    those of a Fraction bisection.
+    Refinement bisects on integers: the midpoint (a + b)/(2 den) is signed
+    by polyz.psign, and the half that holds alpha, or the midpoint itself
+    when it is the root, becomes the new triple over 2 den. The midpoints
+    are the rationals (lo + hi)/2, so the enclosures are exactly those of a
+    Fraction bisection; lo and hi read them as reduced Fractions.
 
     For alpha in (-1, 1) with irrational turn, turn_cell(depth) also holds
     the dyadic cell of arccos(alpha)/(2*pi) in (0, 1/2) as one pair
-    (num, depth). The interval and the cell only tighten, and the pair is
-    read and replaced whole, so threads may share one RealAlgebraic."""
+    (num, depth). The interval and the cell only tighten, and each is read
+    and replaced whole, so threads may share one RealAlgebraic."""
 
-    __slots__ = ("poly", "lo", "hi", "value", "_sign_lo", "_turn")
+    __slots__ = ("poly", "_cell", "_sign_lo", "_turn")
 
-    def __init__(self, poly, lo, hi, value=None):
-        self.poly = tuple(poly) if poly is not None else None
-        self.lo = lo
-        self.hi = hi
-        self.value = value
-        self._sign_lo = None if value is not None else _sign_at(self.poly, lo)
+    def __init__(self, poly, lo, hi):
+        self.poly = tuple(poly)
+        den = lcm(lo.denominator, hi.denominator)
+        a = lo.numerator * (den // lo.denominator)
+        b = hi.numerator * (den // hi.denominator)
+        self._cell = (a, b, den)
+        self._sign_lo = psign(self.poly, a, den)
         self._turn = (0, 1)  # (num, depth) of the turn cell
 
     @classmethod
     def root_of(cls, poly, lo, hi):
-        lo, hi = Fraction(lo), Fraction(hi)
-        if _sign_at(poly, lo) * _sign_at(poly, hi) >= 0:
+        alpha = cls(poly, Fraction(lo), Fraction(hi))
+        _, b, den = alpha._cell
+        if alpha._sign_lo * psign(poly, b, den) >= 0:
             raise ValueError("not an isolating interval with a sign change")
-        return cls(poly, lo, hi)
+        return alpha
 
-    def _scaled(self):
-        """(a, b, den) with lo = a/den and hi = b/den."""
-        lo, hi = self.lo, self.hi
-        den = lcm(lo.denominator, hi.denominator)
-        return (lo.numerator * (den // lo.denominator),
-                hi.numerator * (den // hi.denominator), den)
+    @property
+    def lo(self):
+        a, _, den = self._cell
+        return Fraction(a, den)
+
+    @property
+    def hi(self):
+        _, b, den = self._cell
+        return Fraction(b, den)
 
     def _halve(self, a, b, den):
-        """The half of a/den < alpha < b/den that holds alpha, as a triple
-        over the denominator 2 den; None when the midpoint is alpha, which
-        then becomes the exact value."""
+        """The half of [a/den, b/den] that holds alpha, as a triple over the
+        denominator 2 den; (mid, mid, 2 den) when the midpoint is alpha."""
         mid, den = a + b, 2 * den
         s = psign(self.poly, mid, den)
         if s == 0:
-            self.value = self.lo = self.hi = Fraction(mid, den)
-            return None
+            return mid, mid, den
         if s == self._sign_lo:
             return mid, 2 * b, den
         return 2 * a, mid, den
 
     def _store(self, a, b, den):
-        """Write lo = a/den, hi = b/den back, unless another thread has
-        stored a tighter interval meanwhile; return the new pair."""
-        lo, hi = Fraction(a, den), Fraction(b, den)
-        if hi - lo < self.hi - self.lo:
-            self.lo, self.hi = lo, hi
-        return lo, hi
+        """Replace the cell by (a, b, den), unless another thread has stored
+        a cell at least as tight meanwhile."""
+        c, d, e = self._cell
+        if (b - a) * e < (d - c) * den:
+            self._cell = (a, b, den)
+
+    def _refine(self, w_num, w_den):
+        """A cell (a, b, den) of alpha with (b - a)/den <= w_num/w_den,
+        bisecting until it holds."""
+        a, b, den = self._cell
+        for _ in range(MAX_REFINE + 1):
+            if (b - a) * w_den <= w_num * den:
+                self._store(a, b, den)
+                return a, b, den
+            a, b, den = self._halve(a, b, den)
+        raise PrecisionExhausted("interval refinement stalled")
 
     def bounds(self, width):
         """(lo, hi) with hi - lo <= width, bisecting until it holds."""
-        if self.value is not None or self.hi - self.lo <= width:
-            return self.lo, self.hi
-        w_num, w_den = width.numerator, width.denominator
-        cell = self._scaled()
-        for _ in range(MAX_REFINE):
-            cell = self._halve(*cell)
-            if cell is None:
-                return self.lo, self.hi
-            a, b, den = cell
-            if (b - a) * w_den <= w_num * den:
-                return self._store(a, b, den)
-        raise PrecisionExhausted("interval refinement stalled")
+        a, b, den = self._refine(width.numerator, width.denominator)
+        return Fraction(a, den), Fraction(b, den)
 
     def compare(self, r):
         """Exact sign of r - alpha for a rational r, without refining: the
         isolating interval decides it, or, for r inside it, one sign of the
         squarefree polynomial (its only root there is alpha)."""
-        if self.value is not None:
-            return _sgn(r - self.value)
-        if r <= self.lo:
+        a, b, den = self._cell
+        n, d = r.numerator, r.denominator
+        if n * den < a * d:
             return -1
-        if r >= self.hi:
+        if n * den > b * d:
             return 1
-        s = _sign_at(self.poly, r)
+        s = psign(self.poly, n, d)
         return 0 if s == 0 else -1 if s == self._sign_lo else 1
 
     def is_root_of(self, q):
         """Whether alpha is a root of q, a divisor of the defining
-        polynomial: q has at most that one root in the isolating interval,
-        a simple one, so q changes sign there exactly when it has."""
+        polynomial: q has at most that one root in the interval, a simple
+        one, so it has it exactly when q vanishes at lo (an exact root) or
+        changes sign over [lo, hi]."""
         if pdeg(q) < 1:
             return False
-        if self.value is not None:
-            return _sign_at(q, self.value) == 0
-        return _sign_at(q, self.lo) * _sign_at(q, self.hi) < 0
+        a, b, den = self._cell
+        s = psign(q, a, den)
+        return s == 0 or s * psign(q, b, den) < 0
 
     def sign_of_poly(self, q):
         """Exact sign of q(alpha) for an integer polynomial q: zero by a gcd
         with the defining polynomial, otherwise the sign of q on the
-        isolating interval once interval Horner decides it, bisecting
-        until then."""
+        interval once interval Horner decides it (at once on an exact
+        root), bisecting until then."""
         q = pnorm(list(q))
-        if not q:
+        if not q or self.is_root_of(pgcd(list(self.poly), q)):
             return 0
-        if self.value is not None:
-            return _sign_at(q, self.value)
-        if self.is_root_of(pgcd(list(self.poly), q)):
-            return 0
-        cell = self._scaled()
-        for _ in range(MAX_REFINE):
+        cell = self._cell
+        for _ in range(MAX_REFINE + 1):
             s = _interval_sign(q, *cell)
             if s:
                 self._store(*cell)
                 return s
             cell = self._halve(*cell)
-            if cell is None:
-                return _sign_at(q, self.value)
         raise PrecisionExhausted("sign of polynomial at algebraic point")
 
     def turn_cell(self, depth):
         """The integer c with c/2^depth < arccos(alpha)/(2*pi) < (c+1)/2^depth,
         for alpha in (-1, 1) with irrational turn (a precondition, not
         checked), whatever was asked before: a deeper cell held from an
-        earlier call is shifted down to the asked depth.
+        earlier call is shifted down to the asked depth. A depth above
+        MAX_REFINE raises CapExceeded.
 
         Reaching a new depth D bisects against certified cosine enclosures
         up to depth 10, then guesses the cell at depth D by fixed-point
@@ -284,7 +282,7 @@ class RealAlgebraic:
         turn is irrational, so it is then the one cell at depth D that
         bisection would reach; otherwise bisection goes on to depth D."""
         if depth > MAX_REFINE:
-            raise PrecisionExhausted("turn enclosure refinement stalled")
+            raise CapExceeded(depth, MAX_REFINE, "turn cell depth")
         num, held = self._turn
         if held < depth:
             num, held = self._turn_refine(num, held, depth)
@@ -319,8 +317,8 @@ class RealAlgebraic:
         sin(2*pi*t) = cos(2*pi*(1/4 - t))."""
         p = target + GUARD
         one = 1 << p
-        xlo, _ = self.bounds(Fraction(1, one))
-        x = (xlo.numerator << p) // xlo.denominator
+        a, _, den = self._refine(1, one)
+        x = (a << p) // den
         two_pi = sum(_pi_scaled(p))  # 2*pi * 2^p, to within 2 units
         lo, hi = num << (p - depth), ((num + 1) << (p - depth)) - 1
         t = (lo + hi) // 2
@@ -341,21 +339,19 @@ class RealAlgebraic:
         multiplication. The first try resolves cos to the bits of b and 8
         more."""
         bits = b.bit_length() + 8
+        xa, xb, xden = self._cell
         for _ in range(MAX_REFINE):
             p = bits + GUARD
             clo, chi = _cos_scaled(a, b, p)
-            xlo, xhi = self.lo, self.hi
-            if clo * xhi.denominator > xhi.numerator << p:
+            if clo * xden > xb << p:
                 return True
-            if chi * xlo.denominator < xlo.numerator << p:
+            if chi * xden < xa << p:
                 return False
-            self.bounds(Fraction(1, 1 << bits))
+            xa, xb, xden = self._refine(1, 1 << bits)
             bits *= 2
         raise PrecisionExhausted("cosine comparison stalled")
 
     def __repr__(self):
-        if self.value is not None:
-            return f"RealAlgebraic({self.value})"
         return f"RealAlgebraic(poly={self.poly}, ({self.lo}, {self.hi}))"
 
 
@@ -377,11 +373,11 @@ class AlgebraicElement:
     def arc_factors(cls, alpha, m):
         """l(1 - alpha) and l(1 + alpha): integers when m is linear."""
         m = pprimitive(m)
-        l, d, v = m[-1], len(m) - 1, alpha.value
+        l, d = m[-1], len(m) - 1
         if d == 1:
             return l + m[0], l - m[0]
         m = [c * l ** (d - 1 - i) for i, c in enumerate(m[:-1])] + [1]
-        ring = [RealAlgebraic(m, l * alpha.lo, l * alpha.hi, v and l * v), m]
+        ring = [RealAlgebraic(m, l * alpha.lo, l * alpha.hi), m]
         return cls([l, -1], ring), cls([l, 1], ring)
 
     def __add__(self, other):

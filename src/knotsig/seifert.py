@@ -263,7 +263,7 @@ def find_seifert_metabolizer(a, search_bound):
             v = cands[idx]
             if not _isotropic_with(a, chosen, v):
                 continue
-            if not intmat.spans_direct_summand(list(chosen) + [list(v)], n):
+            if not intmat.spans_direct_summand(list(chosen) + [list(v)]):
                 continue
             got = extend(chosen + [v], idx + 1)
             if got is not None:

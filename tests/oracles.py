@@ -25,7 +25,7 @@ from math import gcd
 
 from knotsig.intmat import char_poly, det, euler_phi, identity
 from knotsig.mbreps import MonomialMatrix
-from knotsig.polyz import (_sgn, _variations, cos_minimal_poly, palindromic_compact,
+from knotsig.polyz import (_variations, cos_minimal_poly, palindromic_compact,
                            pdeg, pdivides, peval, pnorm, psubst_scale)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
@@ -950,6 +950,10 @@ def arf_by_symplectic_basis(a):
 
 
 # --- Fraction bisection and interval Horner --------------------------------
+
+def _sgn(x):
+    return (x > 0) - (x < 0)
+
 
 def poly_eval_interval(p, lo, hi):
     """Interval Horner evaluation of an integer polynomial on the rational

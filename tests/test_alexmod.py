@@ -96,7 +96,7 @@ class TestCyclicQuotient:
     def test_reduced_resultant_equals_sylvester(self):
         # f = 1 + ... + t^(k-1) is reduced mod Delta before the resultant;
         # polyz.resultant on the full (k - 1 + deg Delta) Sylvester matrix
-        # is the reference
+        # is the reference; at k = 1 it is a constant operand
         from knotsig.polyz import resultant
         rng = random.Random(23)
         knots = [validate_seifert([[0, 1], [0, 0]]), TREFOIL, FIGURE_EIGHT, SLICE4]
@@ -105,12 +105,17 @@ class TestCyclicQuotient:
         for a in knots:
             delta = list(alexander_polynomial(a).coeffs)
             for k in range(1, 41):
-                want = abs(resultant(delta, [1] * k)) if k > 1 else 1
+                want = abs(resultant(delta, [1] * k))
                 assert torsion_order_by_resultant(a, k) == want, (a.entries, k)
                 seen["unit delta"] += delta == [1]
                 seen["zero"] += want == 0
                 seen["non-monic"] += abs(delta[-1]) > 1 and k >= len(delta)
         assert min(seen.values()) > 0 and len(seen) == 3, seen
+        # constant operands: Res(c, q) = Res(q, c) = c^deg q, which is 1
+        # (the 0 x 0 Sylvester determinant) when q is a constant too
+        for c in (-3, -1, 2, 5):
+            for q in ([1], [-4], [2, -1], [1, 0, -4, 3], [-2, 1, 0, 0, 7]):
+                assert resultant([c], q) == resultant(q, [c]) == c ** (len(q) - 1)
 
 
 class TestCoverRoutes:

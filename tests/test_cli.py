@@ -365,6 +365,24 @@ class TestErrors:
         assert code == 4
         assert "metabolizer search steps 1001 exceeds cap 1000" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, depth", [
+        (["l2", "--eps", "1e-600"], None),
+        (["l2", "--eps", "1e-700"], 2330),
+        (["approx", "--schedule", "2,6", "--eps", "1e-700"], 2330),
+        (["eta-cyclic", "--k", str(10 ** 700 + 1)], 2328),
+    ])
+    def test_turn_cell_depth_limit(self, capsys, monkeypatch, argv, depth):
+        # a turn cell deeper than realalg.MAX_REFINE is a fixed size limit:
+        # it exits 4 like a cap, and KNOTSIG_CAP does not move it
+        monkeypatch.setenv("KNOTSIG_CAP", str(10 ** 9))
+        code = main(argv[:1] + ["--knot", str(FIXTURES / "twist.json")] + argv[1:])
+        err = capsys.readouterr().err
+        if depth is None:
+            assert code == 0 and not err
+        else:
+            assert code == 4
+            assert f"turn cell depth {depth} exceeds cap 2000" in err
+
     @pytest.mark.parametrize("p, depth, code", [
         (5316911983139663487003542222693990401, 1, 2),  # (2^61 - 1)^2
         (3317044064679887385961981, 1, 2),  # strong pseudoprime to 13 bases

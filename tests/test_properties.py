@@ -319,10 +319,25 @@ class TestRootIsolation:
             assert len(hits) == 1 and (alpha.lo, alpha.hi) == (lo, hi)
             assert not alpha.is_root_of([3]) and not alpha.is_root_of([])
             found[hits[0]] += 1
-            alpha.bounds(Fraction(1, 2 ** 30))  # x = 1/2 becomes an exact value
+            alpha.bounds(Fraction(1, 2 ** 30))
             assert [d for d in orders if alpha.is_root_of(cos_minimal_poly(d))] == hits
             assert alpha.sign_of_poly(cos_minimal_poly(hits[0])) == 0
         assert found == {d: euler_phi(d) // 2 for d in orders}
+        # x = 1/2, the root of psi_6, isolated by (7/16, 9/16): the first
+        # midpoint is x, which becomes an exact root, lo = hi
+        lo, hi, w = Fraction(7, 16), Fraction(9, 16), Fraction(1, 2 ** 30)
+        alpha = RealAlgebraic.root_of(p, lo, hi)
+        want = oracles.bisect_by_fractions(p, lo, hi, w)
+        assert alpha.bounds(w) == want == (Fraction(1, 2), Fraction(1, 2))
+        assert [d for d in orders if alpha.is_root_of(cos_minimal_poly(d))] == [6]
+        assert not alpha.is_root_of([3]) and not alpha.is_root_of([])
+        # q vanishing at x or not, a divisor of p or not: q's sign at x
+        for q in [cos_minimal_poly(d) for d in orders] + [[-1, 0, 4], [1, -3], [5]]:
+            v = peval(q, Fraction(1, 2))
+            assert alpha.sign_of_poly(q) == (v > 0) - (v < 0)
+        assert alpha.sign_of_poly([]) == 0
+        # bounds on an exact root refines nothing more
+        assert alpha.bounds(Fraction(1, 2 ** 60)) == want == (alpha.lo, alpha.hi)
 
 
 class TestIntegerRefinement:
@@ -354,6 +369,7 @@ class TestIntegerRefinement:
 
     def test_bounds_against_fraction_bisection(self):
         widths = [Fraction(1, 2 ** k) for k in range(0, 90, 7)] + [Fraction(3, 1000), Fraction(1, 10 ** 20)]
+        exact = 0
         for p, lo, hi in self._roots(random.Random(83), 40):
             walked = RealAlgebraic.root_of(p, lo, hi)
             for w in sorted(widths, reverse=True):
@@ -361,6 +377,14 @@ class TestIntegerRefinement:
                 assert RealAlgebraic.root_of(p, lo, hi).bounds(w) == want
                 assert walked.bounds(w) == want
                 assert (walked.lo, walked.hi) == want
+                # lo and hi lie below and above alpha, or are alpha once it is
+                # exact; a rational outside [lo, hi] is placed by the ends
+                a, b = want
+                assert walked.compare(a) == (0 if a == b else -1)
+                assert walked.compare(b) == (0 if a == b else 1)
+                assert walked.compare(a - w) == -1 and walked.compare(b + w) == 1
+                exact += a == b
+        assert exact > 0
 
     def test_sign_of_poly_against_fraction_interval_horner(self):
         rng = random.Random(89)
@@ -380,7 +404,7 @@ class TestIntegerRefinement:
                 # a midpoint at a rational root: then the sign is q's there
             assert alpha.sign_of_poly(q) == (1 if vlo > 0 else -1)
             assert (alpha.lo, alpha.hi) == (a, b)
-            assert (alpha.value == a) == (a == b)
+            assert (alpha.lo == alpha.hi) == (a == b)
             seen += a == b
         assert seen >= 2
 

@@ -145,7 +145,7 @@ class TestMetabolizer:
                 assert sum(x[i] * ent[i][j] * y[j]
                            for i in range(4) for j in range(4)) == 0
         from knotsig.intmat import spans_direct_summand
-        assert spans_direct_summand([list(v) for v in met.basis], 4)
+        assert spans_direct_summand([list(v) for v in met.basis])
 
     @pytest.mark.parametrize("vectors, expected", [
         ([], True),
@@ -156,7 +156,7 @@ class TestMetabolizer:
     ])
     def test_spans_direct_summand(self, vectors, expected):
         from knotsig.intmat import spans_direct_summand
-        assert spans_direct_summand(vectors, 4) is expected
+        assert spans_direct_summand(vectors) is expected
 
     def test_trefoil_not_found(self, trefoil):
         assert find_seifert_metabolizer(trefoil, 4) is None

@@ -499,7 +499,7 @@ class TestTurnTracker:
         assert peak[0] >= 2, "no two turn_bounds calls overlapped"
         for t in shared:
             x = t.x
-            if x.value is None:
+            if x.lo != x.hi:
                 assert psign(x.poly, x.lo.numerator, x.lo.denominator) * \
                     psign(x.poly, x.hi.numerator, x.hi.denominator) < 0
 
@@ -684,12 +684,12 @@ class TestArcSampling:
             a = read_knot(path)
             if path.name == "trefoil.json":
                 # bisecting its interval (-1, 1) reaches 0 and then the root
-                # x = 1/2 of Phi6, which becomes an exact value, so the samples
-                # below take the exact branch of RealAlgebraic.compare
+                # x = 1/2 of Phi6, which becomes an exact root (lo = hi), so the
+                # samples below meet RealAlgebraic.compare at an exact root
                 for bp in signature_function(a).breakpoints:
                     bp.x.bounds(Fraction(1, 4))
             self.check(a)
-            exact += sum(bp.x.value is not None
+            exact += sum(bp.x.lo == bp.x.hi
                          for bp in signature_function(a).breakpoints)
         assert exact > 0
 
@@ -843,7 +843,7 @@ class TestExactTurns:
             ivs = isolate_roots(g, Fraction(-1), Fraction(1))[::-1]
             uppers = sf.breakpoints[:len(sf.breakpoints) // 2]
             assert [(bp.x.lo, bp.x.hi) for bp in uppers] == ivs
-            assert all(bp.x.value is None for bp in uppers)
+            assert all(bp.x.lo != bp.x.hi for bp in uppers)
             checked += bool(uppers)
         assert checked == 6  # three torus knots, trefoil, cinquefoil, twist
 
