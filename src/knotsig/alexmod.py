@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import comb, gcd, isqrt, prod
+from math import gcd, isqrt, prod
 from operator import add, mod, mul, neg
 
 from . import intmat
@@ -227,7 +227,7 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     n = pres.matrix.n
     gamma = pres.matrix.gamma
     # c_j = coefficient of x^j in x^k - (x - 1)^k; r(Gamma) by Horner
-    c = [(-1) ** (k - j + 1) * comb(k, j) for j in range(k)]
+    c = binomial_difference_coeffs(k)
     r = [[0] * n for _ in range(n)]
     for cj in reversed(c[1:]):
         r = intmat.mat_mul(r, gamma)
@@ -248,6 +248,17 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     torsion = tuple(snf.d[i] for i in tor_idx)
     t_tor = tuple(tuple(w[i][j] % snf.d[i] for j in tor_idx) for i in tor_idx)
     return CyclicCoverHomology(FiniteLambdaModule.make(torsion, t_tor), len(free_idx))
+
+
+def binomial_difference_coeffs(k):
+    """[c_0, ..., c_(k-1)], the coefficients of x^k - (x - 1)^k: c_j is
+    (-1)^(k-j+1) comb(k, j), each binomial got from the one before by
+    comb(k, j+1) = comb(k, j) (k - j) / (j + 1)."""
+    out, b = [], 1
+    for j in range(k):
+        out.append(b if (k - j) % 2 else -b)
+        b = b * (k - j) // (j + 1)
+    return out
 
 
 def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
@@ -418,7 +429,7 @@ class Character:
     def __post_init__(self):
         if self.modulus < 1:
             raise ValueError("modulus must be positive")
-        if any(not 0 <= c < self.modulus for c in self.exponents):
+        if self.exponents and not 0 <= min(self.exponents) <= max(self.exponents) < self.modulus:
             raise ValueError("exponents must be reduced mod the modulus")
 
     @classmethod
@@ -434,22 +445,24 @@ class Character:
         exp(2*pi*i*turn_of(vec)/modulus)."""
         return sum(map(mul, self.exponents, vec)) % self.modulus
 
-    def compose_t(self, module: FiniteLambdaModule):
-        """The character x -> chi(t x): its exponents are t^T times chi's."""
-        m = self.modulus
-        return Character(m, tuple([sum(map(mul, col, self.exponents)) % m
-                                   for col in zip(*module.t_matrix)]))
+    @staticmethod
+    def compose_t(exponents, t_columns, modulus):
+        """The exponents of x -> chi(t x) from chi's: t^T times them, mod
+        the modulus; t_columns are the columns of t's matrix."""
+        return tuple([sum(map(mul, col, exponents)) % modulus for col in t_columns])
 
     def orbit(self, module: FiniteLambdaModule):
         """chi, chi o t, chi o t^2, ... up to the first return to chi, so
-        its length is the period of chi under t. The walk ends because t is
+        its length is the period of chi under t. The walk runs on exponent
+        tuples, and one Character is built per member. It ends because t is
         invertible, which the dual action inherits for a well-defined chi."""
         if not self.is_well_defined_on(module):
             raise ValueError("character is not well defined on the module")
-        orbit, cur = [self], self.compose_t(module)
-        while cur != self:
-            orbit.append(cur)
-            cur = cur.compose_t(module)
+        m, start, cols = self.modulus, self.exponents, tuple(zip(*module.t_matrix))
+        orbit, cur = [self], self.compose_t(start, cols, m)
+        while cur != start:
+            orbit.append(Character(m, cur))
+            cur = self.compose_t(cur, cols, m)
         return tuple(orbit)
 
 

@@ -4,8 +4,9 @@ Every matrix that appears here is monomial with root-of-unity entries, so
 representations are stored as a permutation plus a tuple of turns, each a
 residue mod N for the entry exp(2*pi*i*turn/N), and all identities are
 checked exactly in integer arithmetic. Character orthogonality is verified
-in exact cyclotomic arithmetic: sums of N-th roots of unity are reduced
-modulo the N-th cyclotomic polynomial.
+in exact cyclotomic arithmetic: a sum of N-th roots of unity is zero when
+its coefficient vector, times the product of the 1 - t^(N/p) over the
+primes p | N, is zero in Z[t]/(t^N - 1).
 Products are built by sum, map and zip, with no Python frame per entry,
 from caches on the objects: t^e on the module, and on each MetabelianRep
 its modulus and the rows chi o t^j, j < l, read from Character.orbit.
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 from .alexmod import Character, FiniteLambdaModule, characters_of
 from .intmat import CapExceeded, default_cap
-from .polyz import cyclotomic, pdivmod, pnorm
+from .polyz import vanishes_at_root_of_unity
 from .signature import UnitRootAngle
 
 #: Sign s in the semidirect group law (n,h)(n',h') = (n+n', t^(s*n') h + h').
@@ -225,14 +226,14 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
 
 def roots_of_unity_sum_equals(turn_counts, value, n):
     """Whether sum over (turn, count) of count * exp(2*pi*i*turn/n), turns
-    residues mod n, equals the given integer, exactly (reduction modulo the
-    n-th cyclotomic polynomial)."""
+    residues mod n, equals the given integer, exactly: the sum minus the
+    integer is f(zeta_n) for f of degree below n, tested in Z[t]/(t^n - 1)
+    by polyz.vanishes_at_root_of_unity."""
     vec = [0] * n
     for turn, count in turn_counts.items():
         vec[turn] += count
     vec[0] -= value
-    _, rem = pdivmod(pnorm(vec), list(cyclotomic(n)))
-    return not rem
+    return vanishes_at_root_of_unity(vec, n)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .intmat import det
+from .intmat import det, prime_factorization
 
 
 def pnorm(p):
@@ -123,13 +123,6 @@ def pdivmod(p, q):
     return pnorm([c * a ** k for k, c in enumerate(top)]), pnorm(r)
 
 
-def pdivides(q, p):
-    """Whether q divides p over Q (both integer polynomials)."""
-    if not pnorm(q):
-        return not pnorm(p)
-    return not pdivmod(p, q)[1]
-
-
 def pgcd(p, q):
     """Primitive gcd in Z[x], leading coefficient positive, by the
     primitive remainder sequence."""
@@ -229,15 +222,49 @@ def isolate_roots(p, lo, hi):
 
 # Cyclotomic polynomials and trigonometric minimal polynomials ------------
 
-@lru_cache(maxsize=None)
 def cyclotomic(d):
-    """The d-th cyclotomic polynomial as an integer coefficient list."""
-    p = [-1] + [0] * (d - 1) + [1]          # t^d - 1
-    for e in range(1, d):
-        if d % e == 0:
-            p, rem = pdivmod(p, cyclotomic(e))  # Phi_e is monic: plain division
-            assert not rem, "Phi_e divides t^d - 1"
-    return tuple(p)
+    """The d-th cyclotomic polynomial as an integer coefficient list, by the
+    Moebius product Phi_d = prod over e | d of (t^e - 1)^mu(d/e): e = d/m for
+    the squarefree divisors m of d, with mu(m) = (-1)^(number of primes of
+    m). The factors with mu = +1 are multiplied in first, then those with
+    mu = -1 divided out exactly, each a linear pass over the coefficients."""
+    up, down = [d], []
+    for p in prime_factorization(d):
+        up, down = up + [e // p for e in down], down + [e // p for e in up]
+    f = [1]
+    for e in up:
+        f = [a - b for a, b in zip([0] * e + f, f + [0] * e)]  # f * (t^e - 1)
+    for e in down:
+        f = _divide_by_binomial(f, e)
+    return tuple(f)
+
+
+def _divide_by_binomial(f, e):
+    """f / (t^e - 1), asserted exact. The series -f / (1 - t^e) has
+    q_i = q_(i-e) - f_i; it is a polynomial of degree deg f - e exactly when
+    its coefficients from there on vanish."""
+    q, block = [], [0] * e
+    for i in range(0, len(f), e):
+        block = [a - b for a, b in zip(block, f[i:i + e])]
+        q += block
+    n = len(f) - e
+    assert not any(q[n:]), "t^e - 1 divides the product"
+    return q[:n]
+
+
+def vanishes_at_root_of_unity(coeffs, d):
+    """Whether the integer polynomial f vanishes at exp(2*pi*i/d), i.e. Phi_d
+    divides f. In Q[t]/(t^d - 1), the sum of the fields Q(zeta_e) over
+    e | d, the product of the 1 - t^(d/p) over the primes p | d is zero in
+    every summand but Q(zeta_d), where it is a unit: so f(zeta_d) = 0
+    exactly when f mod t^d - 1 times that product is zero."""
+    v = [0] * d
+    for i, c in enumerate(coeffs):
+        v[i % d] += c
+    for p in prime_factorization(d):
+        s = d // p
+        v = [a - b for a, b in zip(v, v[-s:] + v[:-s])]  # v * (1 - t^s)
+    return not any(v)
 
 
 def palindromic_compact(p):

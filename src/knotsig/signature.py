@@ -10,7 +10,9 @@ roots of the Alexander polynomial. Those breakpoints are the roots in
 (-1, 1) of its compactification G in x (polyz.cos_compact), isolated
 exactly by Sturm bisection. The ones at roots of unity come from the
 cyclotomic factors Phi_d of the Alexander polynomial, searched only over
-the d with phi(d) <= its degree. The same compaction takes Phi_d to
+the d with phi(d) <= its degree; each is found by testing that the
+polynomial vanishes at exp(2*pi*i/d) in Z[t]/(t^d - 1), with no Phi_d
+built and no division. The same compaction takes Phi_d to
 psi_d = cos_minimal_poly(d), so psi_d divides G, and its roots are the
 cos(2*pi*j/d) for j coprime to d, 0 < j < d/2, decreasing as j grows.
 So, in order of decreasing x, the i-th breakpoint that is a root of psi_d
@@ -52,8 +54,8 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import congruence_signature, euler_phi
-from .polyz import (cos_compact, cos_minimal_poly, cyclotomic, isolate_roots,
-                    pderiv, pdeg, pdivides, peval, pgcd, squarefree_part)
+from .polyz import (cos_compact, cos_minimal_poly, isolate_roots, pderiv, pdeg,
+                    peval, pgcd, squarefree_part, vanishes_at_root_of_unity)
 from .realalg import AlgebraicElement, PrecisionExhausted, RealAlgebraic
 from .seifert import SeifertMatrix, alexander_polynomial
 
@@ -145,11 +147,12 @@ def _depth_for(width):
 
 
 def _root_of_unity_orders(delta):
-    """All d with the d-th cyclotomic polynomial dividing delta."""
+    """All d >= 3 with delta(exp(2*pi*i/d)) = 0, i.e. with the d-th
+    cyclotomic polynomial dividing delta (polyz.vanishes_at_root_of_unity)."""
     coeffs = list(delta.coeffs)
     dd = pdeg(coeffs)
     return [d for d in range(3, 4 * dd * dd + 7)
-            if euler_phi(d) <= dd and pdivides(list(cyclotomic(d)), coeffs)]
+            if euler_phi(d) <= dd and vanishes_at_root_of_unity(coeffs, d)]
 
 
 def _compute_breakpoints(a: SeifertMatrix):

@@ -13,7 +13,8 @@ cos(theta) inside each arc, Litherland's lattice-point count for torus
 knots instead of any matrix, the group law and representation matrices
 entry by entry instead of tuple kernels and cached powers, linking-form
 metabolizers by a search over every t-invariant subgroup instead of a walk
-over the isotropic ones. A few helpers
+over the isotropic ones, cyclotomic polynomials and their roots by
+polynomial division instead of binomials t^e - 1. A few helpers
 that only tests need, such as the inverse of a monomial matrix, live here
 too.
 """
@@ -26,7 +27,7 @@ from math import gcd
 from knotsig.intmat import char_poly, det, euler_phi, identity
 from knotsig.mbreps import MonomialMatrix
 from knotsig.polyz import (_variations, cos_minimal_poly, palindromic_compact,
-                           pdeg, pdivides, peval, pnorm, psubst_scale)
+                           pdeg, pdivmod, peval, pnorm, psubst_scale)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
 
@@ -835,6 +836,35 @@ def frac_squarefree_part(p):
     quot, rem = frac_pdivmod(p, frac_pgcd(p, deriv) or [1])
     assert not rem
     return _frac_primitive(quot)
+
+
+# --- cyclotomic polynomials by division ------------------------------------
+
+@lru_cache(maxsize=None)
+def cyclotomic_by_division(d):
+    """Phi_d as t^d - 1 divided by Phi_e for every proper divisor e of d,
+    each by integer division, where the library multiplies and divides by
+    binomials t^e - 1 only."""
+    p = [-1] + [0] * (d - 1) + [1]
+    for e in range(1, d):
+        if d % e == 0:
+            p, rem = pdivmod(p, cyclotomic_by_division(e))
+            assert not rem, "Phi_e divides t^d - 1"
+    return tuple(p)
+
+
+def pdivides(q, p):
+    """Whether q divides p over Q (both integer polynomials), by the
+    remainder of one pseudo-division."""
+    if not pnorm(q):
+        return not pnorm(p)
+    return not pdivmod(p, q)[1]
+
+
+def vanishes_at_root_of_unity_by_division(coeffs, d):
+    """Whether Phi_d divides the integer polynomial coeffs, by one division
+    by Phi_d, where the library folds coeffs mod t^d - 1."""
+    return pdivides(cyclotomic_by_division(d), coeffs)
 
 
 # --- Arf invariant from an integer symplectic basis -------------------------

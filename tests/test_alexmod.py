@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,6 +13,7 @@ from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
                      torsion_order_by_resultant)
 
 from knotsig import intmat
+from knotsig.alexmod import binomial_difference_coeffs
 from knotsig.seifert import validate_seifert
 
 from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, conjugate, mirror,
@@ -33,6 +35,12 @@ class TestCyclicQuotient:
         hom = cyclic_quotient(alexander_module(trefoil), 6)
         assert hom.free_rank == 2
         assert torsion_order_by_resultant(trefoil, 6) == 0
+
+    def test_binomial_difference_coeffs(self):
+        # the ratio of consecutive binomials against math.comb afresh per j
+        for k in range(1, 301):
+            assert binomial_difference_coeffs(k) == \
+                [(-1) ** (k - j + 1) * math.comb(k, j) for j in range(k)], k
 
     def test_unknot_any_k(self, unknot):
         for k in (1, 2, 5):

@@ -1,12 +1,13 @@
 """The trivial module, the unknot's 0 x 0 Seifert matrix, k = 1 and the
-first cyclotomic polynomial run the code that every other input runs;
-these pin the values that code gives on them."""
+first two cyclotomic polynomials and roots of unity run the code that every
+other input runs; these pin the values that code gives on them."""
 
 from knotsig import (FiniteLambdaModule, SemidirectElement, UnitRootAngle,
                      character_table_checks, enumerate_irreps, eta_cyclic,
                      find_seifert_metabolizer, semidirect_inverse, semidirect_mul,
                      signature_function, tl_signature_at, torsion_order_by_resultant)
-from knotsig.polyz import cyclotomic
+from knotsig.mbreps import roots_of_unity_sum_equals
+from knotsig.polyz import cyclotomic, vanishes_at_root_of_unity
 
 from conftest import TREFOIL, UNKNOT
 
@@ -48,3 +49,23 @@ class TestDegenerateInputs:
 
     def test_first_cyclotomic(self):
         assert cyclotomic(1) == (-1, 1)
+
+    def test_second_cyclotomic(self):
+        # d = 2 has one prime and d = 1 none: t^2 - 1 over t - 1, and t - 1
+        assert cyclotomic(2) == (1, 1)
+
+    def test_vanishing_at_one_and_minus_one(self):
+        # d = 1 folds f to its value at 1; d = 2 to f(1) and f(-1), then
+        # 1 - t keeps only the value at -1
+        assert vanishes_at_root_of_unity([3, -1, -2], 1)
+        assert not vanishes_at_root_of_unity([1, 1], 1)
+        assert vanishes_at_root_of_unity([1, 1], 2)
+        assert vanishes_at_root_of_unity([-1, 0, 1], 2)
+        assert not vanishes_at_root_of_unity([-1, 1], 2)
+        assert vanishes_at_root_of_unity([], 1) and vanishes_at_root_of_unity([], 2)
+
+    def test_sums_of_first_and_second_roots_of_unity(self):
+        assert roots_of_unity_sum_equals({0: 4}, 4, 1)
+        assert not roots_of_unity_sum_equals({0: 4}, 3, 1)
+        assert roots_of_unity_sum_equals({0: 2, 1: 3}, -1, 2)
+        assert not roots_of_unity_sum_equals({0: 2, 1: 3}, 5, 2)

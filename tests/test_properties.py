@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
@@ -14,9 +14,9 @@ from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
 from knotsig.alexmod import torsion_order_by_resultant
 from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
                            isolate_roots, padd, palindromic_compact, pdeg,
-                           pdivides, pdivmod, peval, pgcd, pmul, pnorm,
+                           pdivmod, peval, pgcd, pmul, pnorm,
                            pprimitive, psign, squarefree_part, sturm_chain,
-                           sturm_count)
+                           sturm_count, vanishes_at_root_of_unity)
 from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron,
                             mat_mul, mat_pow_mod, mat_sub, prime_factorization,
                             smith_form, transpose)
@@ -24,7 +24,7 @@ from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
 from conftest import conjugate, random_interesting_seifert, random_seifert, torus_seifert
-from oracles import pi_bounds, sign_at_cos_turn, xgcd
+from oracles import pdivides, pi_bounds, sign_at_cos_turn, xgcd
 
 
 @st.composite
@@ -920,6 +920,44 @@ class TestPseudoDivision:
                 if d % e == 0:
                     prod_ = pmul(prod_, list(cyclotomic(e)))
             assert prod_ == [-1] + [0] * (d - 1) + [1], d
+
+
+class TestRootsOfUnityByBinomials:
+    """cyclotomic multiplies and divides by binomials t^e - 1, and
+    vanishes_at_root_of_unity folds mod t^d - 1; the oracles divide by
+    Phi_e. d runs to 2310, above the d <= 180 of the kernels benchmark."""
+
+    def test_cyclotomic_below_400(self):
+        for d in range(1, 400):
+            assert cyclotomic(d) == oracles.cyclotomic_by_division(d), d
+
+    @given(st.integers(1, 1500))
+    @example(2310)  # 2*3*5*7*11: 16 binomials up, 16 down
+    @example(729)
+    @example(1024)
+    @settings(max_examples=40, deadline=None)
+    def test_cyclotomic_against_division(self, d):
+        phi = cyclotomic(d)
+        assert phi == oracles.cyclotomic_by_division(d)
+        assert len(phi) - 1 == euler_phi(d)
+
+    @given(st.data(), st.integers(1, 400))
+    @settings(max_examples=150, deadline=None)
+    def test_vanishing_against_division(self, data, d):
+        f = data.draw(st.lists(st.integers(-4, 4), max_size=3 * d))
+        assert vanishes_at_root_of_unity(f, d) == \
+            oracles.vanishes_at_root_of_unity_by_division(f, d)
+
+    @given(st.data(), st.integers(1, 400))
+    @settings(max_examples=100, deadline=None)
+    def test_vanishing_on_multiples_of_phi(self, data, d):
+        g = data.draw(st.lists(st.integers(-4, 4), min_size=1, max_size=2 * d))
+        f = pmul(list(cyclotomic(d)), g)
+        assert vanishes_at_root_of_unity(f, d)
+        assert oracles.vanishes_at_root_of_unity_by_division(f, d)
+        # Phi_e for e != d has no root at zeta_d
+        e = data.draw(st.integers(1, 400).filter(lambda e: e != d))
+        assert not vanishes_at_root_of_unity(list(cyclotomic(e)), d)
 
 
 class TestNoFloatingPoint:

@@ -10,14 +10,14 @@ from knotsig import (CirclePoint, UnitRootAngle, alexander_polynomial,
                      factorial_schedule)
 from knotsig.knotio import read_knot
 from knotsig.realalg import AlgebraicElement, cos_turn_bounds
-from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, pdivides,
-                           peval, squarefree_part, sturm_chain, sturm_count)
+from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, peval,
+                           squarefree_part, sturm_chain, sturm_count)
 from knotsig.signature import (_compute_breakpoints, _dyadic_between,
                                _root_of_unity_orders)
 
 from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
                       random_interesting_seifert, random_seifert, torus_seifert)
-from oracles import (_char_poly_in_x, _signature_at_x, sign_at_cos_turn,
+from oracles import (_char_poly_in_x, _signature_at_x, pdivides, sign_at_cos_turn,
                      tl_signature_by_congruence, torus_signature_by_lattice_count,
                      tl_signature_by_cos_enclosure)
 
