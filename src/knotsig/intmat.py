@@ -8,7 +8,9 @@ normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
 library shares: determinant, signature of a symmetric matrix,
 characteristic polynomial, modular matrix power, prime factorization and
-Euler's phi. The determinant is Bareiss elimination with a divisor per
+Euler's phi. The signature and the characteristic polynomial run on each
+connected block of a matrix (diagonal_blocks), so a block sum costs what
+its summands cost. The determinant is Bareiss elimination with a divisor per
 row: a row whose entry in the pivot column is zero is left alone, and when
 a pivot column reaches it, it is divided by the pivot of the step that
 last changed it, which is exact because the quotient is a minor. It also
@@ -20,6 +22,10 @@ import os
 from functools import cached_property
 from itertools import count
 from math import gcd
+
+# intmat and polyz import each other, so each reads the other's names at
+# call time
+from . import polyz
 
 
 class CapExceeded(RuntimeError):
@@ -139,9 +145,44 @@ def det(mat):
     return sign * m[n - 1][n - 1] * prev // div[n - 1]
 
 
+def diagonal_blocks(mat):
+    """The principal submatrices of a square matrix on the connected
+    components of its support graph, each a new list of rows with its
+    indices in increasing order, the components in order of their least
+    index. Indices i and j are joined when entry (i, j) or (j, i) is
+    nonzero, by the entry's truth value, so any ring element with one
+    serves. A simultaneous permutation of rows and columns takes the
+    matrix to the block sum of these blocks.
+
+    A breadth-first search keeps the indices no component has reached and
+    tests only those, so it stops as soon as every index is reached: a
+    matrix whose first row reaches every index costs one pass over it, and
+    a component that reaches every index is the one block, copied row by
+    row."""
+    n, out = len(mat), []
+    rest = list(range(n))
+    while rest:
+        comp, rest = rest[:1], rest[1:]
+        for i in comp:
+            if not rest:
+                break
+            row, left = mat[i], []
+            for j in rest:
+                (comp if row[j] or mat[j][i] else left).append(j)
+            rest = left
+        if len(comp) == n:
+            return [[list(row) for row in mat]]
+        comp.sort()
+        out.append([[mat[i][j] for j in comp] for i in comp])
+    return out
+
+
 def congruence_signature(mat):
-    """Signature of a symmetric integer matrix, by fraction-free symmetric
-    Gaussian elimination: Bareiss with diagonal pivots.
+    """Signature of a symmetric integer matrix: the sum over its
+    diagonal_blocks of fraction-free symmetric Gaussian elimination,
+    Bareiss with diagonal pivots. Reordering rows and columns by one
+    permutation is a congruence, so by Sylvester's law the signature of
+    the block sum is the sum of the blocks' signatures.
 
     After each pivot the open block holds the Schur complement times the
     last pivot, which is the leading principal minor of a symmetric
@@ -151,7 +192,11 @@ def congruence_signature(mat):
     entry b_ij gets the congruence u_i += u_j, which makes b_ii = 2*b_ij;
     applied to the whole matrix it changes no minor of the pivots taken,
     so exactness is kept. A zero block contributes nothing."""
-    b = [list(row) for row in mat]
+    return sum(map(_eliminate_symmetric, diagonal_blocks(mat)))
+
+
+def _eliminate_symmetric(b):
+    # the signature of one block, eliminated in place
     sig = 0
     prev = 1
     while b:
@@ -199,10 +244,21 @@ def mat_pow_mod(m, e, mod):
 
 def char_poly(mat):
     """Coefficients c_0..c_n of det(lambda*I - M) for a square integer
-    matrix M, lowest degree first, by Faddeev-LeVerrier over Z.
+    matrix M, lowest degree first: the product over its diagonal_blocks of
+    Faddeev-LeVerrier over Z. Reordering rows and columns by one
+    permutation is a similarity, which keeps the characteristic
+    polynomial, and that of a block sum is the product of the blocks'.
 
     N_1 = I, c_(n-k) = -tr(M N_k)/k, N_(k+1) = M N_k + c_(n-k) I. The
     coefficients are integers, so every division by k is exact."""
+    out = [1]
+    for block in diagonal_blocks(mat):
+        out = polyz.pmul(out, _faddeev_leverrier(block))
+    return out
+
+
+def _faddeev_leverrier(mat):
+    # the characteristic polynomial of one block
     n = len(mat)
     coeffs = [0] * n + [1]
     nk = identity(n)

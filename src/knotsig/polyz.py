@@ -12,7 +12,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd
 
-from .intmat import det, prime_factorization
+# intmat and polyz import each other, so each reads the other's names at
+# call time
+from . import intmat
 
 
 def pnorm(p):
@@ -229,7 +231,7 @@ def cyclotomic(d):
     m). The factors with mu = +1 are multiplied in first, then those with
     mu = -1 divided out exactly, each a linear pass over the coefficients."""
     up, down = [d], []
-    for p in prime_factorization(d):
+    for p in intmat.prime_factorization(d):
         up, down = up + [e // p for e in down], down + [e // p for e in up]
     f = [1]
     for e in up:
@@ -261,7 +263,7 @@ def vanishes_at_root_of_unity(coeffs, d):
     v = [0] * d
     for i, c in enumerate(coeffs):
         v[i % d] += c
-    for p in prime_factorization(d):
+    for p in intmat.prime_factorization(d):
         s = d // p
         v = [a - b for a, b in zip(v, v[-s:] + v[:-s])]  # v * (1 - t^s)
     return not any(v)
@@ -328,5 +330,5 @@ def resultant(p, q):
     for i in range(n):
         for j, c in enumerate(reversed(q)):
             syl[m + i][i + j] = c
-    return det(syl)
+    return intmat.det(syl)
 

@@ -26,7 +26,9 @@ realification of H is congruent to the rational form
 [[P, T], [-T, P/(1-x^2)]], P = (1-x)S, of twice the signature; congruent
 by diag(I, (1+x)I) and scaled by q > 0 it is the integer matrix
 [[(q-p)S, (q+p)T], [-(q+p)T, (q+p)S]], and its signature comes from
-fraction-free symmetric elimination (intmat.congruence_signature).
+fraction-free symmetric elimination (intmat.congruence_signature), one
+block at a time: the form of a block sum of Seifert matrices is, after
+reordering, the block sum of the summands' forms.
 
 At a simple root of G, det H vanishes to first order and the eigenvalues
 are analytic in theta (Rellich), so exactly one crosses zero: the adjacent

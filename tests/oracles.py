@@ -382,6 +382,18 @@ def char_poly_at_x_by_interpolation(a, x):
     return _poly_sqrt_monic(sq)
 
 
+def char_poly_by_interpolation(mat):
+    """det(lambda I - M) for a square integer matrix M, lowest degree
+    first, interpolated through exact determinants over Q at the n + 1
+    nodes lambda = 0..n, with no Faddeev-LeVerrier and no block split."""
+    n = len(mat)
+    nodes = list(range(n + 1))
+    vals = [_frac_det([[(lam if i == j else 0) - x for j, x in enumerate(row)]
+                       for i, row in enumerate(mat)]) for lam in nodes]
+    assert all(v.denominator == 1 for v in vals)
+    return pinterpolate(nodes, [int(v) for v in vals])
+
+
 def _frac_det(m):
     """Determinant by Gaussian elimination over Q (entries taken as
     Fractions, so integer input stays exact)."""

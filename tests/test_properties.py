@@ -17,7 +17,8 @@ from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
                            pdivmod, peval, pgcd, pmul, pnorm,
                            pprimitive, psign, squarefree_part, sturm_chain,
                            sturm_count, vanishes_at_root_of_unity)
-from knotsig.intmat import (congruence_signature, det, euler_phi, identity, kron,
+from knotsig.intmat import (char_poly, congruence_signature, det, diagonal_blocks,
+                            euler_phi, identity, kron,
                             mat_mul, mat_pow_mod, mat_sub, prime_factorization,
                             smith_form, transpose)
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
@@ -71,14 +72,15 @@ class TestSignatureInvariants:
 
 @st.composite
 def repeated_sums(draw):
-    """K # K or K # K # K for a random K of genus 1-3, conjugated: G has
-    multiple roots wherever K has breakpoints."""
+    """K # K or K # K # K for a random K of genus 1-3, conjugated or not: G
+    has multiple roots wherever K has breakpoints. Unconjugated, the forms
+    over Q(alpha) at those roots split into one block per summand."""
     rng = random.Random(draw(st.integers(0, 10 ** 6)))
     k = random_interesting_seifert(rng, draw(st.integers(1, 3)))
     out = block_sum(k, k)
     if draw(st.booleans()):
         out = block_sum(out, k)
-    return conjugate(rng, out)
+    return conjugate(rng, out) if draw(st.booleans()) else out
 
 
 class TestMultipleRootPoints:
@@ -206,6 +208,61 @@ class TestCongruenceSignature:
         assert congruence_signature([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 0
         assert congruence_signature([[-3]]) == -1
         assert congruence_signature([[2, 1], [1, 2]]) == 2
+
+
+@st.composite
+def square_matrices(draw):
+    """Random integer matrices up to 5 x 5, some with zero rows."""
+    n = draw(st.integers(0, 5))
+    zero = draw(st.sets(st.integers(0, 4), max_size=2))
+    return [[0 if i in zero else draw(st.integers(-4, 4)) for _ in range(n)]
+            for i in range(n)]
+
+
+@st.composite
+def permuted_block_sums(draw, blocks):
+    """(M, [B_1, ..]): the block sum of one to three matrices drawn from
+    `blocks` or all zero, its rows and columns reordered by one random
+    permutation."""
+    zero = st.integers(1, 3).map(lambda k: [[0] * k for _ in range(k)])
+    parts = draw(st.lists(st.one_of(blocks, zero), min_size=1, max_size=3))
+    # (block, index in it) for every row of the sum, in a random order
+    order = draw(st.permutations([(b, i) for b, part in enumerate(parts)
+                                  for i in range(len(part))]))
+    m = [[parts[b][i][j] if b == c else 0 for c, j in order] for b, i in order]
+    return m, parts
+
+
+class TestDiagonalBlocks:
+    """A simultaneous permutation of rows and columns is a congruence and a
+    similarity: the signature of a reordered block sum is the sum of the
+    blocks' and its characteristic polynomial their product."""
+
+    @given(permuted_block_sums(symmetric_matrices()))
+    @settings(max_examples=150, deadline=None)
+    def test_signature_adds_over_blocks(self, case):
+        m, parts = case
+        expected = oracles.symmetric_signature(m)
+        assert congruence_signature(m) == expected
+        assert sum(map(congruence_signature, parts)) == expected
+
+    @given(permuted_block_sums(square_matrices()))
+    @settings(max_examples=150, deadline=None)
+    def test_char_poly_multiplies_over_blocks(self, case):
+        m, parts = case
+        expected = oracles.char_poly_by_interpolation(m)
+        assert char_poly(m) == expected
+        product = [1]
+        for part in parts:
+            product = pmul(product, char_poly(part))
+        assert product == expected
+
+    def test_blocks_of_a_reordered_sum(self):
+        # 0 and 2 are joined by entry (0, 2) alone, 1 and 3 by (3, 1) alone
+        m = [[1, 0, 2, 0], [0, 0, 0, 0], [0, 0, 3, 0], [0, 5, 0, 0]]
+        assert diagonal_blocks(m) == [[[1, 2], [0, 3]], [[0, 0], [5, 0]]]
+        assert diagonal_blocks([]) == []
+        assert diagonal_blocks([[0, 0], [0, 0]]) == [[[0]], [[0]]]
 
 
 class TestArfInvariant:

@@ -791,6 +791,19 @@ class TestPointValues:
         assert any(ring and len(ring[1]) < len(m) for _, m, ring in point_calls), \
             "no zero divisor"
 
+    def test_torus_cube_pinned(self, point_calls):
+        # T(3,5) # T(3,5) # T(3,5): G = psi_15^3, so every breakpoint is a
+        # multiple root, and its form over Q(alpha) splits into one block
+        # per summand; the values are three times T(3,5)'s
+        t35 = torus_seifert(3, 5)
+        sf = signature_function.__wrapped__(self.ksum(t35, 3))  # uncached
+        assert sf.arc_values == (-6, -12, -18, -24, -18, -12, -6, 0)
+        assert sf.point_values == (-3, -9, -15, -21, -21, -15, -9, -3)
+        assert len(point_calls) == 4
+        single = signature_function(t35)
+        assert sf.arc_values == tuple(3 * v for v in single.arc_values)
+        assert sf.point_values == tuple(3 * v for v in single.point_values)
+
     def test_slice_sum_vanishes(self):
         # K # -K is slice: its step function is 0, points included. Its
         # Delta is a square, so every breakpoint takes the fallback.
