@@ -436,15 +436,6 @@ class Character:
     def make(cls, modulus, exponents):
         return cls(modulus, tuple(int(c) % modulus for c in exponents))
 
-    @classmethod
-    def _reduced(cls, modulus, exponents):
-        # a Character from a tuple already reduced mod a valid modulus, built
-        # as the frozen dataclass builds one but without __post_init__'s check
-        chi = object.__new__(cls)
-        object.__setattr__(chi, "modulus", modulus)
-        object.__setattr__(chi, "exponents", exponents)
-        return chi
-
     def is_well_defined_on(self, module: FiniteLambdaModule):
         return len(self.exponents) == module.rank and all(
             (d * c) % self.modulus == 0 for d, c in zip(module.torsion, self.exponents))
@@ -461,18 +452,17 @@ class Character:
         return tuple([sum(map(mul, col, exponents)) % modulus for col in t_columns])
 
     def orbit(self, module: FiniteLambdaModule):
-        """chi, chi o t, chi o t^2, ... up to the first return to chi, so
-        its length is the period of chi under t. The walk runs on exponent
-        tuples, and one Character is built per member, unchecked: compose_t
-        reduces the exponents mod the modulus, and chi o t of a well-defined
-        chi is well defined. The walk ends because t is invertible, which
-        the dual action inherits for a well-defined chi."""
+        """The exponent tuples of chi, chi o t, chi o t^2, ... up to the
+        first return to chi, so its length is the period of chi under t. Each
+        member is reduced mod the modulus, and chi o t of a well-defined chi
+        is well defined. The walk ends because t is invertible, which the
+        dual action inherits for a well-defined chi."""
         if not self.is_well_defined_on(module):
             raise ValueError("character is not well defined on the module")
         m, start, cols = self.modulus, self.exponents, tuple(zip(*module.t_matrix))
-        orbit, cur = [self], self.compose_t(start, cols, m)
+        orbit, cur = [start], self.compose_t(start, cols, m)
         while cur != start:
-            orbit.append(self._reduced(m, cur))
+            orbit.append(cur)
             cur = self.compose_t(cur, cols, m)
         return tuple(orbit)
 

@@ -8,13 +8,14 @@ is deterministic: identical inputs give byte-identical output.
 
 import argparse
 import io
+import re
 import sys
 from fractions import Fraction
 
 from .alexmod import (FiniteLambdaModule, alexander_module, cyclic_quotient,
                       double_cover_linking_form, find_linking_metabolizers,
                       torsion_order_by_resultant)
-from .intmat import CapExceeded
+from .intmat import CapExceeded, default_cap
 from .knotio import dump_json, frac_str, read_json, read_knot
 from .mbreps import enumerate_irreps, rep_json
 from .resolve import build_resolution
@@ -27,6 +28,12 @@ FACTORIAL_CAP = 10  # largest N for the factorial:N schedule
 
 
 def _parse_eps(text):
+    # Fraction raises 10 to the exponent of a decimal before any cap applies
+    decimal = re.fullmatch(r"\s*[-+]?(?=\d|\.\d)(?:\d*|\d+(?:_\d+)*)(?:\.(?:\d*|\d+(?:_\d+)*))?"
+                           r"[eE][-+]?(\d+(?:_\d+)*)\s*", text)
+    exponent = int(decimal[1]) if decimal else 0
+    if exponent > (cap := default_cap()):
+        raise CapExceeded(exponent, cap, "eps exponent")
     try:
         eps = Fraction(text)
     except ZeroDivisionError:

@@ -6,14 +6,14 @@ row transform, its inverse or the column transform on first read, so
 module structure (like a group action) can be transported to the
 normal-form basis, and a caller that reads only the diagonal builds no
 transform. This module is the one home of the integer primitives the
-library shares: determinant, signature of a symmetric matrix,
-characteristic polynomial, modular matrix power, prime factorization and
-Euler's phi. The signature and the characteristic polynomial run on each
-connected block of a matrix (diagonal_blocks), so a block sum costs what
-its summands cost. The determinant is Bareiss elimination with a divisor per
-row: a row whose entry in the pivot column is zero is left alone, and when
-a pivot column reaches it, it is divided by the pivot of the step that
-last changed it, which is exact because the quotient is a minor. It also
+library shares: determinant, signature of a symmetric matrix, modular
+matrix power, prime factorization and Euler's phi. The signature runs on
+each connected block of a matrix (diagonal_blocks), so a block sum costs
+what its summands cost; polyz.char_poly splits a matrix the same way. The
+determinant is Bareiss elimination with a divisor per row: a row whose
+entry in the pivot column is zero is left alone, and when a pivot column
+reaches it, it is divided by the pivot of the step that last changed it,
+which is exact because the quotient is a minor. It also
 holds the one enumeration cap (KNOTSIG_CAP), which bounds the library's
 searches and the rho steps of the factorization.
 """
@@ -22,10 +22,6 @@ import os
 from functools import cached_property
 from itertools import count
 from math import gcd
-
-# intmat and polyz import each other, so each reads the other's names at
-# call time
-from . import polyz
 
 
 class CapExceeded(RuntimeError):
@@ -240,37 +236,6 @@ def mat_pow_mod(m, e, mod):
         if e:
             base = mul(base, base)
     return result
-
-
-def char_poly(mat):
-    """Coefficients c_0..c_n of det(lambda*I - M) for a square integer
-    matrix M, lowest degree first: the product over its diagonal_blocks of
-    Faddeev-LeVerrier over Z. Reordering rows and columns by one
-    permutation is a similarity, which keeps the characteristic
-    polynomial, and that of a block sum is the product of the blocks'.
-
-    N_1 = I, c_(n-k) = -tr(M N_k)/k, N_(k+1) = M N_k + c_(n-k) I. The
-    coefficients are integers, so every division by k is exact."""
-    out = [1]
-    for block in diagonal_blocks(mat):
-        out = polyz.pmul(out, _faddeev_leverrier(block))
-    return out
-
-
-def _faddeev_leverrier(mat):
-    # the characteristic polynomial of one block
-    n = len(mat)
-    coeffs = [0] * n + [1]
-    nk = identity(n)
-    for k in range(1, n + 1):
-        mn = mat_mul(mat, nk)
-        c, r = divmod(-sum(mn[i][i] for i in range(n)), k)
-        assert r == 0, "Faddeev-LeVerrier division must be exact over Z"
-        coeffs[n - k] = c
-        for i in range(n):
-            mn[i][i] += c
-        nk = mn
-    return coeffs
 
 
 class SmithForm:

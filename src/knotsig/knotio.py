@@ -27,7 +27,10 @@ def read_knot(path) -> SeifertMatrix:
         raise ValueError("knot file must hold a JSON object")
     if "seifert" not in data:
         raise ValueError("knot file must contain a 'seifert' matrix")
-    return validate_seifert(data["seifert"], name=data.get("name"))
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError("knot name must be a string")
+    return validate_seifert(data["seifert"], name=name)
 
 
 def frac_str(x) -> str:

@@ -9,7 +9,8 @@ its coefficient vector, times the product of the 1 - t^(N/p) over the
 primes p | N, is zero in Z[t]/(t^N - 1).
 Products are built by sum, map and zip, with no Python frame per entry,
 from caches on the objects: t^e on the module, and on each MetabelianRep
-its modulus and the rows chi o t^j, j < l, read from Character.orbit.
+its modulus and the rows chi o t^j, j < l, scaled from the exponent tuples
+of the one Character.orbit walk that it is built from.
 """
 
 from dataclasses import dataclass
@@ -112,12 +113,13 @@ class MetabelianRep:
     """The dimension-l unitary representation determined by a circle point
     z and a character chi on F: (n, h) maps to z^n P^n diag(chi(h),
     chi(t h), ..., chi(t^(l-1) h)) with P the cyclic shift whose first row
-    has its 1 in the last column."""
+    has its 1 in the last column. orbit is chi.orbit(module), the exponent
+    tuples of chi o t^j up to chi's period, which must divide l."""
 
     dim: int
     z: UnitRootAngle
     chi: Character
-    module: FiniteLambdaModule
+    orbit: tuple
 
     @cached_property
     def modulus(self):
@@ -129,9 +131,8 @@ class MetabelianRep:
     def _orbit(self):
         # the exponents of chi o t^j, j < l, scaled to the modulus N (chi is
         # well defined, so chi(t^j h) = (chi o t^j)(h)), and the l shifts
-        l, scale = self.dim, self.modulus // self.chi.modulus
-        orbit = self.chi.orbit(self.module)
-        rows = tuple(tuple(scale * c for c in orbit[j % len(orbit)].exponents) for j in range(l))
+        l, orbit, scale = self.dim, self.orbit, self.modulus // self.chi.modulus
+        rows = tuple(tuple(scale * c for c in orbit[j % len(orbit)]) for j in range(l))
         return rows, tuple(tuple((j + n) % l for j in range(l)) for n in range(l))
 
     def _turns(self, elem):
@@ -167,27 +168,29 @@ def rep_json(rep: MetabelianRep, m: int):
 
 def build_rep(l: int, z: UnitRootAngle, chi: Character,
               module: FiniteLambdaModule) -> MetabelianRep:
-    """Construct the block representation; requires chi to be periodic of
-    period dividing l under t. It is irreducible when that period is l."""
-    if l % len(chi.orbit(module)):
+    """Construct the block representation from one walk of chi's orbit;
+    requires chi to be periodic of period dividing l under t. It is
+    irreducible when that period is l."""
+    orbit = chi.orbit(module)
+    if l % len(orbit):
         raise CharacterNotPeriodic(f"character does not return after t^{l}")
-    return MetabelianRep(l, z, chi, module)
+    return MetabelianRep(l, z, chi, orbit)
 
 
 def _character_orbits(module: FiniteLambdaModule):
-    """Orbits of the characters of F under chi -> chi o t, keyed by the
-    lexicographically smallest exponent tuple and in increasing key order;
-    modulus is d_r (1 on the trivial module). characters_of runs the
-    characters in lexicographic order, so the first one met in an orbit is
-    its key."""
+    """Orbits of the characters of F under chi -> chi o t, as pairs (chi,
+    chi.orbit(module)) with chi the member of lexicographically smallest
+    exponents, in increasing order of chi; modulus is d_r (1 on the trivial
+    module). characters_of runs the characters in lexicographic order, so
+    the first one met in an orbit is that member."""
     seen = set()
     orbits = []
     for chi in characters_of(module, max(module.torsion, default=1)):
         if chi.exponents in seen:
             continue
         orbit = chi.orbit(module)
-        seen.update(chi.exponents for chi in orbit)
-        orbits.append((orbit[0], len(orbit)))
+        seen.update(orbit)
+        orbits.append((chi, orbit))
     return orbits
 
 
@@ -211,12 +214,11 @@ def enumerate_irreps(m: int, module: FiniteLambdaModule):
     o = module.action_order()
     reps = []
     total = 0
-    for chi, l in _character_orbits(module):
+    for chi, orbit in _character_orbits(module):
+        l = len(orbit)
         assert o % l == 0 and m % l == 0, "orbit size must divide the action order"
         for a in range(m // l):
-            z = UnitRootAngle.of(a, m)
-            rep = MetabelianRep(l, z, chi, module)
-            reps.append(rep)
+            reps.append(MetabelianRep(l, UnitRootAngle.of(a, m), chi, orbit))
             total += l * l
     assert total == m * module.order(), "sum of squared dimensions certificate"
     return reps

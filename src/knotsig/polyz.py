@@ -6,15 +6,14 @@ Everything here is exact and integer: division is pseudo-division over
 Z, and a sign at a rational point num/den is the sign of the homogeneous
 integer sum of c_i * num^i * den^(d-i) (psign), so the bisection points of
 isolate_roots are the only Fractions and no Fraction is multiplied.
+Resultants and characteristic polynomials of integer matrices build on intmat.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd
 
-# intmat and polyz import each other, so each reads the other's names at
-# call time
-from . import intmat
+from .intmat import det, diagonal_blocks, identity, mat_mul, prime_factorization
 
 
 def pnorm(p):
@@ -231,7 +230,7 @@ def cyclotomic(d):
     m). The factors with mu = +1 are multiplied in first, then those with
     mu = -1 divided out exactly, each a linear pass over the coefficients."""
     up, down = [d], []
-    for p in intmat.prime_factorization(d):
+    for p in prime_factorization(d):
         up, down = up + [e // p for e in down], down + [e // p for e in up]
     f = [1]
     for e in up:
@@ -263,7 +262,7 @@ def vanishes_at_root_of_unity(coeffs, d):
     v = [0] * d
     for i, c in enumerate(coeffs):
         v[i % d] += c
-    for p in intmat.prime_factorization(d):
+    for p in prime_factorization(d):
         s = d // p
         v = [a - b for a, b in zip(v, v[-s:] + v[:-s])]  # v * (1 - t^s)
     return not any(v)
@@ -307,7 +306,7 @@ def cos_minimal_poly(d):
     return tuple(cos_compact(cyclotomic(d)))
 
 
-# Resultants ---------------------------------------------------------------
+# Resultants and characteristic polynomials ------------------------------
 
 def resultant(p, q):
     """Resultant of two integer polynomials, exactly (Sylvester + Bareiss det).
@@ -330,5 +329,34 @@ def resultant(p, q):
     for i in range(n):
         for j, c in enumerate(reversed(q)):
             syl[m + i][i + j] = c
-    return intmat.det(syl)
+    return det(syl)
+
+
+def char_poly(mat):
+    """Coefficients c_0..c_n of det(lambda*I - M) for a square integer
+    matrix M, lowest degree first: the product over its intmat.diagonal_blocks
+    of Faddeev-LeVerrier over Z (a 0 x 0 matrix, with no block, gives 1).
+    Reordering rows and columns by one permutation is a similarity, which
+    keeps the characteristic polynomial, and that of a block sum is the
+    product of the blocks'.
+
+    N_1 = I, c_(n-k) = -tr(M N_k)/k, N_(k+1) = M N_k + c_(n-k) I. The
+    coefficients are integers, so every division by k is exact."""
+    return reduce(pmul, map(_faddeev_leverrier, diagonal_blocks(mat) or [mat]))
+
+
+def _faddeev_leverrier(mat):
+    # the characteristic polynomial of one block
+    n = len(mat)
+    coeffs = [0] * n + [1]
+    nk = identity(n)
+    for k in range(1, n + 1):
+        mn = mat_mul(mat, nk)
+        c, r = divmod(-sum(mn[i][i] for i in range(n)), k)
+        assert r == 0, "Faddeev-LeVerrier division must be exact over Z"
+        coeffs[n - k] = c
+        for i in range(n):
+            mn[i][i] += c
+        nk = mn
+    return coeffs
 

@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import intmat
 from .intmat import CapExceeded, default_cap
-from .polyz import peval
+from .polyz import char_poly, peval
 
 
 class MalformedMatrix(ValueError):
@@ -191,7 +191,7 @@ def alexander_polynomial(a):
     interpolation.
     """
     n = a.n
-    c = intmat.char_poly(a.gamma)
+    c = char_poly(a.gamma)
     coeffs = [(-1) ** i * sum(comb(j, i) * c[n - j] for j in range(i, n + 1))
               for i in range(n + 1)]
     poly = IntLaurentPoly.make(coeffs).canonical()

@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from knotsig.intmat import char_poly, det, euler_phi, identity
+from knotsig.intmat import det, euler_phi, identity
 from knotsig.mbreps import MonomialMatrix
-from knotsig.polyz import (_variations, cos_minimal_poly, palindromic_compact,
+from knotsig.polyz import (_variations, char_poly, cos_minimal_poly, palindromic_compact,
                            pdeg, pdivmod, peval, pnorm, psubst_scale)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
@@ -244,18 +244,18 @@ def semidirect_mul_by_definition(x, y, module, cyclic_order=None):
                                       zip(th, vec_reduce(module, y.h), module.torsion)))
 
 
-def rep_matrix_by_definition(rep, elem):
+def rep_matrix_by_definition(rep, elem, module):
     """z^n P^n diag(chi(h), chi(t h), ..., chi(t^(l-1) h)), with chi(t^j h)
-    from t applied j times to the reduced h."""
+    from t applied j times to the reduced h, on the module rep acts on."""
     l, n, big = rep.dim, elem.n, rep.modulus
     zn = n * rep.z.numerator * (big // rep.z.denominator)
     scale = big // rep.chi.modulus
-    h = vec_reduce(rep.module, elem.h)
+    h = vec_reduce(module, elem.h)
     turns = []
     for _ in range(l):
         chi_h = sum(c * v for c, v in zip(rep.chi.exponents, h)) % rep.chi.modulus
         turns.append((zn + scale * chi_h) % big)
-        h = vec_t_apply(rep.module, h)
+        h = vec_t_apply(module, h)
     return MonomialMatrix(tuple((j + n) % l for j in range(l)), tuple(turns), big)
 
 
@@ -274,9 +274,9 @@ def character_periods_by_definition(module, characters):
             for chi in characters]
 
 
-def character_turns_by_definition(rep, elem):
+def character_turns_by_definition(rep, elem, module):
     """The turns on the diagonal of the full matrix."""
-    mat = rep_matrix_by_definition(rep, elem)
+    mat = rep_matrix_by_definition(rep, elem, module)
     return [mat.turns[j] for j, i in enumerate(mat.perm) if i == j]
 
 

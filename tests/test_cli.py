@@ -1,12 +1,15 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotsig import block_sum
 from knotsig.cli import main
@@ -467,6 +470,33 @@ class TestErrors:
         assert main(argv + [str(deep)]) == 2
         assert "nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ['["x"]', "7"])
+    def test_knot_name_not_a_string(self, capsys, tmp_path, name):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": %s, "seifert": [[-1, 1], [0, -1]]}' % name)
+        assert main(["invariants", "--knot", str(bad)]) == 2
+        assert "knot name must be a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("eps, cap, code", [
+        ("1e-1000", None, 0), ("1e-100", "100", 0), ("1E-101", "100", 4), (".5e+1_01", "100", 4),
+        ("x1e-101", "100", 2)])
+    def test_eps_exponent_over_cap(self, capsys, monkeypatch, eps, cap, code):
+        # the exponent is capped before Fraction raises 10 to it
+        from knotsig import cli
+
+        if code == 4:
+            monkeypatch.setattr(cli, "Fraction", None)
+        if cap is None:
+            monkeypatch.delenv("KNOTSIG_CAP", raising=False)
+        else:
+            monkeypatch.setenv("KNOTSIG_CAP", cap)
+        assert main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", eps]) == code
+        out, err = capsys.readouterr()
+        if code == 4:
+            assert "eps exponent 101 exceeds cap 100" in err
+        elif code == 0:
+            assert out == '{"integral_hi": "-4/3", "integral_lo": "-4/3"}\n'
+
     def test_eps_zero_denominator(self, capsys):
         code = main(["l2", "--knot", str(FIXTURES / "trefoil.json"), "--eps", "1/0"])
         assert code == 2
@@ -491,6 +521,36 @@ def run_fresh(argv):
     return subprocess.run(
         [sys.executable, "-m", "knotsig.cli"] + argv,
         capture_output=True, check=True, env={**os.environ, "PYTHONPATH": path}).stdout.decode()
+
+
+FILE_KEYS = ["name", "seifert", "torsion", "t"]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-4, 4) | st.integers() | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FILE_KEYS), inner, max_size=4),
+    max_leaves=16)
+# a knot or module file: an object with some of the keys the commands read
+FILE_OBJECTS = st.fixed_dictionaries({}, optional=dict.fromkeys(FILE_KEYS, JSON_VALUES))
+
+
+class TestExitCodeContract:
+    """Whatever JSON a knot or module file holds, a command answers (0),
+    rejects the input (2) or stops at a cap (4); exit 3 is a bug."""
+
+    COMMANDS = [["invariants", "--bound", "1", "--knot"], ["sigfn", "--knot"],
+                ["covers", "--k", "2", "--knot"], ["reps", "--m", "2", "--module"]]
+
+    @settings(max_examples=100, deadline=None)
+    @given(value=FILE_OBJECTS | JSON_VALUES)
+    def test_json_file_never_exits_3(self, tmp_path_factory, value):
+        path = tmp_path_factory.getbasetemp() / "contract.json"
+        path.write_text(json.dumps(value))
+        for argv in self.COMMANDS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(argv + [str(path)])
+            assert code in (0, 2, 4), (argv, value, err.getvalue())
 
 
 class TestGolden:

@@ -12,19 +12,20 @@ from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, signature_function,
                      tl_signature_at, validate_seifert)
 from knotsig.alexmod import torsion_order_by_resultant
-from knotsig.polyz import (cos_compact, cos_minimal_poly, cyclotomic,
+from knotsig.polyz import (char_poly, cos_compact, cos_minimal_poly, cyclotomic,
                            isolate_roots, padd, palindromic_compact, pdeg,
                            pdivmod, peval, pgcd, pmul, pnorm,
                            pprimitive, psign, squarefree_part, sturm_chain,
                            sturm_count, vanishes_at_root_of_unity)
-from knotsig.intmat import (char_poly, congruence_signature, det, diagonal_blocks,
+from knotsig.intmat import (congruence_signature, det, diagonal_blocks,
                             euler_phi, identity, kron,
                             mat_mul, mat_pow_mod, mat_sub, prime_factorization,
                             smith_form, transpose)
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
-from conftest import conjugate, random_interesting_seifert, random_seifert, torus_seifert
+from conftest import (SLICE4, TREFOIL, conjugate, random_interesting_seifert, random_seifert,
+                      torus_seifert)
 from oracles import pdivides, pi_bounds, sign_at_cos_turn, xgcd
 
 
@@ -1135,6 +1136,24 @@ class TestOneOrbitWalk:
             assert not calls, f"{path.name}: compose_t at {sorted(c.lineno for c in calls)}"
         assert inside, "Character.orbit walks by compose_t"
 
+    @pytest.mark.parametrize("knot, k, orbits", [(TREFOIL, 9, 2), (SLICE4, 4, 5),
+                                                 (TREFOIL, 24, 1)])
+    def test_one_walk_per_orbit(self, monkeypatch, knot, k, orbits):
+        # the trefoil's 24-fold cover has no torsion: one trivial character
+        from knotsig import (Character, alexander_module, character_table_checks,
+                             cyclic_quotient, enumerate_irreps)
+        module = cyclic_quotient(alexander_module(knot), k).module
+        walk, walks = Character.orbit, []
+
+        def spy(chi, mod):
+            walks.append(chi.exponents)
+            return walk(chi, mod)
+
+        monkeypatch.setattr(Character, "orbit", spy)
+        reps = enumerate_irreps(k, module)
+        assert character_table_checks(reps, k, module).all_ok
+        assert len(walks) == len({frozenset(r.orbit) for r in reps}) == orbits
+
 
 class TestRealalgBoundary:
     """Every cosine comparison is made inside realalg: signature uses only
@@ -1151,3 +1170,22 @@ class TestRealalgBoundary:
                 imported |= {a.name for a in node.names}
         assert "RealAlgebraic" in imported
         assert not [name for name in imported if name.startswith("_")]
+
+
+class TestImportGraph:
+    """The library's modules import each other without a cycle, so each
+    can bind the names it uses when it is imported."""
+
+    def test_no_import_cycle(self):
+        import ast
+        from graphlib import TopologicalSorter
+        from pathlib import Path
+        import knotsig
+        graph = {}
+        for path in sorted(Path(knotsig.__file__).parent.glob("*.py")):
+            deps = graph[path.stem] = set()
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.ImportFrom) and node.level == 1:
+                    deps |= {node.module} if node.module else {a.name for a in node.names}
+        assert graph["polyz"] == {"intmat"}
+        TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
