@@ -10,9 +10,9 @@ by definition, coker(S (x) A - I (x) A^t) with S the k-cycle shift, a
 2gk x 2gk matrix that the test suite reduces as an independent check. The
 order of the torsion has a further exact oracle, the resultant of the
 Alexander polynomial with (t^k - 1)/(t - 1). For k = 2 the linking form on
-the torsion is x^t (A + A^t)^(-1) y mod 1, summed in integers over the one
-denominator d_r; its t-invariant metabolizers are found by a walk over the
-isotropic t-invariant subgroups, each named by its greedy generators."""
+the torsion is x^t (A + A^t)^(-1) y mod 1, held as d_r times it mod d_r;
+its t-invariant metabolizers are found by a walk over the isotropic
+t-invariant subgroups, each named by its greedy generators."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -297,42 +297,39 @@ def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
 
 @dataclass(frozen=True)
 class LinkingForm:
-    """Symmetric nonsingular Q/Z-valued pairing on a FiniteLambdaModule,
-    given by a Gram matrix of fractions mod 1 on the generators."""
+    """Symmetric Q/Z-valued pairing b on a FiniteLambdaModule, held in
+    integers: gram[i][j] = N b(e_i, e_j) mod N, an int in [0, N), with
+    N = d_r (1 on the trivial module)."""
 
     module: FiniteLambdaModule
     gram: tuple
 
     def __post_init__(self):
-        r = self.module.rank
+        r, n = self.module.rank, self.modulus
         g = self.gram
         if len(g) != r or any(len(row) != r for row in g):
             raise ValueError("gram size mismatch")
-        for i in range(r):
+        for i, d in enumerate(self.module.torsion):
             for j in range(r):
+                if not (_is_int(g[i][j]) and 0 <= g[i][j] < n):
+                    raise ValueError("gram entries must be integers in [0, N)")
                 if g[i][j] != g[j][i]:
                     raise ValueError("linking form must be symmetric")
-                v = g[i][j] * self.module.torsion[i]
-                if v.denominator != 1:
+                if d * g[i][j] % n:
                     raise ValueError("form not well defined on the torsion")
 
     @cached_property
-    def _scaled_gram(self):
-        # N = d_r and the gram times N, integers since each d_i divides N
-        n = max(self.module.torsion, default=1)
-        return n, tuple(tuple(int(x * n) for x in row) for row in self.gram)
+    def modulus(self):
+        return max(self.module.torsion, default=1)
 
     def pair(self, u, v):
-        return Fraction(self._pair_residue(u, v), self._scaled_gram[0])
-
-    def _pair_residue(self, u, v):
-        # N times the pairing, an integer mod N: zero exactly when pair is
-        n, gram = self._scaled_gram
-        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, gram) if x) % n
+        """N b(u, v) mod N, an integer residue: zero exactly when u and v
+        pair trivially."""
+        return sum(x * sum(map(mul, row, v)) for x, row in zip(u, self.gram) if x) % self.modulus
 
     def to_json_dict(self):
         d = self.module.to_json_dict()
-        d["gram"] = [[frac_str(x) for x in row] for row in self.gram]
+        d["gram"] = [[frac_str(Fraction(x, self.modulus)) for x in row] for row in self.gram]
         return d
 
 
@@ -346,9 +343,10 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     tor_idx = [i for i, d in enumerate(snf.d) if d > 1]
     torsion = tuple(snf.d[i] for i in tor_idx)
     # D = U B V gives B^-1 = V D^-1 U, and U g_i = e_i for the generator
-    # g_i = column i of U^-1, so g_i^t B^-1 g_j = (g_i . V e_j) / d_j
-    uinv, v = snf.u_inv, snf.v
-    gram = tuple(tuple(Fraction(sum(uinv[r][i] * v[r][j] for r in range(n)), snf.d[j]) % 1
+    # g_i = column i of U^-1, so g_i^t B^-1 g_j = (g_i . V e_j) / d_j, and N
+    # times it is (g_i . V e_j) (N / d_j), N = d_r
+    uinv, v, big = snf.u_inv, snf.v, max(torsion, default=1)
+    gram = tuple(tuple(sum(uinv[r][i] * v[r][j] for r in range(n)) * (big // snf.d[j]) % big
                        for j in tor_idx) for i in tor_idx)
     r = len(tor_idx)
     module = FiniteLambdaModule.make(torsion, [[-int(i == j) for j in range(r)] for i in range(r)])
@@ -361,8 +359,10 @@ def find_linking_metabolizers(form: LinkingForm):
     lexicographically least element of P outside the t-invariant span of
     g_1, ..., g_i. Such a P is isotropic of order sqrt|H|, and so is every
     subgroup inside it, so the walk grows only isotropic t-invariant
-    subgroups up to that order. Exhaustive, so the module order is capped
-    (KNOTSIG_CAP, else 10**6)."""
+    subgroups up to that order. If |P|^2 = |H|, ann P holds P and the
+    radical and has order |P| |P n rad|: so every such isotropic P is its
+    own annihilator when the form is nondegenerate, and none is otherwise.
+    Exhaustive, so the module order is capped (KNOTSIG_CAP, else 10**6)."""
     mod = form.module
     order, cap = mod.order(), default_cap()
     if order > cap:
@@ -370,9 +370,11 @@ def find_linking_metabolizers(form: LinkingForm):
     sq = isqrt(order)
     if sq * sq != order:
         return []
-    elements, zero = list(mod.elements()), frozenset([mod.zero()])
-    pair = form._pair_residue
-    isotropic = [g for g in elements if not pair(g, g)]
+    pair, zero = form.pair, frozenset([mod.zero()])
+    isotropic = [g for g in mod.elements() if not pair(g, g)]
+    units = [tuple(int(i == j) for j in range(mod.rank)) for i in range(mod.rank)]
+    if any(any(x) and not any(pair(x, e) for e in units) for x in isotropic):
+        return []  # the radical is in the isotropic elements
 
     def span(sub, g):
         # the t-invariant span of sub and g; None once it stops being
@@ -405,11 +407,7 @@ def find_linking_metabolizers(form: LinkingForm):
     while stack:
         sub = stack.pop()
         if len(sub) == sq:
-            # P is in its annihilator; equal unless some x outside pairs
-            # trivially with all of P (a degenerate form)
-            if not any(all(not pair(x, p) for p in sub)
-                       for x in elements if x not in sub):
-                out.append(greedy_name(sub))
+            out.append(greedy_name(sub))
             continue
         for g in isotropic:
             if g not in sub and (nsub := span(sub, g)) is not None and nsub not in seen:

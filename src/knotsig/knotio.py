@@ -6,6 +6,7 @@ always "num/den" strings (or a bare integer string), never decimal floats.
 """
 
 import json
+import sys
 from fractions import Fraction
 
 from .seifert import SeifertMatrix, validate_seifert
@@ -38,4 +39,16 @@ def frac_str(x) -> str:
 
 
 def dump_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True) + "\n"
+    """obj as sorted-key JSON, one line. Python's limit on the digits of an
+    int converted to a string guards the parsing of input; knotsig's own
+    integers, such as a cover's torsion order, are written whatever their
+    length, so the limit is lifted here and restored afterwards (it does
+    not exist before Python 3.10.7)."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return json.dumps(obj, sort_keys=True) + "\n"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)

@@ -11,6 +11,7 @@ direct summands on which the bilinear form vanishes (the algebraic
 sliceness condition).
 """
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -243,14 +244,18 @@ def find_seifert_metabolizer(a, search_bound):
     g = n // 2
     # primitive, first nonzero entry positive; by increasing max-norm, then
     # sparse vectors supported on early coordinates first (so clean bases
-    # like standard vectors come out first)
-    cands = sorted(
-        (v for v in product(range(-search_bound, search_bound + 1), repeat=n)
-         if next((x for x in v if x), 0) > 0 and gcd(*v) == 1),
-        key=lambda v: (max(map(abs, v)), sum(1 for x in v if x),
-                       tuple(abs(x) for x in v[::-1]), v[::-1]))
-
-    cap, steps = default_cap(), 0
+    # like standard vectors come out first). Reaching index i takes at least
+    # i + 1 steps, since the indices on a path increase, so only the first
+    # cap + 1 candidates can be visited: shells of max-norm r are drawn until
+    # that many are held.
+    cap, steps, cands = default_cap(), 0, []
+    for r in range(1, search_bound + 1):
+        if len(cands) > cap:
+            break
+        shell = (v for v in product(range(-r, r + 1), repeat=n)
+                 if (r in v or -r in v) and next(x for x in v if x) > 0 and gcd(*v) == 1)
+        cands += heapq.nsmallest(cap + 1 - len(cands), shell, key=lambda v: (
+            sum(1 for x in v if x), tuple(abs(x) for x in v[::-1]), v[::-1]))
 
     def extend(chosen, start):
         nonlocal steps

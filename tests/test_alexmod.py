@@ -320,8 +320,9 @@ class TestLinkingForm:
     def test_trefoil_value(self, trefoil):
         form = double_cover_linking_form(trefoil)
         assert form.module.torsion == (3,)
-        assert form.gram[0][0] == Fraction(1, 3)
-        assert form.pair((1,), (1,)) == Fraction(1, 3)
+        assert form.modulus == 3
+        assert Fraction(form.gram[0][0], form.modulus) == Fraction(1, 3)
+        assert Fraction(form.pair((1,), (1,)), form.modulus) == Fraction(1, 3)
 
     def test_unknot_trivial(self, unknot):
         form = double_cover_linking_form(unknot)
@@ -342,14 +343,15 @@ class TestLinkingForm:
             for x in product(range(d), repeat=n))
         form = double_cover_linking_form(a)
         assert form.module.order() == d
-        per_class = Counter(form.pair(v, v) for v in form.module.elements())
+        per_class = Counter(Fraction(form.pair(v, v), form.modulus)
+                            for v in form.module.elements())
         assert by_oracle == Counter({val: c * d ** (n - 1) for val, c in per_class.items()})
 
     def test_slice4_pinned_by_inverse_oracle(self, slice4):
         form = double_cover_linking_form(slice4)
         assert form.module.order() == 9
         assert form.module.torsion == (9,)
-        g = form.gram[0][0]
+        g = Fraction(form.gram[0][0], form.modulus)
         # generator linking value must generate (1/9)Z/Z (nonsingular)
         assert g.denominator == 9
         self.assert_self_linking_by_inverse_oracle(slice4)
@@ -375,7 +377,8 @@ class TestLinkingForm:
                                    for s in range(a.n)) % 1 for gj in gens) for gi in gens)
             form = double_cover_linking_form(a)
             assert form.module.torsion == tuple(snf.d[i] for i in idx)
-            assert form.gram == want
+            assert tuple(tuple(Fraction(x, form.modulus) for x in row)
+                         for row in form.gram) == want
 
     def test_symmetric_nonsingular_on_fixtures(self):
         rng = random.Random(29)
@@ -394,6 +397,26 @@ class TestLinkingForm:
                           if all(form.pair(x, g) == 0 for g in gens)]
                 assert kernel == [m.zero()]
 
+    @pytest.mark.parametrize("gram, message", [
+        (((Fraction(1, 3), 0), (0, 0)), "integers in"),  # the old Fraction form
+        (((3, 0), (0, 0)), "integers in"),
+        (((-1, 0), (0, 0)), "integers in"),
+        (((True, 0), (0, 0)), "integers in"),
+        (((0, 1), (2, 0)), "symmetric"),
+        (((0, 1), (1, 0), (0, 0)), "size"),
+    ])
+    def test_gram_must_be_residues(self, gram, message):
+        mod = FiniteLambdaModule.make((3, 3), [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match=message):
+            LinkingForm(mod, gram)
+
+    def test_gram_well_defined_on_torsion(self):
+        # N = 6 and d_1 = 2: b(e_1, e_1) = 1/6 is not killed by 2, 3/6 is
+        mod = FiniteLambdaModule.make((2, 6), [[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="well defined"):
+            LinkingForm(mod, ((1, 0), (0, 1)))
+        assert LinkingForm(mod, ((3, 0), (0, 1))).pair((1, 1), (1, 1)) == 4
+
     def test_t_acts_as_minus_one(self, trefoil):
         form = double_cover_linking_form(trefoil)
         assert form.module.t_apply((1,)) == (2,)
@@ -408,8 +431,7 @@ class TestLinkingMetabolizers:
 
     def test_hyperbolic_three_torsion(self):
         mod = FiniteLambdaModule.make((3, 3), [[1, 0], [0, 1]])
-        form = LinkingForm(mod, ((Fraction(0), Fraction(1, 3)),
-                                 (Fraction(1, 3), Fraction(0))))
+        form = LinkingForm(mod, ((0, 1), (1, 0)))  # b(e_1, e_2) = 1/3
         mets = find_linking_metabolizers(form)
         subgroups = {frozenset(_span(mod, gens)) for gens in mets}
         assert len(mets) == 2
@@ -418,8 +440,7 @@ class TestLinkingMetabolizers:
 
     def test_metabolizer_order_squares_to_group_order(self):
         mod = FiniteLambdaModule.make((3, 3), [[0, 2], [1, 0]])
-        form = LinkingForm(mod, ((Fraction(0), Fraction(1, 3)),
-                                 (Fraction(1, 3), Fraction(0))))
+        form = LinkingForm(mod, ((0, 1), (1, 0)))
         for gens in find_linking_metabolizers(form):
             assert len(_span(mod, gens)) ** 2 == mod.order()
 
@@ -427,8 +448,7 @@ class TestLinkingMetabolizers:
         monkeypatch.setenv("KNOTSIG_CAP", "100")
         mod = FiniteLambdaModule.make((2,) * 8, [[1 if i == j else 0 for j in range(8)]
                                                  for i in range(8)])
-        gram = tuple(tuple(Fraction(1, 2) if i == j else Fraction(0) for j in range(8))
-                     for i in range(8))
+        gram = tuple(tuple(int(i == j) for j in range(8)) for i in range(8))  # b = 1/2 on e_i
         form = LinkingForm(mod, gram)
         with pytest.raises(CapExceeded):
             find_linking_metabolizers(form)
@@ -438,7 +458,8 @@ class TestMetabolizerWalk:
     """The isotropic walk against the search over every t-invariant
     subgroup, which names each metabolizer by its first DFS path."""
 
-    T = {"identity": [[1, 0], [0, 1]], "swap": [[0, 2], [1, 0]], "shear": [[1, 1], [0, 1]]}
+    T = {"identity": [[1, 0], [0, 1]], "swap": [[0, 2], [1, 0]], "shear": [[1, 1], [0, 1]],
+         "minus": [[2, 0], [0, 2]]}
 
     @pytest.mark.parametrize("t", sorted(T))
     def test_every_form_on_three_torsion_squared(self, t):
@@ -447,8 +468,7 @@ class TestMetabolizerWalk:
         # forms whose gram t does not preserve
         mod = FiniteLambdaModule.make((3, 3), self.T[t])
         for a, b, c in product(range(3), repeat=3):
-            form = LinkingForm(mod, ((Fraction(a, 3), Fraction(b, 3)),
-                                     (Fraction(b, 3), Fraction(c, 3))))
+            form = LinkingForm(mod, ((a, b), (b, c)))  # b(e_1, e_1) = a/3, ...
             assert find_linking_metabolizers(form) == linking_metabolizers_by_subgroup_search(form)
 
     def test_random_double_cover_forms(self):

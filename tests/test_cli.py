@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -194,6 +195,28 @@ class TestCovers:
                           "--k", "2")
         assert code == 4
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="Python before 3.10.7 has no limit on int-to-string digits")
+    def test_output_integers_of_any_length(self, capsys, tmp_path):
+        # the 11000-fold cover's torsion order has 4598 digits, above Python's
+        # 4300-digit limit on int-to-string conversion; the limit still
+        # guards input, so a 5000-digit entry in a knot file is bad input
+        code, out = run_cli(capsys, "covers", "--knot", str(FIXTURES / "figure_eight.json"),
+                            "--k", "11000")
+        assert code == 0
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            data = json.loads(out)
+            digits = len(str(data["torsion_order"]))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert data["torsion_order"] == data["resultant_order"]
+        assert digits > 4300
+        big = tmp_path / "big.json"
+        big.write_text('{"seifert": [[%s, 1], [0, -1]]}' % ("1" * 5000))
+        assert main(["invariants", "--knot", str(big)]) == 2
+
     # double covers whose metabolizer search took minutes before it walked
     # only isotropic subgroups: (Z/15)^2 with four metabolizers or none, and
     # the hyperbolic (Z/3)^4 with prod_(i < 2) (3^i + 1) = 8
@@ -367,6 +390,28 @@ class TestErrors:
         code = main(["invariants", "--knot", str(knot), "--bound", "2"])
         assert code == 4
         assert "metabolizer search steps 1001 exceeds cap 1000" in capsys.readouterr().err
+
+    def test_metabolizer_candidates_drawn_up_to_cap(self, capsys, tmp_path, monkeypatch):
+        # only the first cap + 1 candidates can be visited, so shells of
+        # max-norm 1 and 2 hold enough and the 11^6 tuples of bound 5 are
+        # never drawn; the exit and its message are those of the full list
+        from knotsig import seifert
+        drawn = []
+
+        def counting_product(*args, **kwargs):
+            for v in product(*args, **kwargs):
+                drawn.append(1)
+                yield v
+
+        monkeypatch.setattr(seifert, "product", counting_product)
+        a = random_seifert(random.Random(1), 3)
+        knot = tmp_path / "g3.json"
+        knot.write_text(json.dumps({"seifert": a.as_lists()}))
+        monkeypatch.setenv("KNOTSIG_CAP", "1000")
+        code = main(["invariants", "--knot", str(knot), "--bound", "5"])
+        assert code == 4
+        assert "metabolizer search steps 1001 exceeds cap 1000" in capsys.readouterr().err
+        assert 0 < len(drawn) <= 3 ** 6 + 5 ** 6
 
     @pytest.mark.parametrize("argv, depth", [
         (["l2", "--eps", "1e-600"], None),
