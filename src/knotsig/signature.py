@@ -41,19 +41,22 @@ alpha, over Z when alpha is rational and else over Q(alpha)
 Every breakpoint is then placed against the k-th roots of unity by one
 count, the number of j in 1..k with j/k below its turn: exact for a
 rational turn, and from a turn enclosure with no multiple of 1/k inside
-for an irrational one. Such an enclosure is the dyadic turn cell of the
-asked width, which realalg certifies against its integer cosine kernel
-(RealAlgebraic.turn_cell); a lower point's cell mirrors the upper one's.
-A signature at a root of unity is a bisection in those counts, a
-root-of-unity average is a sum over their differences, and the circle
-integral reduces to certified arc measures.
+for an irrational one. Such an enclosure is a dyadic turn cell
+(c/2^D, (c+1)/2^D), which realalg certifies against its integer cosine
+kernel (RealAlgebraic.turn_cell); a lower point's cell mirrors the upper
+one's (CirclePoint.cell). The count reads the integer c by shifts and
+compares. A signature at a root of unity is a bisection in those counts,
+a root-of-unity average is a sum over their differences, and the circle
+integral reduces to certified arc measures: integers over one common
+denominator, the lcm of 2^D and the exact turns' denominators, summed
+against the arc values in integers.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .intmat import congruence_signature, euler_phi
 from .polyz import (cos_compact, cos_minimal_poly, isolate_roots, pderiv, pdeg,
@@ -122,6 +125,13 @@ class CirclePoint:
         self.hemisphere = hemisphere  # "upper" or "lower"
         self.exact_turn = exact_turn
 
+    def cell(self, depth):
+        """The integer c with c/2^depth < theta/(2*pi) < (c+1)/2^depth, for
+        an irrational turn: the upper point's cell from
+        RealAlgebraic.turn_cell, mirrored for the lower one."""
+        c = self.x.turn_cell(depth)
+        return c if self.hemisphere == "upper" else (1 << depth) - 1 - c
+
     def turn_bounds(self, width):
         """Certified rational (lo, hi) enclosing theta/(2*pi), width <= width:
         for an irrational turn the dyadic cell at the least depth that fits,
@@ -129,10 +139,8 @@ class CirclePoint:
         if self.exact_turn is not None:
             return (self.exact_turn, self.exact_turn)
         depth = _depth_for(width)
-        num = self.x.turn_cell(depth)
-        if self.hemisphere == "lower":
-            num = (1 << depth) - 1 - num
-        return Fraction(num, 1 << depth), Fraction(num + 1, 1 << depth)
+        c = self.cell(depth)
+        return Fraction(c, 1 << depth), Fraction(c + 1, 1 << depth)
 
     def __repr__(self):
         t = self.exact_turn if self.exact_turn is not None else self.turn_bounds(Fraction(1, 1024))
@@ -148,13 +156,20 @@ def _depth_for(width):
     return max(1, (cells - 1).bit_length())
 
 
+@lru_cache(maxsize=None)
+def _order_candidates(deg):
+    """The d >= 3 with phi(d) <= deg, the only orders a cyclotomic factor of
+    a degree-deg polynomial can have; phi(d) >= sqrt(d/2) puts them all
+    below 4 deg^2 + 7."""
+    return tuple(d for d in range(3, 4 * deg * deg + 7) if euler_phi(d) <= deg)
+
+
 def _root_of_unity_orders(delta):
     """All d >= 3 with delta(exp(2*pi*i/d)) = 0, i.e. with the d-th
     cyclotomic polynomial dividing delta (polyz.vanishes_at_root_of_unity)."""
     coeffs = list(delta.coeffs)
-    dd = pdeg(coeffs)
-    return [d for d in range(3, 4 * dd * dd + 7)
-            if euler_phi(d) <= dd and vanishes_at_root_of_unity(coeffs, d)]
+    return [d for d in _order_candidates(pdeg(coeffs))
+            if vanishes_at_root_of_unity(coeffs, d)]
 
 
 def _compute_breakpoints(a: SeifertMatrix):
@@ -224,22 +239,30 @@ class SignatureFunction:
     def _grid(self, k):
         """Each breakpoint against the k-th roots of unity: below[i], the
         number of j in 1..k with j/k strictly below its turn, and
-        on_grid[i], whether the turn is a multiple of 1/k. below[i] is
-        ceil(k*hi) - 1 for the upper end hi of a turn enclosure with no
-        multiple of 1/k strictly inside, which an exact turn is at once;
-        computed once per k."""
+        on_grid[i], whether the turn is a multiple of 1/k; computed once
+        per k. An exact turn n/d gives ceil(k*n/d) - 1 at once. An
+        irrational turn reads its dyadic cell c at depth D, starting where
+        the cell is at most 1/(4k) wide and going 4 deeper while a multiple
+        of 1/k lies strictly inside; then below[i] is ceil(k(c+1)/2^D) - 1."""
         grid = self._grids.get(k)
         if grid is None:
             below, on_grid = [], []
+            start = (4 * k - 1).bit_length()
             for bp in self.breakpoints:
-                width = Fraction(1, 4 * k)
-                lo, hi = bp.turn_bounds(width)
-                while lo.numerator * k // lo.denominator + 1 < hi * k:
-                    width /= 16
-                    lo, hi = bp.turn_bounds(width)
-                below.append(-(-hi.numerator * k // hi.denominator) - 1)
                 t = bp.exact_turn
-                on_grid.append(t is not None and k % t.denominator == 0)
+                if t is not None:
+                    n, d = t.numerator, t.denominator
+                    below.append(-(-k * n // d) - 1)
+                    on_grid.append(k % d == 0)
+                    continue
+                depth = start
+                c = bp.cell(depth)
+                # floor(k c / 2^D) + 1 < k (c + 1) / 2^D: a j/k inside
+                while (((k * c) >> depth) + 1 << depth) < k * (c + 1):
+                    depth += 4
+                    c = bp.cell(depth)
+                below.append(-(-k * (c + 1) >> depth) - 1)
+                on_grid.append(False)
             grid = self._grids[k] = (below, on_grid)
         return grid
 
@@ -261,19 +284,30 @@ class SignatureFunction:
                 + sum(v for v, hit in zip(self.point_values, on_grid) if hit))
 
     def arc_measures(self, width):
-        """Certified (lo, hi) bounds for the normalized Haar measure of each
-        arc, from breakpoint turn enclosures of the given width."""
+        """Certified bounds for the normalized Haar measure of each arc, from
+        breakpoint turn enclosures of the given width, as (den, pairs): the
+        integer pairs (lo, hi) bound the measures lo/den <= m <= hi/den over
+        the one denominator den = lcm(2^D, the exact turns' denominators),
+        D the depth of the turn cells (0 when every turn is exact)."""
         if not self.breakpoints:
-            return [(Fraction(1), Fraction(1))]
-        encl = [bp.turn_bounds(width) for bp in self.breakpoints]
-        out = []
-        m = len(encl)
-        for i in range(m - 1):
-            out.append((max(Fraction(0), encl[i + 1][0] - encl[i][1]),
-                        encl[i + 1][1] - encl[i][0]))
-        out.append((max(Fraction(0), 1 + encl[0][0] - encl[m - 1][1]),
-                    1 + encl[0][1] - encl[m - 1][0]))
-        return out
+            return 1, [(1, 1)]
+        exact = [bp.exact_turn for bp in self.breakpoints]
+        depth = _depth_for(width) if None in exact else 0
+        den = lcm(1 << depth, *(t.denominator for t in exact if t is not None))
+        step = den >> depth  # a cell's width over den
+        encl = []
+        for bp, t in zip(self.breakpoints, exact):
+            if t is None:
+                c = bp.cell(depth) * step
+                encl.append((c, c + step))
+            else:
+                n = t.numerator * (den // t.denominator)
+                encl.append((n, n))
+        # arc i runs from breakpoint i to i + 1; the last wraps one turn on
+        first_lo, first_hi = encl[0]
+        ends = encl[1:] + [(den + first_lo, den + first_hi)]
+        return den, [(max(0, elo - bhi), ehi - blo)
+                     for (blo, bhi), (elo, ehi) in zip(encl, ends)]
 
 
 def _simplest_dyadic(lo, hi):
@@ -395,14 +429,16 @@ def l2_eta_abelian(a: SeifertMatrix, eps):
     weight = sum(abs(v) + 1 for v in sf.arc_values)
     # each arc measure is at most 2 * width wide, so hi - lo <= eps / 2
     width = eps / (4 * weight)
-    lo = hi = Fraction(0)
-    for v, (mlo, mhi) in zip(sf.arc_values, sf.arc_measures(width)):
+    den, measures = sf.arc_measures(width)
+    lo = hi = 0
+    for v, (mlo, mhi) in zip(sf.arc_values, measures):
         if v >= 0:
             lo += v * mlo
             hi += v * mhi
         else:
             lo += v * mhi
             hi += v * mlo
+    lo, hi = Fraction(lo, den), Fraction(hi, den)
     assert hi - lo <= eps
     return lo, hi
 

@@ -14,9 +14,10 @@ knots instead of any matrix, the group law and representation matrices
 entry by entry instead of tuple kernels and cached powers, linking-form
 metabolizers by a search over every t-invariant subgroup instead of a walk
 over the isotropic ones, cyclotomic polynomials and their roots by
-polynomial division instead of binomials t^e - 1. A few helpers
-that only tests need, such as the inverse of a monomial matrix, live here
-too.
+polynomial division instead of binomials t^e - 1, k-grid counts and arc
+measures from Fraction turn enclosures instead of integer cells. A few
+helpers that only tests need, such as the inverse of a monomial matrix,
+live here too.
 """
 
 from collections import namedtuple
@@ -1043,6 +1044,47 @@ def turn_cell_by_bisection(poly, lo, hi, depth):
         # cos decreasing on [0, 1/2]: cos(mid) > x means mid < turn
         num = mid if clo > hi else mid - 1
     return num
+
+
+# --- k-grid counts and arc measures in Fractions ----------------------------
+
+def grid_by_fractions(sf, k):
+    """SignatureFunction._grid(k) from Fraction turn enclosures
+    (CirclePoint.turn_bounds): width 1/(4k), divided by 16 while a multiple
+    of 1/k lies strictly inside, then below = ceil(k*hi) - 1, where the
+    library shifts and compares the integer cell."""
+    below, on_grid = [], []
+    for bp in sf.breakpoints:
+        width = Fraction(1, 4 * k)
+        lo, hi = bp.turn_bounds(width)
+        while lo.numerator * k // lo.denominator + 1 < hi * k:
+            width /= 16
+            lo, hi = bp.turn_bounds(width)
+        below.append(-(-hi.numerator * k // hi.denominator) - 1)
+        t = bp.exact_turn
+        on_grid.append(t is not None and k % t.denominator == 0)
+    return below, on_grid
+
+
+def l2_eta_by_fraction_measures(sf, eps):
+    """l2_eta_abelian(a, eps) for sf = signature_function(a), from Fraction
+    arc measures (the gaps between neighbouring Fraction turn enclosures)
+    summed in Fractions, where the library sums integers over one common
+    denominator."""
+    eps = Fraction(eps)
+    width = eps / (4 * sum(abs(v) + 1 for v in sf.arc_values))
+    if sf.breakpoints:
+        encl = [bp.turn_bounds(width) for bp in sf.breakpoints]
+        ends = encl[1:] + [(1 + encl[0][0], 1 + encl[0][1])]
+        measures = [(max(Fraction(0), elo - bhi), ehi - blo)
+                    for (blo, bhi), (elo, ehi) in zip(encl, ends)]
+    else:
+        measures = [(Fraction(1), Fraction(1))]
+    lo = hi = Fraction(0)
+    for v, (mlo, mhi) in zip(sf.arc_values, measures):
+        lo += v * (mlo if v >= 0 else mhi)
+        hi += v * (mhi if v >= 0 else mlo)
+    return lo, hi
 
 
 # --- signatures at rational turns through cosine enclosures ----------------

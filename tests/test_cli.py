@@ -631,6 +631,42 @@ class TestGolden:
         knot.write_text(json.dumps(self.KNOT))
         assert run_fresh([argv[0], "--knot", str(knot)] + argv[1:]) == expected
 
+    # fixtures/twist.json: Delta = 2t^2 - 3t + 2 has its roots at x = 3/4,
+    # an irrational turn, so these bytes pin the integer turn cells that the
+    # k-grid counts and the arc measures read
+    TWIST_APPROX = (
+        "k,average,gap_lo,gap_hi\n"
+        "2,1,159348313848020515253/295147905179352825856,"
+        "318696627696041030507/590295810358705651712\n"
+        "6,5/3,224501737629288211903/1770887431076116955136,"
+        "112250868814644105953/885443715538058477568\n"
+        "24,19/12,76927785039611798975/1770887431076116955136,"
+        "38463892519805899489/885443715538058477568\n"
+        "120,31/20,29830340006235389673/2951479051793528258560,"
+        "14915170003117694839/1475739525896764129280\n"
+        "720,37/24,3140808744773592511/1770887431076116955136,"
+        "1570404372386796257/885443715538058477568\n"
+        "5040,3881/2520,34637013021874387799/185943180262992280289280,"
+        "17318506510937194057/92971590131496140144640\n"
+        "40320,887/576,199054197466001725/5312662293228350865408,"
+        "99527098733000867/2656331146614175432704\n"
+        "362880,93133/60480,2453946660220629509/557829540788976840867840,"
+        "1226973330110315227/278914770394488420433920\n"
+        "3628800,2793983/1814400,4527397774317727307/8367443111834652613017600,"
+        "2263698887158870741/4183721555917326306508800\n")
+    TWIST_L2 = ('{"integral_hi": "33535901739466390126183252316467438310831/'
+                '21778071482940061661655974875633165533184", '
+                '"integral_lo": "67071803478932780252366504632934876621661/'
+                '43556142965880123323311949751266331066368"}\n')
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["approx", "--schedule", "factorial:10", "--eps", "1e-20"], TWIST_APPROX),
+        (["l2", "--eps", "1e-40"], TWIST_L2),
+    ])
+    def test_twist_irrational_turn(self, argv, expected):
+        knot = str(FIXTURES / "twist.json")
+        assert run_fresh([argv[0], "--knot", knot] + argv[1:]) == expected
+
     REPS_Z3 = (
         '[{"chi": [0], "dim": 1, "w_den": 6, "w_num": 0}, '
         '{"chi": [0], "dim": 1, "w_den": 6, "w_num": 1}, '

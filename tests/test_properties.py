@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
-                     block_sum, eta_cyclic, signature_function,
+                     block_sum, eta_cyclic, l2_eta_abelian, signature_function,
                      tl_signature_at, validate_seifert)
 from knotsig.alexmod import torsion_order_by_resultant
 from knotsig.polyz import (char_poly, cos_compact, cos_minimal_poly, cyclotomic,
@@ -24,8 +24,8 @@ from knotsig.intmat import (congruence_signature, det, diagonal_blocks,
 from knotsig.realalg import cos_turn_bounds, RealAlgebraic
 
 import oracles
-from conftest import (SLICE4, TREFOIL, conjugate, random_interesting_seifert, random_seifert,
-                      torus_seifert)
+from conftest import (SLICE4, TREFOIL, conjugate, mirror, random_interesting_seifert,
+                      random_seifert, torus_seifert)
 from oracles import pdivides, pi_bounds, sign_at_cos_turn, xgcd
 
 
@@ -93,6 +93,80 @@ class TestMultipleRootPoints:
         sf = signature_function.__wrapped__(a)  # uncached
         for bp, value in zip(sf.breakpoints, sf.point_values):
             assert value == oracles._signature_at_x(a, bp.x.sign_of_poly), a.entries
+
+
+def _fractional_part_bounds(bp, k):
+    """{k t} for the turn t of a breakpoint off the 1/k grid: exact for an
+    exact turn, else from a Fraction turn enclosure refined until no
+    multiple of 1/k lies inside it."""
+    t = bp.exact_turn
+    if t is not None:
+        f = k * t - math.floor(k * t)
+        return f, f
+    bits = k.bit_length() + 8
+    while True:
+        lo, hi = bp.turn_bounds(Fraction(1, 1 << bits))
+        whole = math.floor(k * lo)
+        if k * hi <= whole + 1:
+            return k * lo - whole, k * hi - whole
+        bits += 8
+
+
+def integral_by_approximation_identity(sf, k):
+    """An interval holding the circle integral I of sigma, from eta_k and
+    the identity k (eta_k / k - I) = sum_off J_i {k t_i} + sum_on
+    (p_i - v_i^+): J_i is the arc value after breakpoint i less the one
+    before, p_i its point value, v_i^+ the arc value after it, and "on"
+    the breakpoints whose turn t_i is a multiple of 1/k. (The on-grid
+    J_i cancel in pairs t, 1 - t, so v_i^+ may be v_i^- as well.)"""
+    s_lo = s_hi = Fraction(0)
+    for i, bp in enumerate(sf.breakpoints):
+        after = sf.arc_values[i]
+        t = bp.exact_turn
+        if t is not None and (k * t).denominator == 1:
+            s_lo += sf.point_values[i] - after
+            s_hi += sf.point_values[i] - after
+            continue
+        jump = after - sf.arc_values[i - 1]
+        flo, fhi = _fractional_part_bounds(bp, k)
+        s_lo += min(jump * flo, jump * fhi)
+        s_hi += max(jump * flo, jump * fhi)
+    eta = sf.eta_sum(k)
+    return (eta - s_hi) / k, (eta - s_lo) / k
+
+
+IDENTITY_KS = list(range(1, 61)) + [120, 360, 5040]
+
+
+class TestApproximationIdentity:
+    """eta_k / k -> the circle integral, with the error at each k in closed
+    form: the interval the identity gives for the integral, from eta_k and
+    turn enclosures, meets l2_eta_abelian's enclosure."""
+
+    EPS = Fraction(1, 10 ** 12)
+
+    def check(self, a):
+        sf = signature_function(a)
+        lo, hi = l2_eta_abelian(a, self.EPS)
+        for k in IDENTITY_KS:
+            ilo, ihi = integral_by_approximation_identity(sf, k)
+            assert ilo <= hi and lo <= ihi, (a.entries, k)
+
+    @given(st.integers(1, 4), st.integers(0, 10 ** 6))
+    @settings(max_examples=40, deadline=None)
+    def test_random_knots(self, genus, seed):
+        self.check(random_interesting_seifert(random.Random(seed), genus))
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 10 ** 6))
+    @settings(max_examples=20, deadline=None)
+    def test_block_sums_with_mirrors(self, g1, g2, seed):
+        rng = random.Random(seed)
+        a = random_interesting_seifert(rng, g1)
+        self.check(block_sum(a, mirror(random_interesting_seifert(rng, g2))))
+
+    @pytest.mark.parametrize("p, q", [(2, 3), (2, 5), (3, 4), (3, 5), (2, 7), (4, 5)])
+    def test_torus_knots(self, p, q):
+        self.check(torus_seifert(p, q))
 
 
 class TestAlexanderInvariants:

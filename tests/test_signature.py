@@ -12,14 +12,15 @@ from knotsig.knotio import read_knot
 from knotsig.realalg import AlgebraicElement, cos_turn_bounds
 from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, peval,
                            squarefree_part, sturm_chain, sturm_count)
-from knotsig.signature import (_compute_breakpoints, _dyadic_between,
-                               _root_of_unity_orders)
+from knotsig.signature import (SignatureFunction, _compute_breakpoints, _dyadic_between,
+                               _order_candidates, _root_of_unity_orders)
 
 from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
                       random_interesting_seifert, random_seifert, torus_seifert)
+import oracles
 from oracles import (_char_poly_in_x, _signature_at_x, pdivides, sign_at_cos_turn,
                      tl_signature_by_congruence, torus_signature_by_lattice_count,
-                     tl_signature_by_cos_enclosure)
+                     tl_signature_by_cos_enclosure, vanishes_at_root_of_unity_by_division)
 
 
 def angle(j, k):
@@ -621,6 +622,108 @@ class TestRootOfUnityOrders:
             assert self.brute_force_orders(a) == orders
         assert [bp.exact_turn for bp in signature_function(self.T27).breakpoints] == \
             [Fraction(j, 14) for j in (1, 3, 5, 9, 11, 13)]
+
+
+class TestOrderCandidates:
+    """_order_candidates(deg) against {d >= 3 : phi(d) <= deg}, scanned far
+    past the 4 deg^2 + 6 bound by a sieve that shares no code with
+    intmat.euler_phi."""
+
+    TOP = 80  # genus 40
+
+    @staticmethod
+    def phi_sieve(n):
+        phi = list(range(n + 1))
+        for p in range(2, n + 1):
+            if phi[p] == p:  # p prime
+                for m in range(p, n + 1, p):
+                    phi[m] -= phi[m] // p
+        return phi
+
+    def test_candidates_for_every_degree(self):
+        phi = self.phi_sieve(10 * self.TOP ** 2 + 100)
+        for deg in range(self.TOP + 1):
+            want = tuple(d for d in range(3, 10 * deg * deg + 101) if phi[d] <= deg)
+            assert _order_candidates(deg) == want, deg
+
+    def test_orders_of_torus_block_sums(self):
+        sums = [block_sum(torus_seifert(2, 3), torus_seifert(2, 5)),
+                block_sum(torus_seifert(3, 4), torus_seifert(2, 7)),
+                block_sum(block_sum(torus_seifert(2, 3), torus_seifert(3, 5)),
+                          torus_seifert(2, 9))]
+        for a in sums:
+            delta = list(alexander_polynomial(a).coeffs)
+            deg = len(delta) - 1
+            phi = self.phi_sieve(4 * deg * deg + 6)
+            # Phi_d has degree phi(d), so no other d can divide
+            want = [d for d in range(3, 4 * deg * deg + 7)
+                    if phi[d] <= deg and vanishes_at_root_of_unity_by_division(delta, d)]
+            assert want and _root_of_unity_orders(alexander_polynomial(a)) == want
+
+
+class TestIntegerCells:
+    """The k-grid counts and the arc measures read integer turn cells; the
+    Fraction routes they replaced (oracles.grid_by_fractions,
+    oracles.l2_eta_by_fraction_measures) give the same numbers."""
+
+    KS = list(range(1, 41)) + [60, 97, 120, 360, 720, 5040, 40320, 99991,
+                               362880, 3628800]
+    EPS = [Fraction(1, 3), Fraction(1, 10 ** 6), Fraction(1, 10 ** 20),
+           Fraction(1, 10 ** 40)]
+
+    @staticmethod
+    def knots():
+        rng = random.Random(3001)
+        out = [validate_seifert([[d, 1], [0, 1]]) for d in (2, 7, 20, 500)]
+        out += [random_interesting_seifert(rng, rng.randint(1, 4)) for _ in range(12)]
+        out += [block_sum(out[4], mirror(out[5])), block_sum(torus_seifert(3, 4), out[1]),
+                torus_seifert(2, 5), torus_seifert(3, 5)]
+        return out
+
+    @staticmethod
+    def fraction_copy(a, sf):
+        """An uncached step function over the same data whose counts come
+        from the Fraction grid."""
+        copy = SignatureFunction(a, sf.breakpoints, sf.arc_values, sf.point_values)
+        copy._grid = lambda k: oracles.grid_by_fractions(sf, k)
+        return copy
+
+    def test_against_fraction_routes(self):
+        irrational = 0
+        for a in self.knots():
+            sf = signature_function(a)
+            ref = self.fraction_copy(a, sf)
+            irrational += sum(bp.exact_turn is None for bp in sf.breakpoints)
+            for k in self.KS:
+                assert sf._grid(k) == ref._grid(k), (a.entries, k)
+                assert sf.eta_sum(k) == ref.eta_sum(k), (a.entries, k)
+            for k in (7, 12, 30, 97):
+                for j in range(k):
+                    assert sf.value_at(angle(j, k)) == ref.value_at(angle(j, k))
+            for eps in self.EPS:
+                assert l2_eta_abelian(a, eps) == oracles.l2_eta_by_fraction_measures(sf, eps)
+        assert irrational >= 20
+
+    def test_deepening_and_mirror_are_reached(self, monkeypatch):
+        cell, calls = CirclePoint.cell, []
+
+        def spy(bp, depth):
+            calls.append((bp.hemisphere, depth))
+            return cell(bp, depth)
+
+        monkeypatch.setattr(CirclePoint, "cell", spy)
+        deepened, lowers = 0, 0
+        for a in self.knots():
+            sf = signature_function(a)
+            fresh = SignatureFunction(a, sf.breakpoints, sf.arc_values, sf.point_values)
+            for k in self.KS:
+                calls.clear()
+                grid = fresh._grid(k)
+                start = (4 * k - 1).bit_length()
+                deepened += sum(depth > start for _, depth in calls)
+                lowers += sum(h == "lower" for h, _ in calls)
+                assert grid == oracles.grid_by_fractions(sf, k)
+        assert deepened and lowers
 
 
 class TestAdditivity:
