@@ -11,8 +11,8 @@ by definition, coker(S (x) A - I (x) A^t) with S the k-cycle shift, a
 order of the torsion has a further exact oracle, the resultant of the
 Alexander polynomial with (t^k - 1)/(t - 1). For k = 2 the linking form on
 the torsion is x^t (A + A^t)^(-1) y mod 1, held as d_r times it mod d_r;
-its t-invariant metabolizers are found by a walk over the isotropic
-t-invariant subgroups, each named by its greedy generators."""
+its t-invariant metabolizers are found by a canonical walk that reaches
+each isotropic t-invariant subgroup once, along its greedy generators."""
 
 from collections import Counter
 from dataclasses import dataclass
@@ -357,11 +357,13 @@ def find_linking_metabolizers(form: LinkingForm):
     """All t-invariant subgroups P with P equal to its own annihilator
     under the form, each named by its greedy generators: g_(i+1) is the
     lexicographically least element of P outside the t-invariant span of
-    g_1, ..., g_i. Such a P is isotropic of order sqrt|H|, and so is every
-    subgroup inside it, so the walk grows only isotropic t-invariant
-    subgroups up to that order. If |P|^2 = |H|, ann P holds P and the
-    radical and has order |P| |P n rad|: so every such isotropic P is its
-    own annihilator when the form is nondegenerate, and none is otherwise.
+    g_1, ..., g_i. Such a P is isotropic of order sqrt|H|. If |P|^2 = |H|,
+    ann P holds P and the radical and has order |P| |P n rad|: so every
+    such isotropic P is its own annihilator when the form is nondegenerate,
+    and none is otherwise. The walk extends an isotropic t-invariant S by an
+    isotropic g after the last of its greedy generators, kept only when g is
+    the least element the extension adds (canonical augmentation), so it
+    builds each such subgroup of order <= sqrt|H| once, along its name.
     Exhaustive, so the module order is capped (KNOTSIG_CAP, else 10**6)."""
     mod = form.module
     order, cap = mod.order(), default_cap()
@@ -370,49 +372,43 @@ def find_linking_metabolizers(form: LinkingForm):
     sq = isqrt(order)
     if sq * sq != order:
         return []
-    pair, zero = form.pair, frozenset([mod.zero()])
+    pair = form.pair
     isotropic = [g for g in mod.elements() if not pair(g, g)]
     units = [tuple(int(i == j) for j in range(mod.rank)) for i in range(mod.rank)]
     if any(any(x) and not any(pair(x, e) for e in units) for x in isotropic):
         return []  # the radical is in the isotropic elements
 
-    def span(sub, g):
-        # the t-invariant span of sub and g; None once it stops being
-        # isotropic or passes order sq
-        sub, frontier = set(sub), [g]
+    def augment(sub, gens, g):
+        # the t-invariant span of sub and g and its generators; None once it
+        # stops being isotropic (b is bilinear, so each new v is paired with
+        # the generators only), passes order sq or adds an element below g
+        sub, gens, frontier = set(sub), list(gens), [g]
         while frontier:
             v = frontier.pop()
             if v in sub:
                 continue
-            if pair(v, v) or any(pair(v, w) for w in sub):
+            if pair(v, v) or any(pair(v, w) for w in gens):
                 return None
+            gens.append(v)
             base, m = list(sub), v
-            while m not in sub:  # sub + <v>, one coset of the old sub at a time
-                sub.update(mod.add(m, w) for w in base)
-                if len(sub) > sq:
+            while m not in sub:  # sub + <v>, one new coset of the old sub at a time
+                coset = [mod.add(m, w) for w in base]
+                if len(sub) + len(coset) > sq or min(coset) < g:
                     return None
+                sub.update(coset)
                 m = mod.add(m, v)
             frontier.append(mod.t_apply(v))
-        return frozenset(sub)
+        return sub, gens
 
-    def greedy_name(p):
-        gens, sub = [], zero
-        for g in sorted(p):
-            if g not in sub:
-                gens.append(g)
-                sub = span(sub, g)
-        return tuple(gens)
-
-    seen, stack, out = {zero}, [zero], []
+    stack, out = [((), {mod.zero()}, [], 0)], []
     while stack:
-        sub = stack.pop()
+        name, sub, gens, start = stack.pop()
         if len(sub) == sq:
-            out.append(greedy_name(sub))
+            out.append(name)
             continue
-        for g in isotropic:
-            if g not in sub and (nsub := span(sub, g)) is not None and nsub not in seen:
-                seen.add(nsub)
-                stack.append(nsub)
+        for i, g in enumerate(isotropic[start:], start):
+            if g not in sub and (child := augment(sub, gens, g)) is not None:
+                stack.append((name + (g,), *child, i + 1))
     return sorted(out)
 
 

@@ -132,18 +132,8 @@ class CirclePoint:
         c = self.x.turn_cell(depth)
         return c if self.hemisphere == "upper" else (1 << depth) - 1 - c
 
-    def turn_bounds(self, width):
-        """Certified rational (lo, hi) enclosing theta/(2*pi), width <= width:
-        for an irrational turn the dyadic cell at the least depth that fits,
-        the same whatever was asked before."""
-        if self.exact_turn is not None:
-            return (self.exact_turn, self.exact_turn)
-        depth = _depth_for(width)
-        c = self.cell(depth)
-        return Fraction(c, 1 << depth), Fraction(c + 1, 1 << depth)
-
     def __repr__(self):
-        t = self.exact_turn if self.exact_turn is not None else self.turn_bounds(Fraction(1, 1024))
+        t = self.exact_turn if self.exact_turn is not None else f"{self.cell(10)}/1024"
         return f"CirclePoint(turn~{t}, {self.hemisphere})"
 
 

@@ -31,6 +31,7 @@ from knotsig.polyz import (_variations, char_poly, cos_minimal_poly, palindromic
                            pdeg, pdivmod, peval, pnorm, psubst_scale)
 from knotsig.realalg import (MAX_REFINE, PrecisionExhausted, _pi_scaled,
                              cos_turn_bounds)
+from knotsig.signature import _depth_for
 
 
 # --- determinant of a polynomial matrix by cofactor expansion -------------
@@ -619,8 +620,8 @@ def linking_metabolizers_by_subgroup_search(form):
     under the form, as generator tuples: a depth-first search that adds one
     element at a time in lexicographic order, closes each candidate over the
     whole group and compares it with its annihilator, scanned over every
-    element (the library walks only isotropic subgroups and names each
-    metabolizer by its greedy generators afterwards)."""
+    element (the library walks only isotropic subgroups, each built once
+    along its greedy generators)."""
     from math import isqrt
 
     from knotsig.intmat import CapExceeded, default_cap
@@ -1048,18 +1049,29 @@ def turn_cell_by_bisection(poly, lo, hi, depth):
 
 # --- k-grid counts and arc measures in Fractions ----------------------------
 
+def turn_bounds(bp, width):
+    """Certified rational (lo, hi) enclosing the turn of the breakpoint bp,
+    width <= width: for an irrational turn the dyadic cell at the least
+    depth that fits, the same whatever was asked before."""
+    if bp.exact_turn is not None:
+        return (bp.exact_turn, bp.exact_turn)
+    depth = _depth_for(width)
+    c = bp.cell(depth)
+    return Fraction(c, 1 << depth), Fraction(c + 1, 1 << depth)
+
+
 def grid_by_fractions(sf, k):
     """SignatureFunction._grid(k) from Fraction turn enclosures
-    (CirclePoint.turn_bounds): width 1/(4k), divided by 16 while a multiple
+    (turn_bounds): width 1/(4k), divided by 16 while a multiple
     of 1/k lies strictly inside, then below = ceil(k*hi) - 1, where the
     library shifts and compares the integer cell."""
     below, on_grid = [], []
     for bp in sf.breakpoints:
         width = Fraction(1, 4 * k)
-        lo, hi = bp.turn_bounds(width)
+        lo, hi = turn_bounds(bp, width)
         while lo.numerator * k // lo.denominator + 1 < hi * k:
             width /= 16
-            lo, hi = bp.turn_bounds(width)
+            lo, hi = turn_bounds(bp, width)
         below.append(-(-hi.numerator * k // hi.denominator) - 1)
         t = bp.exact_turn
         on_grid.append(t is not None and k % t.denominator == 0)
@@ -1074,7 +1086,7 @@ def l2_eta_by_fraction_measures(sf, eps):
     eps = Fraction(eps)
     width = eps / (4 * sum(abs(v) + 1 for v in sf.arc_values))
     if sf.breakpoints:
-        encl = [bp.turn_bounds(width) for bp in sf.breakpoints]
+        encl = [turn_bounds(bp, width) for bp in sf.breakpoints]
         ends = encl[1:] + [(1 + encl[0][0], 1 + encl[0][1])]
         measures = [(max(Fraction(0), elo - bhi), ehi - blo)
                     for (blo, bhi), (elo, ehi) in zip(encl, ends)]

@@ -508,6 +508,50 @@ class TestMetabolizerWalk:
             for i, g in enumerate(gens):
                 assert g == min(p - _span(mod, gens[:i]))
 
+    def test_mixed_torsion_against_search(self):
+        # 2-primary and non-homogeneous forms, which knot double covers
+        # (odd order, t = -1) never give: random actions and random
+        # nondegenerate grams, entry (i, j) a multiple of N / gcd(d_i, d_j)
+        # so b is well defined (degenerate forms on (Z/3)^2 are above)
+        rng = random.Random(31)
+        with_metabolizers = 0
+        for torsion, count in [((2, 8), 8), ((2, 2, 4), 8), ((4, 4), 8), ((5, 5), 8),
+                               ((7, 7), 4), ((3, 27), 1), ((3, 3, 9), 1)]:
+            n, r = torsion[-1], len(torsion)
+            units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+            while count:
+                gram = [[0] * r for _ in range(r)]
+                for i in range(r):
+                    for j in range(i, r):
+                        step = n // math.gcd(torsion[i], torsion[j])
+                        gram[i][j] = gram[j][i] = rng.randrange(0, n, step)
+                form = LinkingForm(random_module(rng, torsion), tuple(map(tuple, gram)))
+                if any(any(x) and not any(form.pair(x, e) for e in units)
+                       for x in form.module.elements()):
+                    continue
+                mets = find_linking_metabolizers(form)
+                assert mets == linking_metabolizers_by_subgroup_search(form), (torsion, gram)
+                with_metabolizers += bool(mets)
+                count -= 1
+        assert with_metabolizers >= 15
+
+    @pytest.mark.parametrize("p, m, count", [(3, 2, 8), (5, 2, 12), (7, 2, 16), (3, 3, 80)])
+    def test_hyperbolic_count(self, p, m, count):
+        # (F_p)^(2m) with m hyperbolic planes and t = -1 has
+        # prod_(i < m) (p^i + 1) Lagrangians, every one t-invariant
+        r = 2 * m
+        minus = [[-int(i == j) for j in range(r)] for i in range(r)]
+        mod = FiniteLambdaModule.make((p,) * r, minus)
+        gram = tuple(tuple(int(i != j and i // 2 == j // 2) for j in range(r)) for i in range(r))
+        mets = find_linking_metabolizers(LinkingForm(mod, gram))
+        assert count == math.prod(p ** i + 1 for i in range(m))
+        assert len({frozenset(_span(mod, gens)) for gens in mets}) == len(mets) == count
+        for gens in mets:
+            sub = _span(mod, gens)
+            assert len(sub) == p ** m
+            for i, g in enumerate(gens):
+                assert g == min(sub - _span(mod, gens[:i]))
+
 
 def _span(mod, gens):
     span = {mod.zero()}

@@ -105,7 +105,7 @@ def _fractional_part_bounds(bp, k):
         return f, f
     bits = k.bit_length() + 8
     while True:
-        lo, hi = bp.turn_bounds(Fraction(1, 1 << bits))
+        lo, hi = oracles.turn_bounds(bp, Fraction(1, 1 << bits))
         whole = math.floor(k * lo)
         if k * hi <= whole + 1:
             return k * lo - whole, k * hi - whole

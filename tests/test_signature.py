@@ -106,7 +106,7 @@ class TestBreakpoints:
         assert len(bps) == 2
         assert all(bp.exact_turn is None for bp in bps)
         assert bps[0].x.sign_of_poly([-3, 4]) == 0
-        lo, hi = bps[0].turn_bounds(Fraction(1, 10 ** 6))
+        lo, hi = oracles.turn_bounds(bps[0], Fraction(1, 10 ** 6))
         clo, chi_ = cos_turn_bounds(lo, 64)
         assert chi_ > Fraction(3, 4)  # cos(lo) > 3/4, so lo < turn
 
@@ -275,7 +275,7 @@ class TestRicherFixtures:
         # integral = 2 * (1 - 2 * turn): both enclosures bracket the same
         # number, so they must overlap
         lo, hi = l2_eta_abelian(self.TWIST, Fraction(1, 10 ** 9))
-        tlo, thi = bp.turn_bounds(Fraction(1, 10 ** 12))
+        tlo, thi = oracles.turn_bounds(bp, Fraction(1, 10 ** 12))
         assert max(lo, 2 * (1 - 2 * thi)) <= min(hi, 2 * (1 - 2 * tlo))
         assert hi - lo <= Fraction(1, 10 ** 9)
 
@@ -328,7 +328,7 @@ class TestCornerGeometry:
         a = validate_seifert([[d, 1], [0, 1]])
         sf = signature_function(a)
         assert sf.arc_values == (2, 0) and sf.point_values == (1, 1)
-        assert sf.breakpoints[-1].turn_bounds(Fraction(1, 10 ** 6))[0] > Fraction(63, 64)
+        assert oracles.turn_bounds(sf.breakpoints[-1], Fraction(1, 10 ** 6))[0] > Fraction(63, 64)
         for k in (7, 64, 100, 353):
             direct = sum(tl_signature_by_cos_enclosure(a, angle(j, k))
                          for j in range(1, k + 1))
@@ -353,7 +353,7 @@ class TestTurnTracker:
             for bp in signature_function(a).breakpoints:
                 if bp.exact_turn is not None:
                     continue
-                lo, hi = bp.turn_bounds(width)
+                lo, hi = oracles.turn_bounds(bp, width)
                 assert hi - lo <= width
                 assert (hi - lo).numerator == 1 and lo.denominator & (lo.denominator - 1) == 0
                 xlo, _ = bp.x.bounds(Fraction(1, 2 ** 220))
@@ -374,18 +374,18 @@ class TestTurnTracker:
         from knotsig.realalg import RealAlgebraic
         x = signature_function(validate_seifert([[500, 1], [0, 1]])).breakpoints[0].x
         fine, coarse = Fraction(1, 2 ** 40), Fraction(1, 2 ** 20)
-        expected = self._fresh(x).turn_bounds(fine)
+        expected = oracles.turn_bounds(self._fresh(x), fine)
         compare = RealAlgebraic._cos_exceeds
         nested = []
 
         def interleaved(self, a, b):
             if not nested:
                 nested.append(None)
-                nested[0] = CirclePoint(self, "upper").turn_bounds(coarse)
+                nested[0] = oracles.turn_bounds(CirclePoint(self, "upper"), coarse)
             return compare(self, a, b)
 
         monkeypatch.setattr(RealAlgebraic, "_cos_exceeds", interleaved)
-        assert self._fresh(x).turn_bounds(fine) == expected
+        assert oracles.turn_bounds(self._fresh(x), fine) == expected
         lo, hi = nested[0]
         assert lo <= expected[0] and expected[1] <= hi
 
@@ -424,7 +424,7 @@ class TestTurnTracker:
             for depth in (20, 21, 64, 141, 200, 300):
                 num = top >> (300 - depth)
                 want = (Fraction(num, 1 << depth), Fraction(num + 1, 1 << depth))
-                assert self._fresh(x).turn_bounds(Fraction(1, 1 << depth)) == want
+                assert oracles.turn_bounds(self._fresh(x), Fraction(1, 1 << depth)) == want
             turns.append(Fraction(top, 1 << 300))
         assert len(xs) >= 10
         assert min(turns) < Fraction(1, 100) and max(turns) > Fraction(49, 100)
@@ -433,7 +433,7 @@ class TestTurnTracker:
         from knotsig.realalg import RealAlgebraic
         xs = self._irrational_xs()
         width = Fraction(1, 2 ** 150)
-        want = [self._fresh(x).turn_bounds(width) for x in xs]
+        want = [oracles.turn_bounds(self._fresh(x), width) for x in xs]
         guess = RealAlgebraic._turn_guess
         for wrong in (lambda g: g + 1, lambda g: g - 1, lambda g: g ^ 4):
             def off(self, num, depth, target, wrong=wrong):
@@ -441,7 +441,7 @@ class TestTurnTracker:
                 first = num << (target - depth)
                 return min(max(g, first), first + (1 << (target - depth)) - 1)
             monkeypatch.setattr(RealAlgebraic, "_turn_guess", off)
-            assert [self._fresh(x).turn_bounds(width) for x in xs] == want
+            assert [oracles.turn_bounds(self._fresh(x), width) for x in xs] == want
 
     def test_guess_is_certified_in_few_cosines(self, monkeypatch):
         # a guess that silently fails keeps every result and loses the
@@ -457,7 +457,7 @@ class TestTurnTracker:
         monkeypatch.setattr(realalg, "_cos_scaled", counted)
         for x in self._irrational_xs():
             calls.clear()
-            self._fresh(x).turn_bounds(Fraction(1, 2 ** 200))
+            oracles.turn_bounds(self._fresh(x), Fraction(1, 2 ** 200))
             assert len(calls) <= 40, (x, len(calls))
 
     def test_threads_sharing_trackers(self):
@@ -469,7 +469,7 @@ class TestTurnTracker:
         from knotsig.polyz import psign
         xs = self._irrational_xs()
         depths = (150, 5, 64, 21, 200, 11, 90)
-        want = {(i, d): self._fresh(x).turn_bounds(Fraction(1, 2 ** d))
+        want = {(i, d): oracles.turn_bounds(self._fresh(x), Fraction(1, 2 ** d))
                 for i, x in enumerate(xs) for d in depths}
         shared = [self._fresh(x) for x in xs]
         inside, peak, lock = [0], [0], threading.Lock()
@@ -479,7 +479,7 @@ class TestTurnTracker:
                 inside[0] += 1
                 peak[0] = max(peak[0], inside[0])
             try:
-                return tracker.turn_bounds(width)
+                return oracles.turn_bounds(tracker, width)
             finally:
                 with lock:
                     inside[0] -= 1
@@ -507,9 +507,9 @@ class TestTurnTracker:
     def test_enclosures_do_not_depend_on_earlier_queries(self):
         a = validate_seifert([[7, 1], [0, 1]])
         bp = signature_function(a).breakpoints[0]
-        fresh = [self._fresh(bp.x).turn_bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)]
-        bp.turn_bounds(Fraction(1, 2 ** 120))
-        assert [bp.turn_bounds(Fraction(1, 2 ** d)) for d in (1, 21, 90)] == fresh
+        fresh = [oracles.turn_bounds(self._fresh(bp.x), Fraction(1, 2 ** d)) for d in (1, 21, 90)]
+        oracles.turn_bounds(bp, Fraction(1, 2 ** 120))
+        assert [oracles.turn_bounds(bp, Fraction(1, 2 ** d)) for d in (1, 21, 90)] == fresh
         signature_function.cache_clear()
         first = l2_eta_abelian(a, Fraction(1, 10 ** 6))
         assert first[0].denominator == 2 ** 21
