@@ -25,7 +25,7 @@ from operator import add, mod, mul, neg
 from . import intmat
 from .intmat import CapExceeded, default_cap
 from .knotio import frac_str
-from .polyz import cyclotomic, pdivmod, peval, resultant
+from .polyz import cyclotomic, peval, resultant
 from .seifert import SeifertMatrix, alexander_polynomial
 
 
@@ -211,11 +211,13 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     module Gamma is invertible and t = I - Gamma^(-1), so t^k = 1 exactly
     when Gamma^k = (Gamma - I)^k: the quotient is coker R_k with the 2g x 2g
     matrix R_k = Gamma^k - (Gamma - I)^k. Write x^k - (x - 1)^k =
-    c_0 + x r(x) with c_0 = (-1)^(k+1); then on coker R_k Gamma^(-1) =
-    -c_0 r(Gamma) and t acts by I + c_0 r(Gamma). One Smith form of R_k
-    gives the torsion and the free rank, and t is moved to its basis as
-    U T U^(-1). When R_k is nonsingular the transforms are kept mod
-    |det R_k|, which every invariant factor divides.
+    c_0 + x r(x), c_j = (-1)^(k-j+1) comb(k, j) and c_0 = (-1)^(k+1); then on
+    coker R_k Gamma^(-1) = -c_0 r(Gamma) and t acts by I + c_0 r(Gamma).
+    r(Gamma) is summed by Horner from c_(k-1) = k down, each binomial made
+    from the one before by comb(k, j) = comb(k, j+1) (j+1) / (k-j). One
+    Smith form of R_k gives the torsion and the free rank, and t is moved to
+    its basis as U T U^(-1). When R_k is nonsingular the transforms are kept
+    mod |det R_k|, which every invariant factor divides.
 
     The torsion agrees with that of coker(S (x) A - I (x) A^t), S the
     k-cycle shift, which the test suite recomputes by that route; for
@@ -226,17 +228,18 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
         raise ValueError("k must be positive")
     n = pres.matrix.n
     gamma = pres.matrix.gamma
-    # c_j = coefficient of x^j in x^k - (x - 1)^k; r(Gamma) by Horner
-    c = binomial_difference_coeffs(k)
     r = [[0] * n for _ in range(n)]
-    for cj in reversed(c[1:]):
+    b = 1
+    for j in range(k - 1, 0, -1):
+        b = b * (j + 1) // (k - j)
         r = intmat.mat_mul(r, gamma)
         for i in range(n):
-            r[i][i] += cj
+            r[i][i] += b if (k - j) % 2 else -b
     rel = intmat.mat_mul(gamma, r)
-    t_mat = [[c[0] * x for x in row] for row in r]
+    c0 = 1 if k % 2 else -1
+    t_mat = [[c0 * x for x in row] for row in r]
     for i in range(n):
-        rel[i][i] += c[0]
+        rel[i][i] += c0
         t_mat[i][i] += 1
     snf = intmat.smith_form(rel, modulus=abs(intmat.det(rel)))
     w = intmat.mat_mul(intmat.mat_mul(snf.u, t_mat), snf.u_inv)
@@ -250,49 +253,21 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     return CyclicCoverHomology(FiniteLambdaModule.make(torsion, t_tor), len(free_idx))
 
 
-def binomial_difference_coeffs(k):
-    """[c_0, ..., c_(k-1)], the coefficients of x^k - (x - 1)^k: c_j is
-    (-1)^(k-j+1) comb(k, j), each binomial got from the one before by
-    comb(k, j+1) = comb(k, j) (k - j) / (j + 1)."""
-    out, b = [], 1
-    for j in range(k):
-        out.append(b if (k - j) % 2 else -b)
-        b = b * (k - j) // (j + 1)
-    return out
-
-
 def torsion_order_by_resultant(a: SeifertMatrix, k: int) -> int:
     """|prod over j=1..k-1 of Delta(zeta_k^j)|, computed exactly as the
-    absolute resultant of Delta with f = (t^k - 1)/(t - 1). Zero signals an
-    infinite quotient (Delta vanishes at some k-th root of unity).
-
-    When deg f = m >= n = deg Delta >= 1, f is first reduced mod Delta by
-    pseudo-division, c f = Q Delta + R with c = |a|^(m - n + 1), a = lc
-    Delta, so that only a resultant of degree at most n is left:
-    Res(Delta, f) = a^m prod f(alpha) over the roots of Delta, and
-    c f(alpha) = R(alpha), so |Res(Delta, f)| = |a|^(m - deg R)
-    |Res(Delta, R)| / c^n.
+    absolute resultant of Delta with f = (t^k - 1)/(t - 1) = 1 + ... +
+    t^(k-1), a norm that polyz.resultant reaches in one Horner pass over
+    the k coefficients of f. Zero signals an infinite quotient (Delta
+    vanishes at some k-th root of unity).
 
     It shares Gamma with cyclic_quotient, through Delta. The test suite has
     the independent routes: Delta by cofactor expansion and by pencil
-    interpolation, and the cover homology from the Kronecker pencil.
+    interpolation, the resultant from the Sylvester matrix, and the cover
+    homology from the Kronecker pencil.
     """
     if k < 1:
         raise ValueError("k must be positive")
-    delta = list(alexander_polynomial(a).coeffs)
-    f = [1] * k  # 1 + t + ... + t^(k-1)
-    m, n = k - 1, len(delta) - 1
-    if n == 0 or m < n:
-        return abs(resultant(delta, f))
-    _, rem = pdivmod(f, delta)
-    if not rem:
-        return 0
-    lead = abs(delta[-1])
-    c = lead ** (m - n + 1)
-    num = lead ** (m - len(rem) + 1) * abs(resultant(delta, rem))
-    out, r = divmod(num, c ** n)
-    assert r == 0, "the resultant of Delta and f is an integer"
-    return out
+    return abs(resultant(list(alexander_polynomial(a).coeffs), [1] * k))
 
 
 @dataclass(frozen=True)
@@ -473,10 +448,15 @@ def characters_vanishing_on(module: FiniteLambdaModule, p_gens, p: int, r: int):
     """All characters of order dividing p**r vanishing on the t-invariant
     submodule generated by p_gens, enumerated exactly in lexicographic
     order. Vanishing is enforced on the t-orbits of the generators, so the
-    submodule may be given by module generators over the group ring."""
+    submodule may be given by module generators over the group ring.
+    The count of characters it reads, the product of the gcd(d_i, p**r), is
+    capped (KNOTSIG_CAP, else 10**6) before any is enumerated."""
     if r < 1 or p < 2:
         raise ValueError("need a prime p and r >= 1")
     m = p ** r
+    count, cap = prod(gcd(d, m) for d in module.torsion), default_cap()
+    if count > cap:
+        raise CapExceeded(count, cap, "character count")
     gens = []
     for g in p_gens:
         v = module.reduce_vec(g)

@@ -308,28 +308,41 @@ def cos_minimal_poly(d):
 
 # Resultants and characteristic polynomials ------------------------------
 
+def monic_transform(p):
+    """l^(n-1) p(y/l) for p of degree n >= 1 and l = lc p: monic over Z,
+    with roots l alpha over the roots alpha of p."""
+    l, n = p[-1], len(p) - 1
+    return [c * l ** (n - 1 - i) for i, c in enumerate(p[:-1])] + [1]
+
+
 def resultant(p, q):
-    """Resultant of two integer polynomials, exactly (Sylvester + Bareiss det).
-    A constant operand c gives c to the other's degree m at once: the
-    Sylvester matrix would be c times the m x m identity, which a constant
-    Delta and a large cover degree k = m + 1 make too big to build."""
+    """Resultant of two integer polynomials, exactly, as a norm. With
+    l = lc p, n = deg p, m = deg q and m~ = monic_transform(p), Res(p, q) =
+    l^m prod q(alpha) = N(Q) / l^((n-1)m) for the integer Q(y) = l^m q(y/l),
+    N(Q) = det of multiplication by Q on Z[y]/(m~), whose rows are Q, yQ,
+    ..., y^(n-1)Q mod m~. Q is reduced by Horner, one monic step per
+    coefficient of q."""
     p, q = pnorm(p), pnorm(q)
     n, m = pdeg(p), pdeg(q)
     if n < 0 or m < 0:
         return 0
     if n == 0:
         return p[0] ** m
-    if m == 0:
-        return q[0] ** n
-    size = n + m
-    syl = [[0] * size for _ in range(size)]
-    for i in range(m):
-        for j, c in enumerate(reversed(p)):
-            syl[i][i + j] = c
-    for i in range(n):
-        for j, c in enumerate(reversed(q)):
-            syl[m + i][i + j] = c
-    return det(syl)
+    l, mt = p[-1], monic_transform(p)
+
+    def times_y(v):  # v * y mod m~
+        return [-v[-1] * mt[0]] + [a - v[-1] * b for a, b in zip(v, mt[1:n])]
+
+    rows, scale = [[0] * n], 1
+    for c in reversed(q):
+        rows[0] = times_y(rows[0])
+        rows[0][0] += c * scale
+        scale *= l
+    while len(rows) < n:
+        rows.append(times_y(rows[-1]))
+    norm, r = divmod(det(rows), l ** ((n - 1) * m))
+    assert r == 0, "the norm is l^((n-1)m) times the resultant"
+    return norm
 
 
 def char_poly(mat):

@@ -24,7 +24,8 @@ from functools import cached_property, lru_cache
 from math import lcm
 
 from .intmat import CapExceeded, det
-from .polyz import padd, pdivmod, pgcd, pdeg, pmul, pnorm, pprimitive, psign
+from .polyz import (monic_transform, padd, pdivmod, pgcd, pdeg, pmul, pnorm, pprimitive,
+                    psign)
 
 #: Bisection/refinement depth after which sign determination gives up.
 #: Exceeding it indicates a bug (every sign queried here is decidable).
@@ -376,7 +377,7 @@ class AlgebraicElement:
         l, d = m[-1], len(m) - 1
         if d == 1:
             return l + m[0], l - m[0]
-        m = [c * l ** (d - 1 - i) for i, c in enumerate(m[:-1])] + [1]
+        m = monic_transform(m)
         ring = [RealAlgebraic(m, l * alpha.lo, l * alpha.hi), m]
         return cls([l, -1], ring), cls([l, 1], ring)
 

@@ -15,7 +15,8 @@ entry by entry instead of tuple kernels and cached powers, linking-form
 metabolizers by a search over every t-invariant subgroup instead of a walk
 over the isotropic ones, cyclotomic polynomials and their roots by
 polynomial division instead of binomials t^e - 1, k-grid counts and arc
-measures from Fraction turn enclosures instead of integer cells. A few
+measures from Fraction turn enclosures instead of integer cells, the
+resultant from the Sylvester matrix instead of a norm. A few
 helpers that only tests need, such as the inverse of a monomial matrix,
 live here too.
 """
@@ -879,6 +880,27 @@ def vanishes_at_root_of_unity_by_division(coeffs, d):
     """Whether Phi_d divides the integer polynomial coeffs, by one division
     by Phi_d, where the library folds coeffs mod t^d - 1."""
     return pdivides(cyclotomic_by_division(d), coeffs)
+
+
+# --- resultant from the Sylvester matrix -----------------------------------
+
+def resultant_by_sylvester(p, q):
+    """Res(p, q) as the determinant of the (n + m) x (n + m) Sylvester
+    matrix (m shifted rows of p, then n of q), where the library takes the
+    norm of q in Z[y]/(m~). A constant operand needs no special case: a
+    0 x 0 matrix has determinant 1."""
+    p, q = pnorm(p), pnorm(q)
+    n, m = pdeg(p), pdeg(q)
+    if n < 0 or m < 0:
+        return 0
+    syl = [[0] * (n + m) for _ in range(n + m)]
+    for i in range(m):
+        for j, c in enumerate(reversed(p)):
+            syl[i][i + j] = c
+    for i in range(n):
+        for j, c in enumerate(reversed(q)):
+            syl[m + i][i + j] = c
+    return det(syl)
 
 
 # --- Arf invariant from an integer symplectic basis -------------------------

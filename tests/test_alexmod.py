@@ -6,22 +6,22 @@ from itertools import product
 
 import pytest
 
-from knotsig import (Character, FiniteLambdaModule, LinkingForm, CapExceeded,
+from knotsig import (Character, FiniteLambdaModule, IntLaurentPoly, LinkingForm, CapExceeded,
                      alexander_module, alexander_polynomial, block_sum,
                      characters_of, characters_vanishing_on, cyclic_quotient,
                      double_cover_linking_form, find_linking_metabolizers,
-                     torsion_order_by_resultant)
+                     finite_alexander_quotient, torsion_order_by_resultant)
 
 from knotsig import intmat
-from knotsig.alexmod import binomial_difference_coeffs
+from knotsig.knotio import read_knot
 from knotsig.seifert import validate_seifert
 
-from conftest import (FIGURE_EIGHT, SLICE4, TREFOIL, conjugate, mirror,
+from conftest import (FIGURE_EIGHT, FIXTURE_DIR, SLICE4, TREFOIL, conjugate, mirror,
                       random_interesting_seifert, random_module, random_seifert,
                       random_unimodular, torus_seifert)
 from oracles import (action_order_brute, character_is_trivial, cyclic_quotient_by_kronecker,
                      frac_inverse, is_invertible_by_factoring, lambda_modules_isomorphic_brute,
-                     linking_metabolizers_by_subgroup_search)
+                     linking_metabolizers_by_subgroup_search, resultant_by_sylvester)
 
 
 class TestCyclicQuotient:
@@ -35,12 +35,6 @@ class TestCyclicQuotient:
         hom = cyclic_quotient(alexander_module(trefoil), 6)
         assert hom.free_rank == 2
         assert torsion_order_by_resultant(trefoil, 6) == 0
-
-    def test_binomial_difference_coeffs(self):
-        # the ratio of consecutive binomials against math.comb afresh per j
-        for k in range(1, 301):
-            assert binomial_difference_coeffs(k) == \
-                [(-1) ** (k - j + 1) * math.comb(k, j) for j in range(k)], k
 
     def test_unknot_any_k(self, unknot):
         for k in (1, 2, 5):
@@ -102,9 +96,9 @@ class TestCyclicQuotient:
                     assert hom.free_rank > 0
 
     def test_reduced_resultant_equals_sylvester(self):
-        # f = 1 + ... + t^(k-1) is reduced mod Delta before the resultant;
-        # polyz.resultant on the full (k - 1 + deg Delta) Sylvester matrix
-        # is the reference; at k = 1 it is a constant operand
+        # the norm of f = 1 + ... + t^(k-1) modulo the monic transform of
+        # Delta against the full (k - 1 + deg Delta) Sylvester matrix; at
+        # k = 1 f is a constant operand
         from knotsig.polyz import resultant
         rng = random.Random(23)
         knots = [validate_seifert([[0, 1], [0, 0]]), TREFOIL, FIGURE_EIGHT, SLICE4]
@@ -113,7 +107,7 @@ class TestCyclicQuotient:
         for a in knots:
             delta = list(alexander_polynomial(a).coeffs)
             for k in range(1, 41):
-                want = abs(resultant(delta, [1] * k))
+                want = abs(resultant_by_sylvester(delta, [1] * k))
                 assert torsion_order_by_resultant(a, k) == want, (a.entries, k)
                 seen["unit delta"] += delta == [1]
                 seen["zero"] += want == 0
@@ -162,6 +156,23 @@ class TestCoverRoutes:
         assert res > 0 and hom.free_rank == 0
         assert hom.module.order() == res
 
+
+    def test_non_monic_delta_at_large_k(self):
+        # k far above deg Delta with lc Delta != +-1: the twist fixture
+        # (Delta = 2t^2 - 3t + 2) at k = 5000, and the first random genus-3
+        # knot with a non-monic Delta of degree 6 and a finite cover at k = 2000
+        rng = random.Random(2000)
+        while True:
+            a = random_interesting_seifert(rng, 3)
+            delta = alexander_polynomial(a).coeffs
+            if len(delta) == 7 and abs(delta[-1]) > 1 and torsion_order_by_resultant(a, 2000):
+                break
+        twist = read_knot(FIXTURE_DIR / "twist.json")
+        assert alexander_polynomial(twist).coeffs == (2, -3, 2)
+        for a, k in ((twist, 5000), (a, 2000)):
+            hom = cyclic_quotient(alexander_module(a), k)
+            assert hom.free_rank == 0
+            assert hom.module.order() == torsion_order_by_resultant(a, k) > 0
 
 class TestLambdaIsomorphismOracle:
     def test_small_modules(self):
@@ -625,6 +636,17 @@ class TestCharacters:
                 got = [chi.exponents for chi in characters_of(mod, m)]
                 assert got == [c for c in product(range(m), repeat=len(ds))
                                if Character(m, c).is_well_defined_on(mod)], (ds, m)
+
+    def test_character_count_capped_before_enumerating(self, monkeypatch):
+        # the level-6 quotient of Delta = t^2 - t + 1 at p = 5 is (Z/5^6)^2:
+        # 5^12 characters of order dividing 5^6, refused before the first
+        monkeypatch.delenv("KNOTSIG_CAP", raising=False)
+        mod = finite_alexander_quotient(IntLaurentPoly.make([1, -1, 1]), 5, 6)
+        assert mod.torsion == (5 ** 6, 5 ** 6)
+        monkeypatch.setattr("knotsig.alexmod.characters_of", None)  # never reached
+        with pytest.raises(CapExceeded, match="character count") as exc:
+            characters_vanishing_on(mod, [], 5, 6)
+        assert exc.value.order == 5 ** 12
 
     def test_wrong_length_vector_rejected(self):
         # a vector with more or fewer coordinates than the rank is an error,

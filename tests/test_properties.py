@@ -13,9 +13,9 @@ from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      tl_signature_at, validate_seifert)
 from knotsig.alexmod import torsion_order_by_resultant
 from knotsig.polyz import (char_poly, cos_compact, cos_minimal_poly, cyclotomic,
-                           isolate_roots, padd, palindromic_compact, pdeg,
-                           pdivmod, peval, pgcd, pmul, pnorm,
-                           pprimitive, psign, squarefree_part, sturm_chain,
+                           isolate_roots, monic_transform, padd, palindromic_compact,
+                           pdeg, pdivmod, peval, pgcd, pmul, pnorm,
+                           pprimitive, psign, resultant, squarefree_part, sturm_chain,
                            sturm_count, vanishes_at_root_of_unity)
 from knotsig.intmat import (congruence_signature, det, diagonal_blocks,
                             euler_phi, identity, kron,
@@ -1052,6 +1052,45 @@ class TestPseudoDivision:
                 if d % e == 0:
                     prod_ = pmul(prod_, list(cyclotomic(e)))
             assert prod_ == [-1] + [0] * (d - 1) + [1], d
+
+
+@st.composite
+def resultant_pairs(draw):
+    """(p, q) with deg p <= 8 and deg q <= 60, either one possibly a constant
+    or zero, leading coefficients of any sign and size, and at times a
+    common factor of degree 1 or 2, which makes the resultant 0."""
+    p = pnorm(draw(st.lists(st.integers(-9, 9), max_size=9)))
+    q = pnorm(draw(st.lists(st.integers(-9, 9), max_size=61)))
+    common = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3).map(pnorm))
+    if pdeg(common) >= 1 and draw(st.booleans()):
+        p, q = pmul(p, common), pmul(q, common)
+    return p, q
+
+
+class TestResultantAsNorm:
+    """polyz.resultant, the norm of q in Z[y]/(monic_transform(p)), against
+    the Sylvester determinant, in both argument orders."""
+
+    @given(resultant_pairs())
+    @settings(max_examples=150, deadline=None)
+    @example(([7], [1, 2, 3]))               # constant p
+    @example(([-2, 0, 3], [-5]))             # constant q
+    @example(([], [1, 1]))                   # zero operand
+    @example(([3, 1, -4], [1] * 61))         # negative, non-unit lc; deg q 60
+    @example((pmul([1, -2], [2, 5, -6]), pmul([1, -2], [9, 0, 0, 4])))  # common root
+    def test_against_sylvester(self, pair):
+        p, q = pair
+        want = oracles.resultant_by_sylvester(p, q)
+        assert resultant(p, q) == want
+        assert resultant(q, p) == oracles.resultant_by_sylvester(q, p)
+        if pdeg(pgcd(p, q)) >= 1:
+            assert want == 0
+
+    def test_monic_transform(self):
+        # l^(n-1) p(y/l): monic, with roots l alpha (here 2 * 3/2 and 2 * -1)
+        assert monic_transform([-3, -1, 2]) == [-6, -1, 1]
+        assert peval(monic_transform([-3, -1, 2]), 3) == 0
+        assert monic_transform([5, -1]) == [5, 1]
 
 
 class TestRootsOfUnityByBinomials:
