@@ -216,8 +216,8 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     r(Gamma) is summed by Horner from c_(k-1) = k down, each binomial made
     from the one before by comb(k, j) = comb(k, j+1) (j+1) / (k-j). One
     Smith form of R_k gives the torsion and the free rank, and t is moved to
-    its basis as U T U^(-1). When R_k is nonsingular the transforms are kept
-    mod |det R_k|, which every invariant factor divides.
+    its basis as U T U^(-1), whose rows are read mod their d_i: so the
+    transforms that smith_form reduces mod d_r serve as they are.
 
     The torsion agrees with that of coker(S (x) A - I (x) A^t), S the
     k-cycle shift, which the test suite recomputes by that route; for
@@ -241,7 +241,7 @@ def cyclic_quotient(pres: LambdaModulePresentation, k: int) -> CyclicCoverHomolo
     for i in range(n):
         rel[i][i] += c0
         t_mat[i][i] += 1
-    snf = intmat.smith_form(rel, modulus=abs(intmat.det(rel)))
+    snf = intmat.smith_form(rel)
     w = intmat.mat_mul(intmat.mat_mul(snf.u, t_mat), snf.u_inv)
     tor_idx = [i for i, d in enumerate(snf.d) if d not in (0, 1)]
     free_idx = [i for i, d in enumerate(snf.d) if d == 0]
@@ -319,7 +319,8 @@ def double_cover_linking_form(a: SeifertMatrix) -> LinkingForm:
     torsion = tuple(snf.d[i] for i in tor_idx)
     # D = U B V gives B^-1 = V D^-1 U, and U g_i = e_i for the generator
     # g_i = column i of U^-1, so g_i^t B^-1 g_j = (g_i . V e_j) / d_j, and N
-    # times it is (g_i . V e_j) (N / d_j), N = d_r
+    # times it is (g_i . V e_j) (N / d_j), N = d_r; smith_form keeps U^-1
+    # and V mod d_r, which changes it by multiples of d_r (N / d_j), so of N
     uinv, v, big = snf.u_inv, snf.v, max(torsion, default=1)
     gram = tuple(tuple(sum(uinv[r][i] * v[r][j] for r in range(n)) * (big // snf.d[j]) % big
                        for j in tor_idx) for i in tor_idx)

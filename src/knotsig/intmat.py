@@ -2,20 +2,21 @@
 
 Matrices are lists of lists (row major). The Smith normal form logs the
 row and column operations of its elimination and replays the log into the
-row transform, its inverse or the column transform on first read, so
-module structure (like a group action) can be transported to the
-normal-form basis, and a caller that reads only the diagonal builds no
-transform. This module is the one home of the integer primitives the
-library shares: determinant, signature of a symmetric matrix, modular
-matrix power, prime factorization and Euler's phi. The signature runs on
-each connected block of a matrix (diagonal_blocks), so a block sum costs
-what its summands cost; polyz.char_poly splits a matrix the same way. The
-determinant is Bareiss elimination with a divisor per row: a row whose
-entry in the pivot column is zero is left alone, and when a pivot column
-reaches it, it is divided by the pivot of the step that last changed it,
-which is exact because the quotient is a minor. It also
-holds the one enumeration cap (KNOTSIG_CAP), which bounds the library's
-searches and the rho steps of the factorization.
+row transform, its inverse or the column transform on first read, mod the
+exponent of a square matrix's nontrivial finite cokernel, so module
+structure (like a group action) can be transported to the normal-form
+basis, and a caller that reads only the diagonal builds no transform. This
+module is the one home of the integer primitives the library shares:
+determinant, signature of a symmetric matrix, modular matrix power, prime
+factorization and Euler's phi. The signature runs on each connected block
+of a matrix (diagonal_blocks), so a block sum costs what its summands
+cost; polyz.char_poly splits a matrix the same way. The determinant is
+Bareiss elimination with a divisor per row: a row whose entry in the pivot
+column is zero is left alone, and when a pivot column reaches it, it is
+divided by the pivot of the step that last changed it, which is exact
+because the quotient is a minor. It also holds the one enumeration cap
+(KNOTSIG_CAP), which bounds the library's searches and the rho steps of
+the factorization.
 """
 
 import os
@@ -245,39 +246,39 @@ class SmithForm:
     u, u_inv, v. Diagonal length is min(rows, cols); entries beyond the
     rank are zero. The elimination logs its row and column operations, and
     each transform is built by replaying the log on its first read, so a
-    caller pays only for the transforms it reads. With a modulus N the
-    transforms are kept mod N, so U * M * V = D and U * U_inv = I hold
-    mod N (N = 0 means exactly).
+    caller pays only for the transforms it reads. A square M with last
+    invariant factor d_r > 1 has a cokernel of exponent d_r, where the
+    coordinates (U x)_i mod d_i and the generators U^-1 e_i live, so its
+    transforms are kept mod d_r: U * M * V = D and U * U_inv = I hold mod
+    d_r. Those of any other M are exact.
     """
 
-    def __init__(self, d, rows, cols, row_ops, col_ops, modulus):
+    def __init__(self, d, rows, cols, row_ops, col_ops):
         self.d = d
-        self._rows = rows
-        self._cols = cols
-        self._row_ops = row_ops
-        self._col_ops = col_ops
-        self._modulus = modulus
+        self._rows, self._cols = rows, cols
+        self._row_ops, self._col_ops = row_ops, col_ops
+        self._exponent = d[-1] if rows == cols and d and d[-1] > 1 else 0
 
     @cached_property
     def u(self):
-        return _replay(self._rows, self._row_ops, self._modulus)
+        return _replay(self._rows, self._row_ops, self._exponent)
 
     @cached_property
     def u_inv(self):
-        return transpose(_replay(self._rows, self._row_ops, self._modulus, dual=True))
+        return transpose(_replay(self._rows, self._row_ops, self._exponent, dual=True))
 
     @cached_property
     def v(self):
         # column operations on V are row operations on V^t
-        return transpose(_replay(self._cols, self._col_ops, self._modulus))
+        return transpose(_replay(self._cols, self._col_ops, self._exponent))
 
 
-def _replay(size, ops, modulus, dual=False):
+def _replay(size, ops, exponent, dual=False):
     """The identity of the given size after the logged row operations:
     ("swap", i, j), ("neg", i) and ("axpy", i, j, q) for row_i -= q*row_j.
     With dual, each operation's inverse transpose is applied instead, which
     builds (U^-1)^t. Only the row an axpy changes is reduced mod a nonzero
-    modulus; a negation is not reduced."""
+    exponent; a negation is not reduced."""
     out = identity(size)
     for op in ops:
         kind, i = op[0], op[1]
@@ -291,17 +292,12 @@ def _replay(size, ops, modulus, dual=False):
             if dual:
                 i, j, q = j, i, -q
             row = [a - q * b for a, b in zip(out[i], out[j])]
-            out[i] = [a % modulus for a in row] if modulus else row
+            out[i] = [a % exponent for a in row] if exponent else row
     return out
 
 
-def smith_form(mat, modulus=0):
-    """The Smith form of mat. d is always exact; a nonzero `modulus` keeps
-    the transforms mod it, so they stay its size instead of growing with
-    every elimination step. Any multiple of the last nonzero d_i, such as
-    |det| of a nonsingular square matrix, still gives the cokernel's
-    coordinates (U x)_i mod d_i.
-
+def smith_form(mat):
+    """The Smith form of mat, its transforms reduced as SmithForm says.
     The elimination runs on the matrix alone, on the block b = M[s:, s:]
     that is still open, and logs each operation with its global indices
     for SmithForm to replay."""
@@ -367,7 +363,7 @@ def smith_form(mat, modulus=0):
         b = [row[1:] for row in b[1:]]
         s += 1
     diag += [0] * (min(rows, cols) - len(diag))
-    return SmithForm(diag, rows, cols, row_ops, col_ops, modulus)
+    return SmithForm(diag, rows, cols, row_ops, col_ops)
 
 
 # Miller-Rabin to the first 13 prime bases is proven below _MR_PROVEN

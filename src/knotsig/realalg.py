@@ -289,6 +289,15 @@ class RealAlgebraic:
             num, held = self._turn_refine(num, held, depth)
         return num >> (held - depth)
 
+    def turn_floor(self, k):
+        """floor(k * arccos(alpha)/(2*pi)) for alpha as in turn_cell: the
+        cell c at depth D = (4k - 1).bit_length() holds at most one j/k,
+        j = floor(k c/2^D) + 1, and one cosine comparison places the turn."""
+        depth = (4 * k - 1).bit_length()
+        c = self.turn_cell(depth)
+        j = (k * c >> depth) + 1
+        return j if j << depth < k * (c + 1) and self._cos_exceeds(j, k) else j - 1
+
     def _turn_refine(self, num, depth, target):
         """The turn cell at depth target inside the cell (num, depth)."""
         while depth < min(target, _BISECT_DEPTH):

@@ -231,13 +231,11 @@ class SignatureFunction:
         number of j in 1..k with j/k strictly below its turn, and
         on_grid[i], whether the turn is a multiple of 1/k; computed once
         per k. An exact turn n/d gives ceil(k*n/d) - 1 at once. An
-        irrational turn reads its dyadic cell c at depth D, starting where
-        the cell is at most 1/(4k) wide and going 4 deeper while a multiple
-        of 1/k lies strictly inside; then below[i] is ceil(k(c+1)/2^D) - 1."""
+        irrational upper turn gives f = RealAlgebraic.turn_floor(k), its
+        mirror k - 1 - f."""
         grid = self._grids.get(k)
         if grid is None:
             below, on_grid = [], []
-            start = (4 * k - 1).bit_length()
             for bp in self.breakpoints:
                 t = bp.exact_turn
                 if t is not None:
@@ -245,13 +243,8 @@ class SignatureFunction:
                     below.append(-(-k * n // d) - 1)
                     on_grid.append(k % d == 0)
                     continue
-                depth = start
-                c = bp.cell(depth)
-                # floor(k c / 2^D) + 1 < k (c + 1) / 2^D: a j/k inside
-                while (((k * c) >> depth) + 1 << depth) < k * (c + 1):
-                    depth += 4
-                    c = bp.cell(depth)
-                below.append(-(-k * (c + 1) >> depth) - 1)
+                f = bp.x.turn_floor(k)
+                below.append(f if bp.hemisphere == "upper" else k - 1 - f)
                 on_grid.append(False)
             grid = self._grids[k] = (below, on_grid)
         return grid

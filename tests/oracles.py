@@ -695,9 +695,9 @@ def smith_form_eager(mat, rows=None, cols=None, modulus=0):
     step alongside the elimination (the library logs the steps and replays
     them on first read). d is always exact; a nonzero `modulus` keeps
     the transforms mod it, so they stay its size instead of growing with
-    every elimination step. Any multiple of the last nonzero d_i, such as
-    |det| of a nonsingular square matrix, still gives the cokernel's
-    coordinates (U x)_i mod d_i."""
+    every elimination step. Any multiple of the last nonzero d_i still
+    gives the cokernel's coordinates (U x)_i mod d_i; the library's
+    smith_form uses d_r itself for a square matrix with d_r > 1."""
     if rows is None:
         rows = len(mat)
     if cols is None:

@@ -822,20 +822,21 @@ class TestIntegerPrimitives:
 
     @given(st.integers(1, 5), st.integers(0, 10 ** 6))
     @settings(max_examples=150, deadline=None)
-    def test_smith_transforms_mod_det(self, n, seed):
-        # the transforms kept mod |det| are the exact ones reduced
+    def test_smith_transforms_mod_exponent(self, n, seed):
+        # the transforms of a square matrix with d_r > 1 are the exact ones
+        # reduced mod d_r, the exponent of the cokernel; all others exact
         rng = random.Random(seed)
         m = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
-        big = abs(det(m))
-        exact, small = smith_form(m), smith_form(m, modulus=big)
-        assert small.d == exact.d
-        if big:
-            for got, want in ((small.u, exact.u), (small.u_inv, exact.u_inv), (small.v, exact.v)):
+        snf, exact = smith_form(m), oracles.smith_form_eager(m)
+        assert snf.d == exact.d
+        big = exact.d[-1] if det(m) else 0
+        if big > 1:
+            for got, want in ((snf.u, exact.u), (snf.u_inv, exact.u_inv), (snf.v, exact.v)):
                 assert [[x % big for x in row] for row in got] == \
                     [[x % big for x in row] for row in want]
-                assert all(abs(x) <= big for row in got for x in row)
+                assert all(abs(x) < big for row in got for x in row)
         else:
-            assert (small.u, small.u_inv, small.v) == (exact.u, exact.u_inv, exact.v)
+            assert (snf.u, snf.u_inv, snf.v) == (exact.u, exact.u_inv, exact.v)
 
 
 def _cover_pencil(a, k):
@@ -868,12 +869,19 @@ def small_int_matrices(draw):
 
 class TestSmithForm:
     """smith_form builds its transforms by replaying the elimination's log;
-    they must be exactly those of the eager elimination (oracles) and satisfy
-    the defining identities, exactly and mod |det|."""
+    they must be exactly those of the eager elimination (oracles) kept mod
+    N, N = d_r for a square matrix with d_r > 1 and N = 0 (exact) for every
+    other, and satisfy the defining identities mod N."""
 
     @staticmethod
-    def assert_matches_eager_and_identities(m, modulus=0):
-        snf = smith_form(m, modulus=modulus)
+    def exponent(m, d):
+        # d_r for a nonsingular square m with d_r > 1, else 0 (exact)
+        return d[-1] if m and len(m) == len(m[0]) and det(m) and d[-1] > 1 else 0
+
+    @classmethod
+    def assert_matches_eager_and_identities(cls, m):
+        snf = smith_form(m)
+        modulus = cls.exponent(m, snf.d)
         ref = oracles.smith_form_eager(m, modulus=modulus)
         assert snf.d == ref.d
         assert snf.u == ref.u and snf.u_inv == ref.u_inv and snf.v == ref.v
@@ -884,19 +892,20 @@ class TestSmithForm:
                           (mat_mul(snf.u, snf.u_inv), identity(rows))):
             assert [[red(x) for x in row] for row in got] == \
                 [[red(x) for x in row] for row in want]
+        return modulus
 
     @given(small_int_matrices())
+    @example([[2, 4, 6], [1, 3, 5], [4, 8, 12]])  # singular
+    @example([[6, 4, 2], [10, -8, 14]])  # rectangular, either way round
+    @example([[6, 10], [4, -8], [2, 14]])
+    @example([[2, 3], [5, 8]])  # unimodular
+    @example([[6, 0], [0, 4]])  # d_r = 12
     @settings(max_examples=300, deadline=None)
     def test_replayed_transforms_equal_eager(self, m):
         self.assert_matches_eager_and_identities(m)
-        if m and len(m) == len(m[0]) and det(m):
-            self.assert_matches_eager_and_identities(m, modulus=abs(det(m)))
 
     def test_cover_pencil(self):
-        big = abs(det(PENCIL_G3_K20))
-        assert big
-        self.assert_matches_eager_and_identities(PENCIL_G3_K20, modulus=big)
-        self.assert_matches_eager_and_identities(PENCIL_G3_K20)
+        assert self.assert_matches_eager_and_identities(PENCIL_G3_K20)
 
     def test_transforms_built_on_first_read_only(self):
         snf = smith_form(PENCIL_G3_K20)
@@ -921,6 +930,31 @@ class TestSmithForm:
         # R_k move t to its basis
         assert set(vars(skew)) & {"u", "u_inv", "v"} == {"u", "v"}
         assert set(vars(rel)) & {"u", "u_inv", "v"} == {"u", "u_inv"}
+
+    def test_cyclic_quotient_reduces_by_the_exponent(self, monkeypatch):
+        # the 12-fold cover of this genus-1 knot is Z/1365 + Z/12285, so
+        # |det R_12| is 1365 times d_r: the transforms of R_12 stay below
+        # d_r, and no determinant of R_12 is taken to find a modulus
+        from knotsig import alexander_module, cyclic_quotient, intmat
+        a = validate_seifert([[0, -2], [-1, 1]])
+        made, dets = [], []
+
+        def recording(mat):
+            made.append((mat, smith_form(mat)))
+            return made[-1][1]
+
+        def det_spy(mat):
+            dets.append(mat)
+            return det(mat)
+
+        monkeypatch.setattr(intmat, "smith_form", recording)
+        monkeypatch.setattr(intmat, "det", det_spy)
+        assert cyclic_quotient(alexander_module(a), 12).module.torsion == (1365, 12285)
+        rel, snf = made[-1]
+        big = snf.d[-1]
+        assert big == 12285 < abs(det(rel))
+        assert all(-big < x < big for m in (snf.u, snf.u_inv) for row in m for x in row)
+        assert rel not in dets
 
 
 @st.composite

@@ -704,26 +704,40 @@ class TestIntegerCells:
                 assert l2_eta_abelian(a, eps) == oracles.l2_eta_by_fraction_measures(sf, eps)
         assert irrational >= 20
 
-    def test_deepening_and_mirror_are_reached(self, monkeypatch):
-        cell, calls = CirclePoint.cell, []
+    def test_comparison_and_mirror_are_reached(self, monkeypatch):
+        # an irrational turn meets the k-grid through its cell at depth
+        # D = (4k - 1).bit_length() and at most one comparison with a cosine
+        # at a multiple of 1/k; a lower point is the mirror of its upper one
+        from knotsig.realalg import RealAlgebraic
+        cell, exceeds, depths, denominators = (RealAlgebraic.turn_cell,
+                                               RealAlgebraic._cos_exceeds, [], [])
 
-        def spy(bp, depth):
-            calls.append((bp.hemisphere, depth))
-            return cell(bp, depth)
+        def cell_spy(x, depth):
+            depths.append(depth)
+            return cell(x, depth)
 
-        monkeypatch.setattr(CirclePoint, "cell", spy)
-        deepened, lowers = 0, 0
+        def exceeds_spy(x, a, b):
+            denominators.append(b)
+            return exceeds(x, a, b)
+
+        monkeypatch.setattr(RealAlgebraic, "turn_cell", cell_spy)
+        monkeypatch.setattr(RealAlgebraic, "_cos_exceeds", exceeds_spy)
+        compared, lowers = 0, 0
         for a in self.knots():
             sf = signature_function(a)
             fresh = SignatureFunction(a, sf.breakpoints, sf.arc_values, sf.point_values)
+            irrational = [bp for bp in sf.breakpoints if bp.exact_turn is None]
+            lowers += sum(bp.hemisphere == "lower" for bp in irrational)
             for k in self.KS:
-                calls.clear()
+                depths.clear()
+                denominators.clear()
                 grid = fresh._grid(k)
-                start = (4 * k - 1).bit_length()
-                deepened += sum(depth > start for _, depth in calls)
-                lowers += sum(h == "lower" for h, _ in calls)
+                assert max(depths, default=0) <= (4 * k - 1).bit_length()
+                if k & (k - 1):  # the cells compare at powers of 2 only
+                    assert denominators.count(k) <= len(irrational)
+                    compared += denominators.count(k)
                 assert grid == oracles.grid_by_fractions(sf, k)
-        assert deepened and lowers
+        assert compared and lowers
 
 
 class TestAdditivity:
