@@ -11,7 +11,8 @@ Resultants and characteristic polynomials of integer matrices build on intmat.
 
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import comb, gcd
+from itertools import accumulate
+from math import comb, gcd, prod
 
 from .intmat import det, diagonal_blocks, identity, mat_mul, prime_factorization
 
@@ -224,44 +225,57 @@ def isolate_roots(p, lo, hi):
 # Cyclotomic polynomials and trigonometric minimal polynomials ------------
 
 def cyclotomic(d):
-    """The d-th cyclotomic polynomial as an integer coefficient list, by the
-    Moebius product Phi_d = prod over e | d of (t^e - 1)^mu(d/e): e = d/m for
-    the squarefree divisors m of d, with mu(m) = (-1)^(number of primes of
-    m). The factors with mu = +1 are multiplied in first, then those with
-    mu = -1 divided out exactly, each a linear pass over the coefficients."""
-    up, down = [d], []
-    for p in prime_factorization(d):
+    """The d-th cyclotomic polynomial as an integer coefficient list.
+
+    With r = rad d, the product of the distinct primes of d, Phi_d(t) =
+    Phi_r(t^(d/r)), so the coefficients of Phi_r are spread d/r apart. For
+    squarefree r > 1, Phi_r = prod over e | r of (1 - t^e)^mu(r/e) as a
+    power series, where e = r/m for the squarefree m | r and mu(m) = (-1)^(
+    number of primes of m). Phi_r is palindromic of degree phi(r), so only
+    the series up to degree phi(r) // 2 is formed, then mirrored: times
+    1 - t^e is one slice subtraction, and over 1 - t^e a running sum along
+    each residue class mod e. The coefficients sum to Phi_r(1), which is p
+    for r = p prime and 1 otherwise."""
+    if d < 1:
+        raise ValueError("cyclotomic polynomials have positive order")
+    if d == 1:
+        return (-1, 1)
+    primes = prime_factorization(d)
+    r = prod(primes)
+    up, down = [r], []
+    for p in primes:
         up, down = up + [e // p for e in down], down + [e // p for e in up]
-    f = [1]
+    phi = prod(p - 1 for p in primes)
+    n = phi // 2 + 1  # the coefficients of degree 0..phi // 2
+    f = [1] + [0] * (n - 1)
     for e in up:
-        f = [a - b for a, b in zip([0] * e + f, f + [0] * e)]  # f * (t^e - 1)
+        if e < n:
+            f[e:] = [a - b for a, b in zip(f[e:], f)]  # f * (1 - t^e)
     for e in down:
-        f = _divide_by_binomial(f, e)
-    return tuple(f)
-
-
-def _divide_by_binomial(f, e):
-    """f / (t^e - 1), asserted exact. The series -f / (1 - t^e) has
-    q_i = q_(i-e) - f_i; it is a polynomial of degree deg f - e exactly when
-    its coefficients from there on vanish."""
-    q, block = [], [0] * e
-    for i in range(0, len(f), e):
-        block = [a - b for a, b in zip(block, f[i:i + e])]
-        q += block
-    n = len(f) - e
-    assert not any(q[n:]), "t^e - 1 divides the product"
-    return q[:n]
+        if e < n:
+            for c in range(e):
+                f[c::e] = accumulate(f[c::e])  # f / (1 - t^e)
+    f += f[phi - n::-1]
+    assert sum(f) == (r if len(primes) == 1 else 1), "Phi_r(1)"
+    out = [0] * (phi * (d // r) + 1)
+    out[::d // r] = f  # Phi_r(t^(d/r))
+    return tuple(out)
 
 
 def vanishes_at_root_of_unity(coeffs, d):
     """Whether the integer polynomial f vanishes at exp(2*pi*i/d), i.e. Phi_d
-    divides f. In Q[t]/(t^d - 1), the sum of the fields Q(zeta_e) over
-    e | d, the product of the 1 - t^(d/p) over the primes p | d is zero in
-    every summand but Q(zeta_d), where it is a unit: so f(zeta_d) = 0
-    exactly when f mod t^d - 1 times that product is zero."""
-    v = [0] * d
-    for i, c in enumerate(coeffs):
-        v[i % d] += c
+    divides f. f mod t^d - 1 sums f along each residue class of exponents
+    mod d, or pads f with zeros when deg f < d. In Q[t]/(t^d - 1), the sum
+    of the fields Q(zeta_e) over e | d, the product of the 1 - t^(d/p) over
+    the primes p | d is zero in every summand but Q(zeta_d), where it is a
+    unit: so f(zeta_d) = 0 exactly when f mod t^d - 1 times that product is
+    zero."""
+    if d < 1:
+        raise ValueError("roots of unity have positive order")
+    if len(coeffs) > d:
+        v = [sum(coeffs[c::d]) for c in range(d)]
+    else:
+        v = list(coeffs) + [0] * (d - len(coeffs))
     for p in prime_factorization(d):
         s = d // p
         v = [a - b for a, b in zip(v, v[-s:] + v[:-s])]  # v * (1 - t^s)

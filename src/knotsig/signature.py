@@ -232,10 +232,11 @@ class SignatureFunction:
         on_grid[i], whether the turn is a multiple of 1/k; computed once
         per k. An exact turn n/d gives ceil(k*n/d) - 1 at once. An
         irrational upper turn gives f = RealAlgebraic.turn_floor(k), its
-        mirror k - 1 - f."""
+        mirror k - 1 - f; the two points of one root share its x, so f is
+        found once for both."""
         grid = self._grids.get(k)
         if grid is None:
-            below, on_grid = [], []
+            below, on_grid, floors = [], [], {}  # floors: x -> turn_floor(k)
             for bp in self.breakpoints:
                 t = bp.exact_turn
                 if t is not None:
@@ -243,7 +244,9 @@ class SignatureFunction:
                     below.append(-(-k * n // d) - 1)
                     on_grid.append(k % d == 0)
                     continue
-                f = bp.x.turn_floor(k)
+                if bp.x not in floors:
+                    floors[bp.x] = bp.x.turn_floor(k)
+                f = floors[bp.x]
                 below.append(f if bp.hemisphere == "upper" else k - 1 - f)
                 on_grid.append(False)
             grid = self._grids[k] = (below, on_grid)

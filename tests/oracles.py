@@ -14,7 +14,8 @@ knots instead of any matrix, the group law and representation matrices
 entry by entry instead of tuple kernels and cached powers, linking-form
 metabolizers by a search over every t-invariant subgroup instead of a walk
 over the isotropic ones, cyclotomic polynomials and their roots by
-polynomial division instead of binomials t^e - 1, k-grid counts and arc
+polynomial division, and their values at integers as quotients of
+integers, instead of power series in binomials 1 - t^e, k-grid counts and arc
 measures from Fraction turn enclosures instead of integer cells, the
 resultant from the Sylvester matrix instead of a norm. A few
 helpers that only tests need, such as the inverse of a monomial matrix,
@@ -858,14 +859,44 @@ def frac_squarefree_part(p):
 @lru_cache(maxsize=None)
 def cyclotomic_by_division(d):
     """Phi_d as t^d - 1 divided by Phi_e for every proper divisor e of d,
-    each by integer division, where the library multiplies and divides by
-    binomials t^e - 1 only."""
+    each by integer division, where the library forms half of the power
+    series prod over e | rad d of (1 - t^e)^mu(rad d / e) and mirrors it."""
     p = [-1] + [0] * (d - 1) + [1]
     for e in range(1, d):
         if d % e == 0:
             p, rem = pdivmod(p, cyclotomic_by_division(e))
             assert not rem, "Phi_e divides t^d - 1"
     return tuple(p)
+
+
+def moebius(n):
+    """mu(n) for n >= 1, by trial division."""
+    mu, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            mu = -mu
+        p += 1
+    return -mu if n > 1 else mu
+
+
+def cyclotomic_value_by_moebius(d, x):
+    """Phi_d(x) for an integer x with |x| >= 2, as the exact integer
+    quotient prod over e | d of (x^e - 1)^mu(d/e): the factors with mu = +1
+    over those with mu = -1, with no polynomial formed."""
+    num = den = 1
+    for e in range(1, d + 1):
+        if d % e == 0:
+            mu = moebius(d // e)
+            if mu == 1:
+                num *= x ** e - 1
+            elif mu == -1:
+                den *= x ** e - 1
+    value, rem = divmod(num, den)
+    assert not rem, "the Moebius quotient is an integer"
+    return value
 
 
 def pdivides(q, p):

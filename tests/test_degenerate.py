@@ -2,6 +2,8 @@
 first two cyclotomic polynomials and roots of unity run the code that every
 other input runs; these pin the values that code gives on them."""
 
+import pytest
+
 from knotsig import (FiniteLambdaModule, SemidirectElement, UnitRootAngle,
                      character_table_checks, enumerate_irreps, eta_cyclic,
                      find_seifert_metabolizer, semidirect_inverse, semidirect_mul,
@@ -49,6 +51,13 @@ class TestDegenerateInputs:
 
     def test_first_cyclotomic(self):
         assert cyclotomic(1) == (-1, 1)
+
+    @pytest.mark.parametrize("d", [0, -1, -3])
+    def test_nonpositive_orders_are_refused(self, d):
+        with pytest.raises(ValueError):
+            cyclotomic(d)
+        with pytest.raises(ValueError):
+            vanishes_at_root_of_unity([1, 1], d)
 
     def test_second_cyclotomic(self):
         # d = 2 has one prime and d = 1 none: t^2 - 1 over t - 1, and t - 1

@@ -1128,9 +1128,11 @@ class TestResultantAsNorm:
 
 
 class TestRootsOfUnityByBinomials:
-    """cyclotomic multiplies and divides by binomials t^e - 1, and
-    vanishes_at_root_of_unity folds mod t^d - 1; the oracles divide by
-    Phi_e. d runs to 2310, above the d <= 180 of the kernels benchmark."""
+    """cyclotomic forms half the power series of Phi_(rad d) in binomials
+    1 - t^e, mirrors it and spreads it d/rad d apart, and
+    vanishes_at_root_of_unity folds mod t^d - 1; the oracles divide by Phi_e
+    (d up to 2310, above the d <= 180 of the kernels benchmark) or, up to
+    d = 50000, take values at integers as Moebius quotients."""
 
     def test_cyclotomic_below_400(self):
         for d in range(1, 400):
@@ -1145,6 +1147,19 @@ class TestRootsOfUnityByBinomials:
         phi = cyclotomic(d)
         assert phi == oracles.cyclotomic_by_division(d)
         assert len(phi) - 1 == euler_phi(d)
+
+    LARGE = [4096, 2187, 30030, 46189] + random.Random(3401).sample(range(2, 50001), 12)
+
+    @pytest.mark.parametrize("d", LARGE)
+    def test_cyclotomic_values_at_large_orders(self, d):
+        # 2^12, 3^7, 2*3*5*7*11*13, 11*13*17*19 and a seeded sample
+        phi = cyclotomic(d)
+        assert len(phi) - 1 == euler_phi(d)
+        # Phi_d(1) is p for d a power of the prime p and 1 otherwise
+        primes = [p for p in range(2, d + 1) if d % p == 0 and oracles.moebius(p) == -1]
+        assert peval(phi, 1) == (primes[0] if len(primes) == 1 else 1)
+        for x in (2, -3):
+            assert peval(phi, x) == oracles.cyclotomic_value_by_moebius(d, x), (d, x)
 
     @given(st.data(), st.integers(1, 400))
     @settings(max_examples=150, deadline=None)

@@ -707,7 +707,8 @@ class TestIntegerCells:
     def test_comparison_and_mirror_are_reached(self, monkeypatch):
         # an irrational turn meets the k-grid through its cell at depth
         # D = (4k - 1).bit_length() and at most one comparison with a cosine
-        # at a multiple of 1/k; a lower point is the mirror of its upper one
+        # at a multiple of 1/k, made once for the two points of one root; a
+        # lower point is the mirror of its upper one
         from knotsig.realalg import RealAlgebraic
         cell, exceeds, depths, denominators = (RealAlgebraic.turn_cell,
                                                RealAlgebraic._cos_exceeds, [], [])
@@ -728,13 +729,14 @@ class TestIntegerCells:
             fresh = SignatureFunction(a, sf.breakpoints, sf.arc_values, sf.point_values)
             irrational = [bp for bp in sf.breakpoints if bp.exact_turn is None]
             lowers += sum(bp.hemisphere == "lower" for bp in irrational)
+            roots = len({bp.x for bp in irrational})  # one x per root
             for k in self.KS:
                 depths.clear()
                 denominators.clear()
                 grid = fresh._grid(k)
                 assert max(depths, default=0) <= (4 * k - 1).bit_length()
                 if k & (k - 1):  # the cells compare at powers of 2 only
-                    assert denominators.count(k) <= len(irrational)
+                    assert denominators.count(k) <= roots
                     compared += denominators.count(k)
                 assert grid == oracles.grid_by_fractions(sf, k)
         assert compared and lowers
