@@ -38,18 +38,20 @@ their mean. At a multiple root alpha the congruence still holds, since
 alpha, over Z when alpha is rational and else over Q(alpha)
 (realalg.AlgebraicElement), eliminated by the same kernel.
 
-Every breakpoint is then placed against the k-th roots of unity by one
-count, the number of j in 1..k with j/k below its turn: exact for a
+Every upper breakpoint is then placed against the k-th roots of unity by
+one count, the number of j in 1..k with j/k below its turn: exact for a
 rational turn, and from a turn enclosure with no multiple of 1/k inside
 for an irrational one. Such an enclosure is a dyadic turn cell
 (c/2^D, (c+1)/2^D), which realalg certifies against its integer cosine
-kernel (RealAlgebraic.turn_cell); a lower point's cell mirrors the upper
-one's (CirclePoint.cell). The count reads the integer c by shifts and
-compares. A signature at a root of unity is a bisection in those counts,
-a root-of-unity average is a sum over their differences, and the circle
-integral reduces to certified arc measures: integers over one common
-denominator, the lcm of 2^D and the exact turns' denominators, summed
-against the arc values in integers.
+kernel (RealAlgebraic.turn_cell); the count reads the integer c by shifts
+and compares. The lower breakpoints are the upper ones at the turns
+1 - t, in reverse order, so their counts and enclosures are the upper
+ones' mirrored; and the arc through z = 1 has value 0, so no sum forms
+its count or its measure. A signature at a root of unity is a bisection
+in those counts, a root-of-unity average is a sum over their
+differences, and the circle integral reduces to certified arc measures:
+integers over one common denominator, the lcm of 2^D and the exact
+turns' denominators, summed against the arc values in integers.
 """
 
 from bisect import bisect_left
@@ -149,9 +151,9 @@ def _depth_for(width):
 @lru_cache(maxsize=None)
 def _order_candidates(deg):
     """The d >= 3 with phi(d) <= deg, the only orders a cyclotomic factor of
-    a degree-deg polynomial can have; phi(d) >= sqrt(d/2) puts them all
-    below 4 deg^2 + 7."""
-    return tuple(d for d in range(3, 4 * deg * deg + 7) if euler_phi(d) <= deg)
+    a degree-deg polynomial can have; phi(d) >= sqrt(d/2) puts them all at
+    or below 2 deg^2."""
+    return tuple(d for d in range(3, 2 * deg * deg + 1) if euler_phi(d) <= deg)
 
 
 def _root_of_unity_orders(delta):
@@ -200,6 +202,9 @@ class SignatureFunction:
     at z = 1 is 0 (the matrix there is zero), and the wrap arc value is 0
     as well since the function is continuous off the breakpoint set. Neither
     z = 1 nor z = -1 is a breakpoint: Delta is 1 at 1 and odd at -1.
+    The lower points are the upper ones in reverse order, on the same x at
+    the turns 1 - t. The k-grid and the circle integral place the upper
+    half only and mirror it, and stop before the wrap arc.
     """
 
     def __init__(self, matrix, breakpoints, arc_values, point_values):
@@ -212,6 +217,12 @@ class SignatureFunction:
         # the arc through z = 1 carries the value 0: the function is
         # continuous off the breakpoints and the matrix at z = 1 is zero
         assert arc_values[-1] == 0, "arc through z=1 must vanish"
+        half = len(self.breakpoints) // 2
+        uppers, lowers = self.breakpoints[:half], self.breakpoints[half:][::-1]
+        assert len(self.breakpoints) == 2 * half and all(
+            low.x is up.x and low.exact_turn == (
+                None if up.exact_turn is None else 1 - up.exact_turn)
+            for up, low in zip(uppers, lowers)), "lower points mirror the upper ones"
         self._grids = {}  # k -> _grid(k)
 
     def value_at(self, z: UnitRootAngle) -> int:
@@ -230,25 +241,23 @@ class SignatureFunction:
         """Each breakpoint against the k-th roots of unity: below[i], the
         number of j in 1..k with j/k strictly below its turn, and
         on_grid[i], whether the turn is a multiple of 1/k; computed once
-        per k. An exact turn n/d gives ceil(k*n/d) - 1 at once. An
-        irrational upper turn gives f = RealAlgebraic.turn_floor(k), its
-        mirror k - 1 - f; the two points of one root share its x, so f is
-        found once for both."""
+        per k. An exact upper turn n/d gives ceil(k*n/d) - 1 at once, an
+        irrational one RealAlgebraic.turn_floor(k). The lower half mirrors
+        the upper one: a turn 1 - t has k - 1 - below - on_grid grid
+        points below it, on the grid when t is."""
         grid = self._grids.get(k)
         if grid is None:
-            below, on_grid, floors = [], [], {}  # floors: x -> turn_floor(k)
-            for bp in self.breakpoints:
+            below, on_grid = [], []
+            for bp in self.breakpoints[:len(self.breakpoints) // 2]:
                 t = bp.exact_turn
-                if t is not None:
-                    n, d = t.numerator, t.denominator
-                    below.append(-(-k * n // d) - 1)
-                    on_grid.append(k % d == 0)
-                    continue
-                if bp.x not in floors:
-                    floors[bp.x] = bp.x.turn_floor(k)
-                f = floors[bp.x]
-                below.append(f if bp.hemisphere == "upper" else k - 1 - f)
-                on_grid.append(False)
+                if t is None:
+                    below.append(bp.x.turn_floor(k))
+                    on_grid.append(False)
+                else:
+                    below.append(-(-k * t.numerator // t.denominator) - 1)
+                    on_grid.append(k % t.denominator == 0)
+            below += [k - 1 - b - hit for b, hit in zip(below[::-1], on_grid[::-1])]
+            on_grid += on_grid[::-1]
             grid = self._grids[k] = (below, on_grid)
         return grid
 
@@ -257,43 +266,14 @@ class SignatureFunction:
         computed by exact arc counting."""
         if k < 1:
             raise ValueError("k must be positive")
-        if not self.breakpoints:
-            return (k - 1) * self.arc_values[0]
         below, on_grid = self._grid(k)
         # arc i holds the grid points above breakpoint i (itself excluded
-        # when on the grid) and below the next; the wrap arc ends at the
-        # first breakpoint one turn on, less j = k (z = 1, value 0)
-        ends = below[1:] + [k - 1 + below[0]]
-        counts = [e - b - hit for b, e, hit in zip(below, ends, on_grid)]
-        assert min(counts) >= 0, "breakpoint counts must not decrease"
+        # when on the grid) and below the next; the last arc, through z = 1,
+        # has value 0 and goes uncounted
+        counts = [e - b - hit for b, e, hit in zip(below, below[1:], on_grid)]
+        assert all(c >= 0 for c in counts), "breakpoint counts must not decrease"
         return (sum(v * c for v, c in zip(self.arc_values, counts))
                 + sum(v for v, hit in zip(self.point_values, on_grid) if hit))
-
-    def arc_measures(self, width):
-        """Certified bounds for the normalized Haar measure of each arc, from
-        breakpoint turn enclosures of the given width, as (den, pairs): the
-        integer pairs (lo, hi) bound the measures lo/den <= m <= hi/den over
-        the one denominator den = lcm(2^D, the exact turns' denominators),
-        D the depth of the turn cells (0 when every turn is exact)."""
-        if not self.breakpoints:
-            return 1, [(1, 1)]
-        exact = [bp.exact_turn for bp in self.breakpoints]
-        depth = _depth_for(width) if None in exact else 0
-        den = lcm(1 << depth, *(t.denominator for t in exact if t is not None))
-        step = den >> depth  # a cell's width over den
-        encl = []
-        for bp, t in zip(self.breakpoints, exact):
-            if t is None:
-                c = bp.cell(depth) * step
-                encl.append((c, c + step))
-            else:
-                n = t.numerator * (den // t.denominator)
-                encl.append((n, n))
-        # arc i runs from breakpoint i to i + 1; the last wraps one turn on
-        first_lo, first_hi = encl[0]
-        ends = encl[1:] + [(den + first_lo, den + first_hi)]
-        return den, [(max(0, elo - bhi), ehi - blo)
-                     for (blo, bhi), (elo, ehi) in zip(encl, ends)]
 
 
 def _simplest_dyadic(lo, hi):
@@ -407,7 +387,12 @@ def l2_eta_cyclic(a: SeifertMatrix, k: int) -> Fraction:
 def l2_eta_abelian(a: SeifertMatrix, eps):
     """A certified interval of width <= eps containing the integral of the
     signature function over the circle with normalized Haar measure (total
-    mass 1)."""
+    mass 1). Each upper turn is enclosed in integers over one denominator
+    den = lcm(2^D, the exact turns' denominators), D the depth of cells at
+    most eps/(4 W) wide, W the sum of |v| + 1 over the arc values v (D = 0
+    when every turn is exact), and a lower turn 1 - t in the mirrored
+    (den - hi, den - lo). The arc through z = 1 has value 0, so its measure
+    is not formed."""
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -415,9 +400,23 @@ def l2_eta_abelian(a: SeifertMatrix, eps):
     weight = sum(abs(v) + 1 for v in sf.arc_values)
     # each arc measure is at most 2 * width wide, so hi - lo <= eps / 2
     width = eps / (4 * weight)
-    den, measures = sf.arc_measures(width)
+    uppers = sf.breakpoints[:len(sf.breakpoints) // 2]
+    exact = [bp.exact_turn for bp in uppers]  # lower turns: the same denominators
+    depth = _depth_for(width) if None in exact else 0
+    den = lcm(1 << depth, *(t.denominator for t in exact if t is not None))
+    step = den >> depth  # a cell's width over den
+    encl = []
+    for bp, t in zip(uppers, exact):
+        if t is None:
+            c = bp.cell(depth) * step
+            encl.append((c, c + step))
+        else:
+            n = t.numerator * (den // t.denominator)
+            encl.append((n, n))
+    encl += [(den - hi, den - lo) for lo, hi in encl[::-1]]
     lo = hi = 0
-    for v, (mlo, mhi) in zip(sf.arc_values, measures):
+    for v, (blo, bhi), (elo, ehi) in zip(sf.arc_values, encl, encl[1:]):
+        mlo, mhi = max(0, elo - bhi), ehi - blo
         if v >= 0:
             lo += v * mlo
             hi += v * mhi

@@ -1232,6 +1232,24 @@ class TestNoFloatingPoint:
                       if name not in used]
             assert not unused, unused
 
+    def test_private_helpers_are_used(self):
+        # a route that moves to the oracles must take its helpers with it
+        import ast
+        from pathlib import Path
+        import knotsig
+        defined, named = {}, set()
+        for path in sorted(Path(knotsig.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    if node.name.startswith("_") and not node.name.endswith("__"):
+                        defined[node.name] = f"{path.name}:{node.lineno}"
+                elif isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+        unused = [f"{where} {name}" for name, where in defined.items() if name not in named]
+        assert defined and not unused, unused
+
 
 class TestOneEliminationKernel:
     """Every signature value comes from intmat.congruence_signature: the

@@ -15,7 +15,7 @@ from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, peval,
 from knotsig.signature import (SignatureFunction, _compute_breakpoints, _dyadic_between,
                                _order_candidates, _root_of_unity_orders)
 
-from conftest import (FIXTURE_DIR, TREFOIL, conjugate, mirror,
+from conftest import (FIGURE_EIGHT, FIXTURE_DIR, SLICE4, TREFOIL, UNKNOT, conjugate, mirror,
                       random_interesting_seifert, random_seifert, torus_seifert)
 import oracles
 from oracles import (_char_poly_in_x, _signature_at_x, pdivides, sign_at_cos_turn,
@@ -626,7 +626,7 @@ class TestRootOfUnityOrders:
 
 class TestOrderCandidates:
     """_order_candidates(deg) against {d >= 3 : phi(d) <= deg}, scanned far
-    past the 4 deg^2 + 6 bound by a sieve that shares no code with
+    past the 2 deg^2 bound by a sieve that shares no code with
     intmat.euler_phi."""
 
     TOP = 80  # genus 40
@@ -678,6 +678,10 @@ class TestIntegerCells:
         out += [random_interesting_seifert(rng, rng.randint(1, 4)) for _ in range(12)]
         out += [block_sum(out[4], mirror(out[5])), block_sum(torus_seifert(3, 4), out[1]),
                 torus_seifert(2, 5), torus_seifert(3, 5)]
+        # no breakpoint; a double root at an exact turn; four double roots
+        # with every arc 0
+        out += [UNKNOT, FIGURE_EIGHT, SLICE4,
+                block_sum(torus_seifert(2, 5), mirror(torus_seifert(2, 5)))]
         return out
 
     @staticmethod
@@ -704,11 +708,20 @@ class TestIntegerCells:
                 assert l2_eta_abelian(a, eps) == oracles.l2_eta_by_fraction_measures(sf, eps)
         assert irrational >= 20
 
+    def test_lower_points_must_mirror_the_upper_ones(self):
+        sf = signature_function(TestRicherFixtures.CINQ)
+        up1, up3, low7, low9 = sf.breakpoints  # turns 1/10, 3/10, 7/10, 9/10
+        SignatureFunction(TestRicherFixtures.CINQ, (up1, up3, low7, low9),
+                          sf.arc_values, sf.point_values)
+        with pytest.raises(AssertionError, match="mirror"):
+            SignatureFunction(TestRicherFixtures.CINQ, (up1, up3, low9, low7),
+                              sf.arc_values, sf.point_values)
+
     def test_comparison_and_mirror_are_reached(self, monkeypatch):
         # an irrational turn meets the k-grid through its cell at depth
         # D = (4k - 1).bit_length() and at most one comparison with a cosine
-        # at a multiple of 1/k, made once for the two points of one root; a
-        # lower point is the mirror of its upper one
+        # at a multiple of 1/k, made for the upper point of each root only:
+        # the lower point's count is the mirror of the upper one's
         from knotsig.realalg import RealAlgebraic
         cell, exceeds, depths, denominators = (RealAlgebraic.turn_cell,
                                                RealAlgebraic._cos_exceeds, [], [])
