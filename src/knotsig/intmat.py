@@ -8,9 +8,9 @@ structure (like a group action) can be transported to the normal-form
 basis, and a caller that reads only the diagonal builds no transform. This
 module is the one home of the integer primitives the library shares:
 determinant, signature of a symmetric matrix, modular matrix power, prime
-factorization and Euler's phi. The signature runs on each connected block
-of a matrix (diagonal_blocks), so a block sum costs what its summands
-cost; polyz.char_poly splits a matrix the same way. The determinant is
+factorization and Euler's phi. The callers split a block sum by
+diagonal_blocks where it pays: polyz.char_poly per matrix, the signature
+step function once per Seifert matrix. The determinant is
 Bareiss elimination with a divisor per row: a row whose entry in the pivot
 column is zero is left alone, and when a pivot column reaches it, it is
 divided by the pivot of the step that last changed it, which is exact
@@ -147,8 +147,7 @@ def diagonal_blocks(mat):
     components of its support graph, each a new list of rows with its
     indices in increasing order, the components in order of their least
     index. Indices i and j are joined when entry (i, j) or (j, i) is
-    nonzero, by the entry's truth value, so any ring element with one
-    serves. A simultaneous permutation of rows and columns takes the
+    nonzero. A simultaneous permutation of rows and columns takes the
     matrix to the block sum of these blocks.
 
     A breadth-first search keeps the indices no component has reached and
@@ -174,33 +173,24 @@ def diagonal_blocks(mat):
     return out
 
 
-def congruence_signature(mat):
-    """Signature of a symmetric integer matrix: the sum over its
-    diagonal_blocks of fraction-free symmetric Gaussian elimination,
-    Bareiss with diagonal pivots. Reordering rows and columns by one
-    permutation is a congruence, so by Sylvester's law the signature of
-    the block sum is the sum of the blocks' signatures.
-
-    After each pivot the open block holds the Schur complement times the
-    last pivot, which is the leading principal minor of a symmetric
-    permutation of the matrix, so every division is exact; that is
-    asserted. The Schur pivot is the quotient of consecutive minors, and
-    its sign is counted. A block with a zero diagonal and a nonzero
-    entry b_ij gets the congruence u_i += u_j, which makes b_ii = 2*b_ij;
-    applied to the whole matrix it changes no minor of the pivots taken,
-    so exactness is kept. A zero block contributes nothing."""
-    return sum(map(_eliminate_symmetric, diagonal_blocks(mat)))
-
-
-def _eliminate_symmetric(b):
-    # the signature of one block, eliminated in place
-    sig = 0
-    prev = 1
-    while b:
-        piv = next((i for i, row in enumerate(b) if row[i]), None)
+def congruence_signature(b, divisor=1, pivots=None):
+    """Signature of b/divisor by fraction-free symmetric elimination of b
+    in place, Bareiss with diagonal pivots seeded with divisor, a d with
+    every j x j minor of b equal to d^(j-1) times a ring element; returned
+    with the last pivot. The open block left in b, the Schur complement
+    times the last pivot, holds minors of a symmetric permutation of b over
+    powers of d, so each division is exact (asserted); the sign of each
+    Schur pivot, a quotient of consecutive pivots, is counted. With pivots,
+    it stops after that many, each among the leading rows still open. A
+    zero diagonal there with a nonzero b_ij gets u_i += u_j, a congruence
+    that keeps every division exact. A zero open block adds nothing."""
+    sig, prev = 0, divisor
+    lead = len(b) if pivots is None else pivots
+    while lead:
+        piv = next((i for i in range(lead) if b[i][i]), None)
         if piv is None:
-            pair = next(((i, j) for i, row in enumerate(b)
-                         for j, x in enumerate(row) if x), None)
+            pair = next(((i, j) for i in range(lead) for j in range(lead)
+                         if b[i][j]), None)
             if pair is None:
                 break
             piv, j = pair
@@ -219,7 +209,8 @@ def _eliminate_symmetric(b):
                 assert r == 0, "Bareiss division must be exact"
                 row[j] = b[j][i] = q
         prev = p
-    return sig
+        lead -= 1
+    return sig, prev
 
 
 def mat_pow_mod(m, e, mod):

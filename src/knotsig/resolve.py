@@ -112,22 +112,23 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
     (n, h) with |n| and the coefficients of h bounded by witness_bound,
     (2 * witness_bound + 1)^(deg + 1) - 1 of them, capped like every
     enumeration (KNOTSIG_CAP, else 10**6); an explicit witness list is not
-    capped, and its zero element is left out. An unseparated witness is
-    recorded, not fatal (the depth may simply be too small)."""
+    capped, and its zero element is left out. The levels' group orders may
+    have as many bits in all. An unseparated witness is recorded, not fatal
+    (the depth may simply be too small)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if witnesses is None and witness_bound < 1:
         raise ValueError("witness bound must be >= 1, or no witness is checked")
     delta = delta.canonical()
     deg = delta.degree
+    cap = default_cap()
     if witnesses is None:
-        count, cap = (2 * witness_bound + 1) ** (deg + 1) - 1, default_cap()
+        count = (2 * witness_bound + 1) ** (deg + 1) - 1
         if count > cap:
             raise CapExceeded(count, cap, "witness count")
 
     steps = []
-    k_prev = 1
-    s_prev = 0
+    k_prev, s_prev, bits = 1, 0, 0
     for i in range(1, depth + 1):
         module = finite_alexander_quotient(delta, p, i)
         o = module.action_order()
@@ -140,6 +141,8 @@ def build_resolution(delta: IntLaurentPoly, p: int, depth: int,
         assert module.order() == p ** (i * deg), "H/H_i must be a p-group"
         steps.append(ResolutionStep(i, k_i, s_i, module))
         k_prev, s_prev = k_i, s_i
+        if (bits := bits + quotient_group_order(steps[-1]).bit_length()) > cap:
+            raise CapExceeded(bits, cap, "tower bits")
 
     if witnesses is None:
         rng = range(-witness_bound, witness_bound + 1)

@@ -22,21 +22,24 @@ j/d for the i-th such j: no cosine is evaluated and no interval refined.
 Each arc is sampled at the dyadic x = p/q of least denominator strictly
 between its two roots, found by placing candidates against the roots with
 one sign of the squarefree G each, so no breakpoint is refined. There the
-realification of H is congruent to the rational form
-[[P, T], [-T, P/(1-x^2)]], P = (1-x)S, of twice the signature; congruent
-by diag(I, (1+x)I) and scaled by q > 0 it is the integer matrix
-[[(q-p)S, (q+p)T], [-(q+p)T, (q+p)S]], and its signature comes from
-fraction-free symmetric elimination (intmat.congruence_signature), one
-block at a time: the form of a block sum of Seifert matrices is, after
-reordering, the block sum of the summands' forms.
+realification of H is congruent to [[P, T], [-T, P/(1-x^2)]], P = (1-x)S,
+of twice the signature, and by diag(I, (1+x)I), times q, to
+[[uS, vT], [-vT, vS]], u = q - p, v = q + p. As d = det S = +-Delta(-1)
+is odd, Haynsworth's inertia additivity over vS gives 2 sigma = sig S +
+sig N/d, N = u d S + v T adj(S) T. N/d is the Schur complement of S in
+[[S, T], [-vT, uS]], so every j x j minor of N is d^(j-1) times an
+integer, and intmat.congruence_signature signs N/d exactly from the seed
+d. A is split once by diagonal_blocks, as the form of a block sum is,
+reordered, the block sum of the summands' forms: one Schur step per
+block, and at x = -1, where the matrix is 2S, sigma is the sum of the
+sig S_b.
 
 At a simple root of G, det H vanishes to first order and the eigenvalues
 are analytic in theta (Rellich), so exactly one crosses zero: the adjacent
 arc values differ by 2, which is asserted, and the value at the root is
 their mean. At a multiple root alpha the congruence still holds, since
-1 + alpha > 0: the value is half the signature of the same form at
-alpha, over Z when alpha is rational and else over Q(alpha)
-(realalg.AlgebraicElement), eliminated by the same kernel.
+1 + alpha > 0: the value is half of sig S + sig N/d at alpha, N over Z
+when alpha is rational and else over Q(alpha) (realalg.AlgebraicElement).
 
 Every upper breakpoint is then placed against the k-th roots of unity by
 one count, the number of j in 1..k with j/k below its turn: exact for a
@@ -60,7 +63,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .intmat import congruence_signature, euler_phi
+from .intmat import congruence_signature, diagonal_blocks, euler_phi
 from .polyz import (cos_compact, cos_minimal_poly, isolate_roots, pderiv, pdeg,
                     peval, pgcd, squarefree_part, vanishes_at_root_of_unity)
 from .realalg import AlgebraicElement, PrecisionExhausted, RealAlgebraic
@@ -308,27 +311,29 @@ def _dyadic_between(below, above):
             return d
 
 
-def _arc_value(s, t, x):
-    """sigma at cos(theta) = x for a rational x = p/q in [-1, 1): at x = -1
-    the matrix is 2S, elsewhere the integer form of _form_value with
-    u = q - p and v = q + p."""
-    if x == -1:
-        return congruence_signature(s)
-    p, q = x.numerator, x.denominator
-    return _form_value(s, t, q - p, q + p)
+def _schur_blocks(a):
+    """(sig S_b, d_b = det S_b, S_b, W_b = T_b adj(S_b) T_b) for each A_b of
+    diagonal_blocks(A), S_b = A_b + A_b^t, T_b = A_b - A_b^t: the n_b
+    leading pivots of [[S_b, T_b], [-T_b, 0]] and the block they leave."""
+    blocks = []
+    for blk in diagonal_blocks(a.as_lists()):
+        n = len(blk)
+        s = [[x + y for x, y in zip(row, col)] for row, col in zip(blk, zip(*blk))]
+        t = [[x - y for x, y in zip(row, col)] for row, col in zip(blk, zip(*blk))]
+        w = [sr + tr for sr, tr in zip(s, t)] + [[-x for x in tr] + [0] * n for tr in t]
+        sig, d = congruence_signature(w, pivots=n)
+        assert len(w) == n and d % 2, "det S_b = +-Delta_b(-1) is odd"
+        blocks.append((sig, d, s, w))
+    return blocks
 
 
-def _form_value(s, t, u, v):
-    """sigma at cos(theta) = x in (-1, 1) from S = A + A^t and T = A - A^t,
-    given u = c(1-x) and v = c(1+x), c > 0. The matrix there is P - iyT,
-    P = (1-x)S, y^2 = 1 - x^2; its realification is congruent to the real
-    form [[P, T], [-T, P/(1-x^2)]] of twice the signature, and by
-    diag(I, (1+x)I), times c, to the form with blocks uS, vT, -vT and vS."""
-    form = ([[u * a for a in srow] + [v * b for b in trow]
-             for srow, trow in zip(s, t)]
-            + [[v * -b for b in trow] + [v * a for a in srow]
-               for srow, trow in zip(s, t)])
-    doubled = congruence_signature(form)
+def _form_value(blocks, u, v):
+    """sigma at cos(theta) = x in (-1, 1), given u = c(1-x), v = c(1+x) and
+    c > 0: half the sum over the _schur_blocks of sig S + sig N/d."""
+    doubled = 0
+    for sig, d, s, w in blocks:
+        form = [[u * (d * x) + v * y for x, y in zip(srow, wrow)] for srow, wrow in zip(s, w)]
+        doubled += sig + congruence_signature(form, divisor=d)[0]
     assert doubled % 2 == 0, "a realified Hermitian form has even signature"
     return doubled // 2
 
@@ -338,32 +343,32 @@ def signature_function(a: SeifertMatrix) -> SignatureFunction:
     """Compute the full signature step function: exact breakpoints, one
     sampled value per open arc, and exact values at the breakpoints.
 
-    sigma depends on x = cos(theta) alone, so every arc is sampled at a
-    rational x by an integer congruence signature: an upper arc at the
-    simplest dyadic between its two breakpoints, the arc through
-    theta = pi at x = -1, and the arc through z = 1 at the simplest dyadic
-    between the largest root and 1. At a simple root of G one eigenvalue
-    crosses zero (Rellich), so the adjacent arcs differ by exactly 2 and
-    the point value is their mean. At a multiple root of G the point value
-    is half the signature of the same form at the root itself. Lower arcs
-    and points mirror the upper ones (sigma(conj z) = sigma(z)).
+    sigma depends on x = cos(theta) alone, so each upper arc is sampled at
+    the simplest dyadic x = p/q between its breakpoints (the arc through
+    z = 1 between the largest root and 1) by _form_value with u = q - p,
+    v = q + p, and the arc through theta = pi is the sum of the sig S_b.
+    At a simple root of G one eigenvalue crosses zero (Rellich), so the
+    adjacent arcs differ by exactly 2 and the point value is their mean.
+    At a multiple root of G the point value is half the signature of the
+    same form at the root itself. Lower arcs and points mirror the upper
+    ones (sigma(conj z) = sigma(z)).
     """
-    s, t = a.symmetrization(), a.antisymmetrization()
+    blocks = _schur_blocks(a)
     bps, repeated = _compute_breakpoints(a)
-    through_pi = _arc_value(s, t, Fraction(-1))
+    through_pi = sum(sig for sig, *_ in blocks)
     if not bps:
         return SignatureFunction(a, (), (through_pi,), ())
     uppers = [bp.x for bp in bps[:len(bps) // 2]]  # decreasing x
-    upper_arcs = [_arc_value(s, t, _dyadic_between(x_next, x))
-                  for x, x_next in zip(uppers, uppers[1:])]
-    wrap = _arc_value(s, t, _dyadic_between(uppers[0], None))
+    xs = [_dyadic_between(below, above) for above, below in zip([None] + uppers, uppers)]
+    wrap, *upper_arcs = [_form_value(blocks, x.denominator - x.numerator,
+                                     x.denominator + x.numerator) for x in xs]
     # around[i] and around[i + 1] are the arcs on either side of uppers[i]
     around = [wrap] + upper_arcs + [through_pi]
     upper_points = []
     for x, before, after in zip(uppers, around, around[1:]):
         if x.is_root_of(repeated):
             upper_points.append(
-                _form_value(s, t, *AlgebraicElement.arc_factors(x, repeated)))
+                _form_value(blocks, *AlgebraicElement.arc_factors(x, repeated)))
         else:
             assert abs(before - after) == 2, "a simple root moves one eigenvalue"
             upper_points.append((before + after) // 2)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from knotsig.intmat import det, euler_phi, identity
+from knotsig.intmat import congruence_signature, det, euler_phi, identity
 from knotsig.mbreps import MonomialMatrix
 from knotsig.polyz import (_variations, char_poly, cos_minimal_poly, palindromic_compact,
                            pdeg, pdivmod, peval, pnorm, psubst_scale)
@@ -175,6 +175,24 @@ def tl_signature_by_congruence(a, x):
             big[n + i][n + j] = p[i][j] * scale
     doubled = symmetric_signature(big)
     assert doubled % 2 == 0
+    return doubled // 2
+
+
+def arc_form_value_2n(s, t, u, v):
+    """sigma at cos(theta) = x in (-1, 1) from S = A + A^t and T = A - A^t,
+    given u = c(1-x) and v = c(1+x), c > 0 (integers, or elements of
+    Q(alpha) from realalg.AlgebraicElement.arc_factors at a root alpha).
+    The matrix there is P - iyT, P = (1-x)S, y^2 = 1 - x^2; its
+    realification is congruent to the real form [[P, T], [-T, P/(1-x^2)]]
+    of twice the signature, and by diag(I, (1+x)I), times c, to the form
+    with blocks uS, vT, -vT and vS. That 2n x 2n form is eliminated whole,
+    with no Schur step, no seed and no split into blocks."""
+    form = ([[u * a for a in srow] + [v * b for b in trow]
+             for srow, trow in zip(s, t)]
+            + [[v * -b for b in trow] + [v * a for a in srow]
+               for srow, trow in zip(s, t)])
+    doubled = congruence_signature(form)[0]
+    assert doubled % 2 == 0, "a realified Hermitian form has even signature"
     return doubled // 2
 
 

@@ -381,6 +381,16 @@ class TestErrors:
         assert main(["resolve", "--delta", "1,-3,5,-3,1", "--p", "5", "--depth", "1",
                      "--witness-bound", "2"]) == 0
 
+    def test_resolve_tower_over_cap(self, capsys, monkeypatch):
+        # t^2 - t + 1 at p = 5: the group orders of levels 1..6 have
+        # 161 bits in all
+        argv = ["resolve", "--delta", "1,-1,1", "--p", "5", "--depth", "6"]
+        monkeypatch.setenv("KNOTSIG_CAP", "160")
+        assert main(argv) == 4
+        assert "tower bits 161 exceeds cap 160" in capsys.readouterr().err
+        monkeypatch.setenv("KNOTSIG_CAP", "161")
+        assert main(argv) == 0
+
     def test_metabolizer_search_over_cap(self, capsys, tmp_path, monkeypatch):
         # uncapped, bound 2 backtracks for seconds on this genus-3 matrix
         a = random_seifert(random.Random(1), 3)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from knotsig import (UnitRootAngle, alexander_polynomial, arf_invariant,
                      block_sum, eta_cyclic, l2_eta_abelian, signature_function,
@@ -270,19 +270,69 @@ def symmetric_matrices(draw):
     return m
 
 
+def symmetric_signature(m):
+    """The signature by intmat.congruence_signature, which eliminates a
+    copy of m in place."""
+    return congruence_signature([list(row) for row in m])[0]
+
+
+@st.composite
+def schur_forms(draw):
+    """(S, T, u, v): a nonsingular symmetric S up to 6 x 6, plain or with
+    an all-zero diagonal, an antisymmetric T of its size, u > 0, v >= 0."""
+    n = draw(st.integers(1, 6))
+    entries = st.integers(-4, 4)
+    s, t = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    zero_diagonal = draw(st.booleans())
+    for i in range(n):
+        for j in range(i, n):
+            s[i][j] = s[j][i] = 0 if i == j and zero_diagonal else draw(entries)
+            if j > i:
+                t[i][j] = draw(entries)
+                t[j][i] = -t[i][j]
+    assume(det(s) != 0)
+    return s, t, draw(st.integers(1, 9)), draw(st.integers(0, 9))
+
+
 class TestCongruenceSignature:
     @given(symmetric_matrices())
     @settings(max_examples=300, deadline=None)
     def test_against_rational_elimination(self, m):
-        assert congruence_signature(m) == oracles.symmetric_signature(m)
+        assert symmetric_signature(m) == oracles.symmetric_signature(m)
 
     def test_edge_cases(self):
-        assert congruence_signature([]) == 0
-        assert congruence_signature([[0]]) == 0
-        assert congruence_signature([[0, 1], [1, 0]]) == 0  # hyperbolic plane
-        assert congruence_signature([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 0
-        assert congruence_signature([[-3]]) == -1
-        assert congruence_signature([[2, 1], [1, 2]]) == 2
+        assert symmetric_signature([]) == 0
+        assert symmetric_signature([[0]]) == 0
+        assert symmetric_signature([[0, 1], [1, 0]]) == 0  # hyperbolic plane
+        assert symmetric_signature([[0, 0, 1], [0, 0, 0], [1, 0, 0]]) == 0
+        assert symmetric_signature([[-3]]) == -1
+        assert symmetric_signature([[2, 1], [1, 2]]) == 2
+
+    @given(schur_forms())
+    @settings(max_examples=200, deadline=None)
+    def test_schur_step_and_divisor_mode(self, case):
+        """n leading pivots of [[S, T], [-T, 0]] give sig S, d = det S and
+        W = T adj(S) T; N = u d S + v W eliminated from the seed d signs
+        N/d, and sig S + sig N/d is the signature of the 2n form
+        [[uS, vT], [-vT, vS]] when v > 0 (Haynsworth)."""
+        s, t, u, v = case
+        n, d = len(s), det(s)
+        adj = [[int(x * d) for x in row] for row in oracles.frac_inverse(s)]
+        w = mat_mul(mat_mul(t, adj), t)
+        bordered = ([srow + trow for srow, trow in zip(s, t)]
+                    + [[-x for x in trow] + [0] * n for trow in t])
+        sig_s, pivot = congruence_signature(bordered, pivots=n)
+        assert (sig_s, pivot, bordered) == (oracles.symmetric_signature(s), d, w)
+        form = [[u * d * x + v * y for x, y in zip(srow, wrow)]
+                for srow, wrow in zip(s, w)]
+        seeded = congruence_signature([list(row) for row in form], divisor=d)[0]
+        assert seeded == oracles.symmetric_signature(form) * (1 if d > 0 else -1)
+        if v:
+            realified = ([[u * x for x in srow] + [v * y for y in trow]
+                          for srow, trow in zip(s, t)]
+                         + [[-v * y for y in trow] + [v * x for x in srow]
+                            for srow, trow in zip(s, t)])
+            assert sig_s + seeded == oracles.symmetric_signature(realified)
 
 
 @st.composite
@@ -318,8 +368,8 @@ class TestDiagonalBlocks:
     def test_signature_adds_over_blocks(self, case):
         m, parts = case
         expected = oracles.symmetric_signature(m)
-        assert congruence_signature(m) == expected
-        assert sum(map(congruence_signature, parts)) == expected
+        assert symmetric_signature(m) == expected
+        assert sum(map(symmetric_signature, parts)) == expected
 
     @given(permuted_block_sums(square_matrices()))
     @settings(max_examples=150, deadline=None)

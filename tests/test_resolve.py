@@ -162,6 +162,23 @@ class TestBuildResolution:
         monkeypatch.setenv("KNOTSIG_CAP", "124")
         assert len(build_resolution(PHI6, 5, 1, witness_bound=2).witnesses) == 124
 
+    def test_tower_bits_capped(self, monkeypatch):
+        # PHI6 at p = 5: the group orders' bit lengths sum to 8, 23, 45,
+        # 74, 111, 161, 219, ... over levels 1, 2, 3, ...
+        monkeypatch.setenv("KNOTSIG_CAP", "161")
+        report = build_resolution(PHI6, 5, 6, witness_bound=2)
+        assert sum(quotient_group_order(s).bit_length() for s in report.steps) == 161
+        monkeypatch.setenv("KNOTSIG_CAP", "160")
+        with pytest.raises(CapExceeded) as exc:
+            build_resolution(PHI6, 5, 12, witness_bound=2)
+        # raised at level 6, before level 7 is built
+        assert (exc.value.order, exc.value.cap) == (161, 160)
+        assert "tower bits" in str(exc.value)
+        # the default witness count is checked first
+        monkeypatch.setenv("KNOTSIG_CAP", "100")
+        with pytest.raises(CapExceeded, match="witness count"):
+            build_resolution(PHI6, 5, 12, witness_bound=2)
+
     def test_s_schedule_validation(self):
         with pytest.raises(ValueError):
             build_resolution(PHI6, 5, 2, s_schedule=[2, 1])

@@ -8,6 +8,8 @@ from knotsig import (CirclePoint, UnitRootAngle, alexander_polynomial,
                      eta_cyclic, l2_eta_abelian, l2_eta_cyclic,
                      signature_function, tl_signature_at, validate_seifert,
                      factorial_schedule)
+from knotsig import signature as signature_module
+from knotsig.intmat import det, diagonal_blocks
 from knotsig.knotio import read_knot
 from knotsig.realalg import AlgebraicElement, cos_turn_bounds
 from knotsig.polyz import (cos_compact, cyclotomic, isolate_roots, peval,
@@ -1006,3 +1008,104 @@ class TestExactTurns:
             for k in (pq, 2 * pq):
                 assert sf.eta_sum(k) == sum(sf.value_at(angle(j, k))
                                             for j in range(1, k + 1))
+
+
+class TestSchurArcForms:
+    """Each arc value and each multiple-root point value signs one n_b x n_b
+    form per Seifert block, the Schur complement of S_b in the realified
+    form; the 2n x 2n form of oracles.arc_form_value_2n is the reference."""
+
+    @staticmethod
+    def check(a):
+        """Every sample and multiple-root point against the 2n form;
+        returns the number of Q(alpha) points checked."""
+        sf = signature_function.__wrapped__(a)  # uncached
+        s, t = a.symmetrization(), a.antisymmetrization()
+        # the arc through theta = pi, at x = -1, has sig S
+        assert sf.arc_values[(len(sf.arc_values) - 1) // 2] == oracles.symmetric_signature(s)
+        uppers = [bp.x for bp in sf.breakpoints[:len(sf.breakpoints) // 2]]
+        if not uppers:
+            return 0
+        # the upper arcs, then the arc through z = 1
+        values = sf.arc_values[:len(uppers) - 1] + sf.arc_values[-1:]
+        for x, value in zip(TestArcSampling.samples(sf), values):
+            p, q = x.numerator, x.denominator
+            assert value == oracles.arc_form_value_2n(s, t, q - p, q + p), (a.entries, x)
+        _, repeated = _compute_breakpoints(a)
+        algebraic = 0
+        for x, value in zip(uppers, sf.point_values):
+            if x.is_root_of(repeated):
+                u, v = AlgebraicElement.arc_factors(x, repeated)
+                assert value == oracles.arc_form_value_2n(s, t, u, v), a.entries
+                algebraic += not isinstance(u, int)
+        return algebraic
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """(rows in, pivots, rows left, the input) of every elimination the
+        step function runs."""
+        calls = []
+        eliminate = signature_module.congruence_signature
+
+        def spied(b, **options):
+            rows, entries = len(b), [list(row) for row in b]
+            out = eliminate(b, **options)
+            calls.append((rows, options.get("pivots"), len(b), entries))
+            return out
+        monkeypatch.setattr(signature_module, "congruence_signature", spied)
+        return calls
+
+    def test_random_and_conjugated(self):
+        rng = random.Random(1409)
+        for genus in (1, 2, 3, 4, 5, 6):
+            for _ in range(2):
+                k = random_interesting_seifert(rng, genus)
+                self.check(k)
+                self.check(conjugate(rng, k))
+            self.check(random_seifert(rng, genus))
+
+    def test_multiple_roots_and_negative_determinant(self):
+        k = random_interesting_seifert(random.Random(3), 2)
+        t25 = torus_seifert(2, 5)
+        algebraic = sum(self.check(a) for a in (
+            block_sum(k, k), conjugate(random.Random(1411), block_sum(k, k)),
+            block_sum(t25, t25), conjugate(random.Random(1413), block_sum(t25, t25))))
+        assert algebraic > 0, "no point over Q(alpha)"
+        assert det(FIGURE_EIGHT.symmetrization()) < 0
+        self.check(FIGURE_EIGHT)
+
+    def test_zero_diagonal_takes_the_congruence(self, eliminations):
+        # S = [[0, 1], [1, 0]] for A = [[0, 1], [0, 0]] (an unknot): its
+        # Schur step meets a zero diagonal and adds one row to another
+        hyperbolic = validate_seifert([[0, 1], [0, 0]])
+        rng = random.Random(1427)
+        knots = [block_sum(hyperbolic, TREFOIL)]
+        for _ in range(3):
+            a = block_sum(hyperbolic, conjugate(rng, TREFOIL)).as_lists()
+            # a signed permutation keeps the blocks apart
+            order, signs = rng.sample(range(4), 4), [rng.choice([-1, 1]) for _ in range(4)]
+            knots.append(validate_seifert([[signs[i] * signs[j] * a[i][j] for j in order]
+                                           for i in order]))
+            knots.append(conjugate(rng, block_sum(hyperbolic, TREFOIL)))
+        for a in knots:
+            self.check(a)
+        zero_leading = [entries for rows, pivots, _, entries in eliminations
+                        if pivots and not any(entries[i][i] for i in range(pivots))]
+        assert len(zero_leading) >= 4
+
+    def test_forms_of_size_n(self, eliminations):
+        """A full elimination sees at most n_b x n_b; only the Schur step
+        sees 2 n_b x 2 n_b, and it stops after n_b pivots."""
+        rng = random.Random(1423)
+        arcs = 0
+        for genus in (1, 2, 3, 4, 5, 6):
+            for a in (random_seifert(rng, genus), random_interesting_seifert(rng, genus)):
+                sizes = [len(b) for b in diagonal_blocks(a.as_lists())]
+                eliminations.clear()
+                signature_function.__wrapped__(a)  # uncached
+                schur = [(rows, left) for rows, pivots, left, _ in eliminations if pivots]
+                assert sorted(schur) == sorted((2 * n, n) for n in sizes)
+                full = [rows for rows, pivots, _, _ in eliminations if not pivots]
+                assert set(full) <= set(sizes)
+                arcs += len(full)
+        assert arcs > 12
